@@ -274,14 +274,6 @@ class _MatrixSpan:
         return len(self.matrices)
 
 
-def _bracket_pair(L: LieAlgebra, i: int, j: int) -> dict:
-    if i < j:
-        return L.brackets.get((i, j), {})
-    if j < i:
-        return {k: -c for k, c in L.brackets.get((j, i), {}).items()}
-    return {}
-
-
 def centroid_basis(L: LieAlgebra) -> list:
     """Basis matrices of the centroid of L.
 
@@ -295,12 +287,12 @@ def centroid_basis(L: LieAlgebra) -> list:
         raise DegenerateError("centroid of a zero-dimensional algebra")
     red = _SparseReducer(field)
     for j in range(n):
-        cols = [_bracket_pair(L, s, j) for s in range(n)]
+        cols = [L.bracket_basis(s, j) for s in range(n)]
         targets = set()
         for s in range(n):
             targets.update(cols[s])
         for i in range(n):
-            lhs = _bracket_pair(L, i, j)
+            lhs = L.bracket_basis(i, j)
             p_range = range(n) if lhs else sorted(targets)
             for p in p_range:
                 row: dict = {}

@@ -32,6 +32,11 @@ def _coerce(field: FieldTower, value) -> FieldElement:
     return field.from_rational(Fraction(value))
 
 
+def _support(coords: Sequence[FieldElement]) -> dict:
+    """The nonzero entries of a coordinate vector as {index: coeff}."""
+    return {k: c for k, c in enumerate(coords) if not c.is_zero()}
+
+
 class LieAlgebra:
     """Immutable-by-convention Lie algebra over one field tower."""
 
@@ -83,16 +88,57 @@ class LieAlgebra:
 
     def bracket_coords(self, u: Sequence[FieldElement],
                        v: Sequence[FieldElement]) -> list[FieldElement]:
-        """[u, v] in coordinates; bilinear expansion over the sparse table."""
+        """[u, v] in coordinates, expanded over the supports of u and v."""
+        acc: dict = {}
+        self._add_bracket(acc, _support(u), _support(v))
         out = [self.field.zero()] * self.dim
-        for (i, j), comps in self.brackets.items():
-            ui, uj = u[i], u[j]
-            vi, vj = v[i], v[j]
-            coeff = ui * vj - uj * vi
+        for k, c in acc.items():
+            out[k] = c
+        return out
+
+    def _add_bracket(self, acc: dict, u: dict, v: dict) -> None:
+        """Add [u, v] into acc; u, v and acc are sparse {index: coeff}.
+
+        The coefficient of [e_i, e_j] (i < j) is u_i v_j - u_j v_i.  It is
+        gathered from the support pairs when they are fewer than the
+        stored brackets, and from the bracket table otherwise.
+        """
+        for comps, coeff in self._pair_coeffs(u, v):
             if coeff.is_zero():
                 continue
             for k, c in comps.items():
-                out[k] = out[k] + coeff * c
+                t = coeff * c
+                prev = acc.get(k)
+                acc[k] = t if prev is None else prev + t
+
+    def _pair_coeffs(self, u: dict, v: dict):
+        brackets = self.brackets
+        if len(u) * len(v) <= len(brackets):
+            coeffs: dict = {}
+            for a, x in u.items():
+                for b, y in v.items():
+                    if a == b:
+                        continue
+                    key = (a, b) if a < b else (b, a)
+                    if key not in brackets:
+                        continue
+                    t = x * y
+                    prev = coeffs.get(key)
+                    if a < b:
+                        coeffs[key] = t if prev is None else prev + t
+                    else:
+                        coeffs[key] = -t if prev is None else prev - t
+            return [(brackets[key], c) for key, c in coeffs.items()]
+        out = []
+        for (i, j), comps in brackets.items():
+            ui, vj = u.get(i), v.get(j)
+            uj, vi = u.get(j), v.get(i)
+            coeff = None if ui is None or vj is None else ui * vj
+            if uj is not None and vi is not None:
+                t = uj * vi
+                coeff = -t if coeff is None else coeff - t
+            if coeff is not None:
+                out.append((comps, coeff))
         return out
 
     def bracket(self, u: "Vector", v: "Vector") -> "Vector":
@@ -280,26 +326,46 @@ class SemiLinearMap:
                                         self.matrix, require_bijective=False)
 
 
+def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
+                      mat) -> bool:
+    """phi([e_i, e_j]) == [phi e_i, phi e_j] for every pair i < j.
+
+    phi is the sigma-semilinear map whose column i is phi(e_i); sigma None
+    is the identity.  Both sides are expanded over column supports only:
+    the left as sum of sigma(c) phi(e_k) over k in [e_i, e_j], the right
+    through target._add_bracket.  Their difference must vanish exactly.
+    """
+    cols = [_support([row[i] for row in mat]) for i in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            acc: dict = {}
+            target._add_bracket(acc, cols[i], cols[j])
+            for k, c in source.bracket_basis(i, j).items():
+                sc = c if sigma is None else sigma(c)
+                for r, x in cols[k].items():
+                    t = sc * x
+                    prev = acc.get(r)
+                    acc[r] = -t if prev is None else prev - t
+            if any(not c.is_zero() for c in acc.values()):
+                return False
+    return True
+
+
+def _shaped(source: LieAlgebra, target: LieAlgebra, matrix):
+    """matrix coerced to target.field, or None when its shape is wrong."""
+    mat = [[_coerce(target.field, c) for c in row] for row in matrix]
+    if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
+        return None
+    return mat
+
+
 def verify_morphism(source: LieAlgebra, target: LieAlgebra, matrix) -> bool:
     """Exact check that matrix defines a Lie algebra morphism on the basis."""
     if source.field != target.field:
         raise TowerMismatchError("morphism between algebras over different "
                                  "fields")
-    mat = [[_coerce(target.field, c) for c in row] for row in matrix]
-    if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
-        return False
-    field = target.field
-    cols = [[mat[r][i] for r in range(target.dim)] for i in range(source.dim)]
-    for i in range(source.dim):
-        for j in range(i + 1, source.dim):
-            lhs = [field.zero()] * target.dim
-            for k, c in source.bracket_basis(i, j).items():
-                for r in range(target.dim):
-                    lhs[r] = lhs[r] + c * cols[k][r]
-            rhs = target.bracket_coords(cols[i], cols[j])
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                return False
-    return True
+    mat = _shaped(source, target, matrix)
+    return mat is not None and _semilinear_holds(source, target, None, mat)
 
 
 def verify_sigma_isomorphism(source: LieAlgebra, target: LieAlgebra, sigma,
@@ -307,26 +373,12 @@ def verify_sigma_isomorphism(source: LieAlgebra, target: LieAlgebra, sigma,
     """Check a sigma-semilinear morphism (and bijectivity by default)."""
     if source.field != target.field:
         raise TowerMismatchError("sigma-isomorphism requires one common field")
-    mat = [[_coerce(target.field, c) for c in row] for row in matrix]
-    if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
+    mat = _shaped(source, target, matrix)
+    if mat is None or not _semilinear_holds(source, target, sigma, mat):
         return False
-    field = target.field
-    cols = [[mat[r][i] for r in range(target.dim)] for i in range(source.dim)]
-    for i in range(source.dim):
-        for j in range(i + 1, source.dim):
-            lhs = [field.zero()] * target.dim
-            for k, c in source.bracket_basis(i, j).items():
-                sc = sigma(c)
-                for r in range(target.dim):
-                    lhs[r] = lhs[r] + sc * cols[k][r]
-            rhs = target.bracket_coords(cols[i], cols[j])
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                return False
     if require_bijective:
-        if source.dim != target.dim:
-            return False
-        if linalg.rank(mat, field) != source.dim:
-            return False
+        return (source.dim == target.dim
+                and linalg.rank(mat, target.field) == source.dim)
     return True
 
 
@@ -380,12 +432,6 @@ def change_basis(L: LieAlgebra, P) -> LieAlgebra:
 
 
 # ------------------------------------------------------------------ spans
-
-def span_rows(L: LieAlgebra, vectors) -> tuple[list, list]:
-    """rref rows and pivots of the span of the given coordinate vectors."""
-    rows = [list(v) for v in vectors]
-    return linalg.rref(rows, L.field)
-
 
 def bracket_span(L: LieAlgebra, rows_a, rows_b) -> list:
     """Coordinate vectors spanning [span(rows_a), span(rows_b)]."""

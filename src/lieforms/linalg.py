@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over a field.
+"""Exact linear algebra over a field.
 
 Matrices are lists of row lists whose entries come from one field object
 (anything with zero()/one() and exact element arithmetic).  Elimination is
-plain Gaussian with division; pivots are chosen as the first nonzero entry
-scanning columns left to right and rows top down, ties to the lowest row
-index, so every result is deterministic.
+Gaussian with division, driven by supports: a row update touches only the
+columns where the pivot row is nonzero, and products skip zero entries.
+Pivots are chosen as the first nonzero entry scanning columns left to
+right and rows top down, ties to the lowest row index, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from .errors import SingularMatrixError
 def identity_matrix(field, n: int):
     z, o = field.zero(), field.one()
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(field, rows: int, cols: int):
-    z = field.zero()
-    return [[z] * cols for _ in range(rows)]
 
 
 def mat_mul(A, B, field):
@@ -77,12 +74,18 @@ def rref(rows, field):
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        inv = field.one() / m[r][col]
-        m[r] = [c * inv for c in m[r]]
+        pivot_row = m[r]
+        # rows r and below are zero left of col, so the support starts there
+        support = [c for c in range(col, ncols) if not pivot_row[c].is_zero()]
+        inv = field.one() / pivot_row[col]
+        for c in support:
+            pivot_row[c] = pivot_row[c] * inv
         for row in range(len(m)):
-            if row != r and not m[row][col].is_zero():
-                f = m[row][col]
-                m[row] = [a - f * b for a, b in zip(m[row], m[r])]
+            target = m[row]
+            if row != r and not target[col].is_zero():
+                f = target[col]
+                for c in support:
+                    target[c] = target[c] - f * pivot_row[c]
         pivots.append(col)
         r += 1
         if r == len(m):
@@ -176,13 +179,9 @@ def express_in_rows(rows, pivots, v, field):
         c = residual[col]
         coords.append(c)
         if not c.is_zero():
-            residual = [a - c * b for a, b in zip(residual, row)]
+            for t, b in enumerate(row):
+                if not b.is_zero():
+                    residual[t] = residual[t] - c * b
     if any(not c.is_zero() for c in residual):
         return None
     return coords
-
-
-def complement_indices(pivots, n: int) -> list[int]:
-    """Standard basis indices completing a row space to the whole space."""
-    pivot_set = set(pivots)
-    return [i for i in range(n) if i not in pivot_set]

@@ -198,7 +198,6 @@ def _pf_expand(matrix):
         total = term if total is None else total + term
     if total is None:
         # whole first row is zero
-        keep = list(range(1, n))
         probe = matrix[1][1] if n > 1 else matrix[0][0]
         total = probe - probe  # a zero of the right kind
     return total

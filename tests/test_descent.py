@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lieforms.catalog import g_lambda, nintot_family
 from lieforms.descent import (
     canonical_embedding,
     conjugate,
@@ -277,6 +278,25 @@ class TestSumConjugate:
                            [(0, 1), (0, -1)])
         rep = verify_sumconjugate(heis(top, top.generator()), K)
         assert rep.is_isomorphism
+        assert rep.sum_algebra.field == top
+
+    def test_g_lambda_over_zeta8(self):
+        K = cyclotomic_field(8)
+        lam = K.one() + K.generator()
+        rep = verify_sumconjugate(g_lambda(K, lam), rationals())
+        assert rep.is_isomorphism
+        assert len(rep.group) == 4
+        assert rep.sum_algebra.dim == 40
+
+    def test_nintot_over_tower_step(self):
+        K = gaussian_rationals()
+        top = field_extend(K, Polynomial.from_rationals(K, [-2, 0, 1]), "s",
+                           [(0, 1), (0, -1)])
+        lam = top.generator() + K.generator()
+        rep = verify_sumconjugate(nintot_family(top, lam, 2, 1), K)
+        assert rep.is_isomorphism
+        assert len(rep.group) == 2
+        assert rep.sum_algebra.dim == 40
         assert rep.sum_algebra.field == top
 
     def test_map_sends_basis_through_sigma(self):

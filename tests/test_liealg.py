@@ -9,7 +9,9 @@ from lieforms.errors import (
     OwnerMismatchError,
     SingularMatrixError,
 )
-from lieforms.fields import gaussian_rationals, rationals
+from lieforms.catalog import g_lambda
+from lieforms.descent import conjugate, verify_sumconjugate
+from lieforms.fields import field_extend, gaussian_rationals, rationals
 from lieforms.liealg import (
     LieAlgebra,
     LinearMap,
@@ -23,6 +25,7 @@ from lieforms.liealg import (
     verify_morphism,
     verify_sigma_isomorphism,
 )
+from lieforms.polynomials import Polynomial
 
 Q = rationals()
 QI = gaussian_rationals()
@@ -168,6 +171,11 @@ def test_verify_sigma_isomorphism_on_conjugate():
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert verify_sigma_isomorphism(L, Lbar, sigma, ident)
     assert not verify_sigma_isomorphism(L, L, sigma, ident)
+    G = g_lambda(QI, 1 + i)
+    ident = [[1 if r == c else 0 for c in range(G.dim)]
+             for r in range(G.dim)]
+    assert verify_sigma_isomorphism(G, conjugate(G, sigma), sigma, ident)
+    assert not verify_sigma_isomorphism(G, G, sigma, ident)
 
 
 def test_ideal_checks():
@@ -218,3 +226,110 @@ def test_ad_matrix():
     assert ad[1][1] == Q.from_rational(2)
     assert ad[2][2] == Q.from_rational(-2)
     assert ad[0][0].is_zero()
+
+
+# ------------------------------------------------ support-driven kernels
+
+def tower():
+    """Q(i)(sqrt2) as a quadratic extension of Q(i)."""
+    return field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+                        [(0, 1), (0, -1)])
+
+
+def random_element(field, rng, nonzero=False):
+    while True:
+        if field.is_rationals:
+            x = field.from_rational(rng.randint(-3, 3))
+        else:
+            x = field.element([random_element(field.base, rng)
+                               for _ in range(field.degree)])
+        if not (nonzero and x.is_zero()):
+            return x
+
+
+def random_vector(field, n, rng, pattern):
+    zero = field.zero()
+    if pattern == "zero":
+        return [zero] * n
+    if pattern == "single":
+        v = [zero] * n
+        v[rng.randrange(n)] = random_element(field, rng, nonzero=True)
+        return v
+    if pattern == "mixed":
+        return [random_element(field, rng, nonzero=True)
+                if rng.random() < 0.4 else zero for _ in range(n)]
+    return [random_element(field, rng, nonzero=True) for _ in range(n)]
+
+
+def dense_bracket(L, u, v):
+    """sum over i < j of (u_i v_j - u_j v_i) [e_i, e_j], with no skipping."""
+    out = [L.field.zero()] * L.dim
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            coeff = u[i] * v[j] - u[j] * v[i]
+            for k, c in L.bracket_basis(i, j).items():
+                out[k] = out[k] + coeff * c
+    return out
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Q(i)", "Q(i)(sqrt2)"])
+def test_bracket_coords_matches_dense_reference(field_name):
+    field = {"Q": lambda: Q, "Q(i)": lambda: QI, "Q(i)(sqrt2)": tower}[
+        field_name]()
+    rng = random.Random(11)
+    lam = random_element(field, rng, nonzero=True)
+    # 13 dimensions, 12 stored brackets: sparse inputs take the support-pair
+    # loop, dense ones the bracket-table loop.
+    L = direct_sum(sl2(field), g_lambda(field, lam))
+    patterns = ("zero", "single", "mixed", "dense")
+    for pu in patterns:
+        for pv in patterns:
+            for _ in range(3):
+                u = random_vector(field, L.dim, rng, pu)
+                v = random_vector(field, L.dim, rng, pv)
+                assert L.bracket_coords(u, v) == dense_bracket(L, u, v)
+                assert L.bracket_coords(u, u) == [field.zero()] * L.dim
+
+
+def test_altered_sumconjugate_map_is_not_a_morphism():
+    L = g_lambda(QI, QI.one() + QI.generator())
+    rep = verify_sumconjugate(L, Q)
+    assert rep.is_isomorphism
+    src, tgt = rep.map.source, rep.map.target
+    rows = [list(r) for r in rep.map.matrix]
+    changed = 0
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x.is_zero():
+                continue
+            rows[r][c] = x + x
+            assert not verify_morphism(src, tgt, rows), (r, c)
+            rows[r][c] = x
+            changed += 1
+    assert changed == 40
+    assert verify_morphism(src, tgt, rows)
+
+
+def unitriangular(field, n, rng):
+    one, zero = field.one(), field.zero()
+    return [[one if r == c else
+             random_element(field, rng) if r < c else zero
+             for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("name", ["h3+h3", "g_lambda"])
+def test_verify_morphism_on_rebased_dense_constants(name):
+    lam = QI.one() + QI.generator()
+    L = {"h3+h3": lambda: direct_sum(heis(QI), heis(QI)),
+         "g_lambda": lambda: g_lambda(QI, lam)}[name]()
+    rng = random.Random(23)
+    P = unitriangular(QI, L.dim, rng)
+    M = change_basis(L, P)
+    assert verify_morphism(M, L, P)
+    # P[0][0] = 2 doubles the image of e_0 = X1: the brackets [X1, .] double
+    # on the right-hand side while the left-hand side only moves along X1.
+    for r, c in [(0, 0)] + [(rng.randrange(L.dim - 1), L.dim - 1)
+                            for _ in range(3)]:
+        bad = [list(row) for row in P]
+        bad[r][c] = bad[r][c] + QI.one()
+        assert not verify_morphism(M, L, bad), (r, c)
