@@ -99,47 +99,31 @@ class LieAlgebra:
     def _add_bracket(self, acc: dict, u: dict, v: dict) -> None:
         """Add [u, v] into acc; u, v and acc are sparse {index: coeff}.
 
-        The coefficient of [e_i, e_j] (i < j) is u_i v_j - u_j v_i.  It is
-        gathered from the support pairs when they are fewer than the
-        stored brackets, and from the bracket table otherwise.
+        The coefficient of [e_i, e_j] (i < j) is u_i v_j - u_j v_i, gathered
+        over the support pairs of u and v that have a stored bracket.
         """
-        for comps, coeff in self._pair_coeffs(u, v):
+        brackets = self.brackets
+        coeffs: dict = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                if a == b:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                if key not in brackets:
+                    continue
+                t = x * y
+                prev = coeffs.get(key)
+                if a < b:
+                    coeffs[key] = t if prev is None else prev + t
+                else:
+                    coeffs[key] = -t if prev is None else prev - t
+        for key, coeff in coeffs.items():
             if coeff.is_zero():
                 continue
-            for k, c in comps.items():
+            for k, c in brackets[key].items():
                 t = coeff * c
                 prev = acc.get(k)
                 acc[k] = t if prev is None else prev + t
-
-    def _pair_coeffs(self, u: dict, v: dict):
-        brackets = self.brackets
-        if len(u) * len(v) <= len(brackets):
-            coeffs: dict = {}
-            for a, x in u.items():
-                for b, y in v.items():
-                    if a == b:
-                        continue
-                    key = (a, b) if a < b else (b, a)
-                    if key not in brackets:
-                        continue
-                    t = x * y
-                    prev = coeffs.get(key)
-                    if a < b:
-                        coeffs[key] = t if prev is None else prev + t
-                    else:
-                        coeffs[key] = -t if prev is None else prev - t
-            return [(brackets[key], c) for key, c in coeffs.items()]
-        out = []
-        for (i, j), comps in brackets.items():
-            ui, vj = u.get(i), v.get(j)
-            uj, vi = u.get(j), v.get(i)
-            coeff = None if ui is None or vj is None else ui * vj
-            if uj is not None and vi is not None:
-                t = uj * vi
-                coeff = -t if coeff is None else coeff - t
-            if coeff is not None:
-                out.append((comps, coeff))
-        return out
 
     def bracket(self, u: "Vector", v: "Vector") -> "Vector":
         self._own(u)

@@ -179,9 +179,7 @@ def express_in_rows(rows, pivots, v, field):
         c = residual[col]
         coords.append(c)
         if not c.is_zero():
-            for t, b in enumerate(row):
-                if not b.is_zero():
-                    residual[t] = residual[t] - c * b
+            residual = [a - c * b for a, b in zip(residual, row)]
     if any(not c.is_zero() for c in residual):
         return None
     return coords

@@ -278,8 +278,6 @@ def test_bracket_coords_matches_dense_reference(field_name):
         field_name]()
     rng = random.Random(11)
     lam = random_element(field, rng, nonzero=True)
-    # 13 dimensions, 12 stored brackets: sparse inputs take the support-pair
-    # loop, dense ones the bracket-table loop.
     L = direct_sum(sl2(field), g_lambda(field, lam))
     patterns = ("zero", "single", "mixed", "dense")
     for pu in patterns:
