@@ -337,7 +337,8 @@ def _catalog_algebra(args, field: FieldTower) -> LieAlgebra:
 def cmd_match(args) -> int:
     man = _load(args)
     first = decompose_indecomposable(man.algebra(args.algebra))
-    second = decompose_indecomposable(man.algebra(args.other))
+    second = (first if args.other == args.algebra
+              else decompose_indecomposable(man.algebra(args.other)))
     report = krull_schmidt_match(first, second)
     lines = ["status: %s" % report.status]
     if report.pairing is not None:

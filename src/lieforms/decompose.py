@@ -2,11 +2,15 @@
 
 Direct summands of a Lie algebra correspond to idempotents of its centroid,
 the associative algebra of linear maps M with M[x,y] = [Mx,y] = [x,My] for
-all x and y.  The pipeline here computes the centroid by sparse linear
-algebra, hunts for idempotents through minimal polynomials that split over
-the base field, splits recursively along image/kernel pairs, and certifies
-the resistant pieces by proving the centroid local (nilpotent radical of
-codimension one, or a field modulo the radical).  Everything an answer
+all x and y.  The pipeline here computes the centroid as the commutant of
+ad(L), one ad(e_j) at a time: the solution space left by the blocks so far
+is kept as a canonical basis (1 on its own free column, 0 on the others),
+each new block is solved in that basis's coordinates, and only the basis
+vectors its reduced rows name are rewritten.  It then hunts for idempotents
+through minimal polynomials that split over the base field, splits
+recursively along image/kernel pairs, and certifies the resistant pieces by
+proving the centroid local (nilpotent radical of codimension one, or a
+field modulo the radical).  Everything an answer
 depends on is re-verified exactly; searches that fail produce "heuristic"
 labels or unknown verdicts, never unverified claims.
 """
@@ -96,13 +100,6 @@ def _mat_add_scaled(A, B, s):
     return [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def _trace(M):
-    t = M[0][0]
-    for d in range(1, len(M)):
-        t = t + M[d][d]
-    return t
-
-
 def _poly_at_matrix(p: Polynomial, M, field):
     """Evaluate a polynomial at a square matrix by Horner's rule."""
     n = len(M)
@@ -126,6 +123,20 @@ def _poly_apply(p: Polynomial, M, v, field):
 # --------------------------------------------------------- sparse reduction
 
 
+def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
+    """acc -= f * row over sparse {column: coeff} dicts, leaving out column
+    skip and dropping the entries that cancel."""
+    for k, v in row.items():
+        if k == skip:
+            continue
+        cur = acc.get(k)
+        nv = -(f * v) if cur is None else cur - f * v
+        if nv.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
+
+
 class _SparseReducer:
     """Online echelon form over sparse rows keyed by column index."""
 
@@ -142,16 +153,7 @@ class _SparseReducer:
                 inv = work[c].inverse()
                 self.pivots[c] = {k: inv * v for k, v in work.items()}
                 return True
-            f = work.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                cur = work.get(k)
-                nv = (cur - f * v) if cur is not None else -(f * v)
-                if nv.is_zero():
-                    work.pop(k, None)
-                else:
-                    work[k] = nv
+            _sub_scaled(work, work.pop(c), piv, c)
         return False
 
     def reduce_fully(self) -> None:
@@ -163,15 +165,7 @@ class _SparseReducer:
                 f = row.pop(k, None)
                 if f is None or f.is_zero():
                     continue
-                for kk, vv in self.pivots[k].items():
-                    if kk == k:
-                        continue
-                    cur = row.get(kk)
-                    nv = (cur - f * vv) if cur is not None else -(f * vv)
-                    if nv.is_zero():
-                        row.pop(kk, None)
-                    else:
-                        row[kk] = nv
+                _sub_scaled(row, f, self.pivots[k], k)
 
     def nullspace(self, ncols: int) -> list:
         self.reduce_fully()
@@ -274,44 +268,89 @@ class _MatrixSpan:
         return len(self.matrices)
 
 
+def _centroid_rows(L: LieAlgebra, j: int):
+    """The rows of M[e_i, e_j] = [M e_i, e_j] for one j and every i, as
+    sparse {flat index r*n + c: coeff} dicts; together they say that M
+    commutes with ad(e_j)."""
+    n, zero = L.dim, L.field.zero()
+    cols = [L.bracket_basis(s, j) for s in range(n)]
+    targets = set()
+    for s in range(n):
+        targets.update(cols[s])
+    for i in range(n):
+        lhs = L.bracket_basis(i, j)
+        p_range = range(n) if lhs else sorted(targets)
+        for p in p_range:
+            row: dict = {}
+            for k, c in lhs.items():
+                col = p * n + k
+                row[col] = row.get(col, zero) + c
+            for s in range(n):
+                c = cols[s].get(p)
+                if c is not None:
+                    col = s * n + i
+                    row[col] = row.get(col, zero) - c
+            yield row
+
+
 def centroid_basis(L: LieAlgebra) -> list:
     """Basis matrices of the centroid of L.
 
     The conditions M[e_i, e_j] = [M e_i, e_j] over all ordered basis pairs,
-    including i = j (which forces [M e_i, e_i] = 0), form a sparse
-    homogeneous system in the entries M[r][c] at flat index r*n + c; the
-    basis is its nullspace.
+    including i = j (which forces [M e_i, e_i] = 0), are linear in the
+    entries M[r][c] at flat index r*n + c; for one j they say that M
+    commutes with ad(e_j).  The solution space is shrunk one j at a time.
+    Block 0 is solved in flat coordinates.  Each later block is projected
+    onto the current basis through an index from flat column to the basis
+    vectors that touch it, so the cost follows the supports, and is
+    solved there in basis coordinates.
+
+    The basis is kept canonical throughout: vector t is 1 on its own free
+    column f_t, 0 on every other free column, and sorted by f_t.  The
+    reduced rows of a block pivot on their smallest t, so vector u only
+    takes multiples of pivot vectors t < u, which vanish on f_u and on
+    every free column kept; dropping the pivot vectors leaves the
+    canonical basis of the smaller space.  The result is the reduced
+    echelon nullspace basis of the whole system, ordered by free column.
     """
     n, field = L.dim, L.field
     if n == 0:
         raise DegenerateError("centroid of a zero-dimensional algebra")
     red = _SparseReducer(field)
-    for j in range(n):
-        cols = [L.bracket_basis(s, j) for s in range(n)]
-        targets = set()
-        for s in range(n):
-            targets.update(cols[s])
-        for i in range(n):
-            lhs = L.bracket_basis(i, j)
-            p_range = range(n) if lhs else sorted(targets)
-            for p in p_range:
-                row: dict = {}
-                for k, c in lhs.items():
-                    col = p * n + k
-                    row[col] = row.get(col, field.zero()) + c
-                for s in range(n):
-                    c = cols[s].get(p)
-                    if c is not None:
-                        col = s * n + i
-                        row[col] = row.get(col, field.zero()) - c
-                red.add(row)
-    basis = []
-    for vec in red.nullspace(n * n):
+    for row in _centroid_rows(L, 0):
+        red.add(row)
+    basis = red.nullspace(n * n)
+    index = None  # column -> [(t, basis[t][column])], rebuilt on change
+    for j in range(1, n):
+        if index is None:
+            index = {}
+            for t, vec in enumerate(basis):
+                for k, v in vec.items():
+                    index.setdefault(k, []).append((t, v))
+        red = _SparseReducer(field)
+        for row in _centroid_rows(L, j):
+            proj: dict = {}
+            for k, c in row.items():
+                for t, v in index.get(k, ()):
+                    cur = proj.get(t)
+                    proj[t] = c * v if cur is None else cur + c * v
+            red.add(proj)
+        if not red.pivots:
+            continue
+        red.reduce_fully()
+        for t, prow in red.pivots.items():
+            for u, a in prow.items():
+                if u != t:
+                    _sub_scaled(basis[u], a, basis[t])
+        basis = [vec for t, vec in enumerate(basis) if t not in red.pivots]
+        index = None
+    out = []
+    for vec in basis:
         flat = [field.zero()] * (n * n)
         for c, v in vec.items():
             flat[c] = v
-        basis.append(_mat_from_flat(flat, n))
-    return basis
+        out.append(_mat_from_flat(flat, n))
+    return out
 
 
 def centroid(L: LieAlgebra) -> AssocAlgebra:
@@ -325,10 +364,19 @@ def radical(A) -> list:
     characteristic zero for a faithful matrix algebra)."""
     m = A.dim
     field = A.field
+    # tr(A_a A_b) = sum over r, c of A_a[r][c] A_b[c][r]: n^2 work a pair
+    supports = [[(r, c, x) for r, row in enumerate(M)
+                 for c, x in enumerate(row) if not x.is_zero()]
+                for M in A.matrices]
     gram = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            t = _trace(linalg.mat_mul(A.matrices[a], A.matrices[b], field))
+            B = A.matrices[b]
+            t = field.zero()
+            for r, c, x in supports[a]:
+                y = B[c][r]
+                if not y.is_zero():
+                    t = t + x * y
             gram[a][b] = t
             gram[b][a] = t
     combos = linalg.nullspace(gram, field)

@@ -220,10 +220,23 @@ class LieAlgebra:
                         raise JacobiError((i + 1, j + 1, k + 1), bad)
 
     def _jacobi_term(self, acc: dict, i: int, j: int, k: int) -> None:
-        # [e_i, [e_j, e_k]]
-        for m, c in self.bracket_basis(j, k).items():
-            for t, d in self.bracket_basis(i, m).items():
-                acc[t] = acc.get(t, self.field.zero()) + c * d
+        # [e_i, [e_j, e_k]], read from the stored (min, max) entries with the
+        # sign of a reversed pair applied to the coefficient
+        brackets = self.brackets
+        inner = brackets.get((j, k) if j < k else (k, j))
+        if inner is None:
+            return
+        for m, c in inner.items():
+            if m == i:
+                continue
+            outer = brackets.get((i, m) if i < m else (m, i))
+            if outer is None:
+                continue
+            if (j < k) != (i < m):
+                c = -c
+            for t, d in outer.items():
+                cur = acc.get(t)
+                acc[t] = c * d if cur is None else cur + c * d
 
 
 @dataclass(frozen=True)

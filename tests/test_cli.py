@@ -10,6 +10,7 @@ from lieforms.fields import (
     cyclotomic_field,
     gaussian_rationals,
     quadratic_field,
+    rationals,
 )
 from lieforms.liealg import direct_sum
 from lieforms.catalog import g_lambda, heisenberg
@@ -287,6 +288,31 @@ class TestCommandLine:
                           "--manifest", path)
         assert rc == 1
         assert "status: refuted" in out
+
+    def test_match_decomposes_each_distinct_input_once(
+            self, capsys, tmp_path, monkeypatch):
+        Q = rationals()
+        path = write_lines(
+            tmp_path, "m.jsonl",
+            serialize_entity(algebra_entity(
+                "pair", "Q", direct_sum(heisenberg(Q), heisenberg(Q)))),
+            serialize_entity(algebra_entity(
+                "other", "Q", direct_sum(heisenberg(Q), heisenberg(Q)))))
+        calls = []
+        real = cli.decompose_indecomposable
+
+        def counting(L):
+            calls.append(L)
+            return real(L)
+
+        monkeypatch.setattr(cli, "decompose_indecomposable", counting)
+        rc, out = run_cli(capsys, "match", "pair", "pair", "--manifest", path)
+        assert rc == 0 and "status: matched" in out
+        assert len(calls) == 1
+        rc, out = run_cli(capsys, "match", "pair", "other",
+                          "--manifest", path)
+        assert rc == 0 and "status: matched" in out
+        assert len(calls) == 3
 
     def test_pfaffian_output(self, capsys, tmp_path):
         path = write_lines(tmp_path, "m.jsonl", *gaussian_entities())

@@ -1,6 +1,7 @@
 """Tests for centroid computation, idempotent splitting, certificates,
 isomorphism verdicts, Krull-Schmidt matching, and form counting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from lieforms.fields import (
 from lieforms.polynomials import Polynomial
 from lieforms.liealg import (
     LieAlgebra,
+    change_basis,
     direct_sum,
     fingerprint,
     is_ideal,
@@ -160,6 +162,126 @@ class TestCentroid:
             AssocAlgebra(Q, [mat(Q, [[1, 0], [0, 0]])])
 
 
+def unitriangular(n, seed):
+    """Unitriangular P with a seeded superdiagonal from {-2, -1, 1, 2}; P.L
+    then has dense structure constants."""
+    rng = random.Random(seed)
+    return [[1 if c == r else (rng.choice((-2, -1, 1, 2)) if c == r + 1
+                               else 0)
+             for c in range(n)] for r in range(n)]
+
+
+def reversal(n):
+    return [[1 if r + c == n - 1 else 0 for c in range(n)] for r in range(n)]
+
+
+def sqrt2_over_gaussian():
+    Qi = gaussian_rationals()
+    return field_extend(
+        Qi, Polynomial(Qi, [Qi.from_rational(-2), Qi.zero(), Qi.one()]),
+        "s", [[Qi.zero(), Qi.one()], [Qi.zero(), -Qi.one()]])
+
+
+def dense_centroid_reference(L):
+    """The centroid from the whole system at once: one dense row for every
+    (i, j, p), the p-th coordinate of M[e_i, e_j] - [M e_i, e_j] in the
+    entries M[r][c] at r*n + c, solved by linalg.nullspace."""
+    n, field = L.dim, L.field
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            lhs = L.bracket_basis(i, j)
+            for p in range(n):
+                row = [field.zero()] * (n * n)
+                for k, c in lhs.items():
+                    row[p * n + k] = row[p * n + k] + c
+                for s in range(n):
+                    c = L.bracket_basis(s, j).get(p)
+                    if c is not None:
+                        row[s * n + i] = row[s * n + i] - c
+                rows.append(row)
+    return [[v[r * n:(r + 1) * n] for r in range(n)]
+            for v in linalg.nullspace(rows, field)]
+
+
+def ad_matrix(L, j):
+    """ad(e_j) as a matrix: column s holds [e_j, e_s]."""
+    z = L.field.zero()
+    return [[L.bracket_basis(j, s).get(r, z) for s in range(L.dim)]
+            for r in range(L.dim)]
+
+
+def centroid_cases(field, lam, alpha):
+    return [
+        ("h3", heisenberg(field)),
+        ("ab2", abelian(field, 2)),
+        ("h3+h3", direct_sum(heisenberg(field), heisenberg(field))),
+        ("r3+g1+ab1", direct_sum(r3_lambda(field, lam),
+                                 g1_alpha(field, alpha), abelian(field, 1))),
+    ]
+
+
+def centroid_algebras():
+    """Catalog algebras, seeded re-basings P.L and a reversed basis over Q,
+    Q(i) and Q(i)(sqrt2)/Q(i).  The reversed r3+g1+ab1 ends on the
+    generator X1 of r3, so its last block cuts the solution space."""
+    Q, (Qi, lam_i), T = rationals(), gaussian_lambda(), sqrt2_over_gaussian()
+    out = []
+    for fname, field, lam, rebased in (
+            ("Q", Q, Q.from_rational(3), ("h3", "h3+h3", "r3+g1+ab1")),
+            ("Q(i)", Qi, lam_i, ("h3+h3", "r3+g1+ab1")),
+            ("Q(i)(sqrt2)", T, lift_to(lam_i, T), ("h3", "h3+h3"))):
+        alpha = field.from_rational(2)
+        for name, L in centroid_cases(field, lam, alpha):
+            out.append(("%s/%s" % (fname, name), L))
+            if name in rebased:
+                for seed in (1, 2):
+                    out.append(("%s/%s*P%d" % (fname, name, seed),
+                                change_basis(L, unitriangular(L.dim, seed))))
+            if name == "r3+g1+ab1":
+                out.append(("%s/%s*reversed" % (fname, name),
+                            change_basis(L, reversal(L.dim))))
+    out.append(("Q/g_lambda", g_lambda(Q, Q.from_rational(3))))
+    out.append(("Q/g_lambda*P1", change_basis(g_lambda(Q, Q.from_rational(3)),
+                                             unitriangular(10, 1))))
+    return out
+
+
+CENTROID_ALGEBRAS = centroid_algebras()
+
+
+class TestCentroidBlocks:
+    """centroid_basis shrinks the solution space one ad(e_j) at a time; its
+    result must be the reduced echelon nullspace basis of the whole
+    system, in free-column order."""
+
+    @pytest.mark.parametrize("name, L", CENTROID_ALGEBRAS,
+                             ids=[name for name, _ in CENTROID_ALGEBRAS])
+    def test_equals_dense_reference(self, name, L):
+        got = centroid_basis(L)
+        want = dense_centroid_reference(L)
+        assert len(got) == len(want)
+        for M, R in zip(got, want):
+            assert mat_equal(M, R)
+
+    @pytest.mark.parametrize("name, L", CENTROID_ALGEBRAS,
+                             ids=[name for name, _ in CENTROID_ALGEBRAS])
+    def test_commutes_with_every_ad(self, name, L):
+        field = L.field
+        ads = [ad_matrix(L, j) for j in range(L.dim)]
+        for M in centroid_basis(L):
+            for ad in ads:
+                assert mat_equal(linalg.mat_mul(M, ad, field),
+                                 linalg.mat_mul(ad, M, field))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_dimension_is_basis_free(self, seed):
+        Qi, lam = gaussian_lambda()
+        for _, L in centroid_cases(Qi, lam, Qi.from_rational(2)):
+            PL = change_basis(L, unitriangular(L.dim, seed))
+            assert len(centroid_basis(PL)) == len(centroid_basis(L))
+
+
 class TestRadical:
     def test_heisenberg_centroid_radical_is_square_zero(self):
         Q = rationals()
@@ -184,6 +306,35 @@ class TestRadical:
         M = rad[0]
         assert M[0][0].is_zero() and M[1][1].is_zero() and M[1][0].is_zero()
         assert not M[0][1].is_zero()
+
+    @pytest.mark.parametrize("make", [
+        lambda: direct_sum(heisenberg(rationals()), heisenberg(rationals())),
+        lambda: g_lambda(*gaussian_lambda()),
+    ], ids=["h3+h3", "g_lambda"])
+    def test_matches_gram_of_full_products(self, make):
+        # the reference Gram takes the trace of each full product A_a A_b
+        A = centroid(make())
+        field = A.field
+        gram = []
+        for a in A.matrices:
+            gram.append([])
+            for b in A.matrices:
+                P = linalg.mat_mul(a, b, field)
+                t = field.zero()
+                for d in range(A.size):
+                    t = t + P[d][d]
+                gram[-1].append(t)
+        want = []
+        for v in linalg.nullspace(gram, field):
+            M = [[field.zero()] * A.size for _ in range(A.size)]
+            for c, B in zip(v, A.matrices):
+                M = [[x + c * y for x, y in zip(rm, rb)]
+                     for rm, rb in zip(M, B)]
+            want.append(M)
+        got = radical(A)
+        assert len(got) == len(want)
+        for M, R in zip(got, want):
+            assert mat_equal(M, R)
 
 
 class TestMinpolyAndRoots:

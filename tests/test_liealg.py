@@ -69,6 +69,24 @@ def test_jacobi_rejection_reports_triple():
             (0, 2): {2: -1},  # [X3,X1]=X3
         })
     assert exc.value.triple == (1, 2, 3)
+    assert exc.value.residual == {k: Q.one() for k in range(3)}
+
+
+def test_jacobi_residual_signs_reversed_pairs():
+    # [X2,[X3,X1]] reads (X1,X3) reversed, [X3,[X1,X2]] reads (X2,X3)
+    # reversed: the residual is -15 X2 - 7 X1 + 6 X4
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebra(Q, 4, {
+            (0, 1): {1: 2},
+            (1, 2): {3: -3},
+            (0, 2): {3: 7},
+            (0, 3): {1: 5},
+            (1, 3): {0: 1},
+        })
+    assert exc.value.triple == (1, 2, 3)
+    assert exc.value.residual == {1: Q.from_rational(-15),
+                                  0: Q.from_rational(-7),
+                                  3: Q.from_rational(6)}
 
 
 def test_sl2_satisfies_jacobi():
