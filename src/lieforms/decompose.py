@@ -6,13 +6,17 @@ all x and y.  The pipeline here computes the centroid as the commutant of
 ad(L), one ad(e_j) at a time: the solution space left by the blocks so far
 is kept as a canonical basis (1 on its own free column, 0 on the others),
 each new block is solved in that basis's coordinates, and only the basis
-vectors its reduced rows name are rewritten.  It then hunts for idempotents
-through minimal polynomials that split over the base field, splits
-recursively along image/kernel pairs, and certifies the resistant pieces by
-proving the centroid local (nilpotent radical of codimension one, or a
-field modulo the radical).  Everything an answer
-depends on is re-verified exactly; searches that fail produce "heuristic"
-labels or unknown verdicts, never unverified claims.
+vectors its reduced rows name are rewritten.  Each piece then takes one
+route through the radical quotient: the trace Gram of the centroid basis
+gives the Jacobson radical R as its nullspace and the small quotient by R
+through its pivot columns; a candidate whose minimal polynomial modulo R
+splits into coprime factors gives an idempotent modulo R, lifted to an
+exact one, and the piece splits along its image and kernel.  A piece
+without a split is certified when the centroid is proven local (scalars,
+a quotient of dimension one, or a quotient that is a field, with R proven
+nilpotent).  Everything an answer depends on is re-verified exactly;
+searches that fail produce "heuristic" labels or unknown verdicts, never
+unverified claims.
 """
 
 from __future__ import annotations
@@ -90,10 +94,6 @@ def _zero_matrix(field, n):
 
 def _mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def _mat_is_zero(M):
-    return all(c.is_zero() for row in M for c in row)
 
 
 def _mat_add_scaled(A, B, s):
@@ -251,23 +251,6 @@ class AssocAlgebra:
                     % (a, b))
 
 
-class _MatrixSpan:
-    """Lightweight stand-in for AssocAlgebra on large centroids where the
-    membership machinery is not needed; the basis comes straight from the
-    defining linear system, so span properties hold by construction."""
-
-    __slots__ = ("field", "matrices", "size")
-
-    def __init__(self, field, matrices, size):
-        self.field = field
-        self.matrices = tuple(matrices)
-        self.size = size
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrices)
-
-
 def _centroid_rows(L: LieAlgebra, j: int):
     """The rows of M[e_i, e_j] = [M e_i, e_j] for one j and every i, as
     sparse {flat index r*n + c: coeff} dicts; together they say that M
@@ -358,36 +341,71 @@ def centroid(L: LieAlgebra) -> AssocAlgebra:
     return AssocAlgebra(L.field, centroid_basis(L))
 
 
-def radical(A) -> list:
-    """Basis of the Jacobson radical via the trace form of the defining
-    action: elements with trace(a b) = 0 against the whole basis (exact in
-    characteristic zero for a faithful matrix algebra)."""
-    m = A.dim
-    field = A.field
-    # tr(A_a A_b) = sum over r, c of A_a[r][c] A_b[c][r]: n^2 work a pair
-    supports = [[(r, c, x) for r, row in enumerate(M)
-                 for c, x in enumerate(row) if not x.is_zero()]
-                for M in A.matrices]
+# ----------------------------------------------------------------- radical
+
+
+def _support(M) -> list:
+    return [(r, c, x) for r, row in enumerate(M)
+            for c, x in enumerate(row) if not x.is_zero()]
+
+
+def _trace_with(support, B, field):
+    """tr(A B) = sum over r, c of A[r][c] B[c][r], given A's support."""
+    t = field.zero()
+    for r, c, x in support:
+        y = B[c][r]
+        if not y.is_zero():
+            t = t + x * y
+    return t
+
+
+def _trace_gram(field, mats) -> list:
+    """The trace form tr(A_a A_b) on a list of n-by-n matrices."""
+    m = len(mats)
+    supports = [_support(M) for M in mats]
     gram = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            B = A.matrices[b]
-            t = field.zero()
-            for r, c, x in supports[a]:
-                y = B[c][r]
-                if not y.is_zero():
-                    t = t + x * y
-            gram[a][b] = t
-            gram[b][a] = t
-    combos = linalg.nullspace(gram, field)
-    out = []
-    for v in combos:
-        M = _zero_matrix(field, A.size)
-        for t, c in enumerate(v):
-            if not c.is_zero():
-                M = _mat_add_scaled(M, A.matrices[t], c)
-        out.append(M)
-    return out
+            gram[a][b] = gram[b][a] = _trace_with(supports[a], mats[b], field)
+    return gram
+
+
+def _combine(field, n, mats, coeffs):
+    """The n-by-n sum of coeffs[t] * mats[t]; mats[t] is read only where
+    coeffs[t] is nonzero."""
+    M = _zero_matrix(field, n)
+    for t, c in enumerate(coeffs):
+        if not c.is_zero():
+            M = _mat_add_scaled(M, mats[t], c)
+    return M
+
+
+def radical(A) -> list:
+    """Basis of the Jacobson radical via the trace form of the defining
+    action: elements with trace(a b) = 0 against the whole basis (exact in
+    characteristic zero for a faithful unital matrix algebra)."""
+    gram = _trace_gram(A.field, A.matrices)
+    return [_combine(A.field, A.size, A.matrices, v)
+            for v in linalg.nullspace(gram, A.field)]
+
+
+def _nilpotent_span(field, mats) -> bool:
+    """True iff the matrices generate a nilpotent algebra.
+
+    The images W_0 = F^n, W_{k+1} = sum of M W_k over the matrices M only
+    shrink; they reach 0 exactly when every long enough product vanishes,
+    and once the rank stops falling they never do.
+    """
+    if not mats:
+        return True
+    rows = linalg.identity_matrix(field, len(mats[0]))
+    while rows:
+        image, _ = linalg.rref([linalg.mat_vec(M, w, field)
+                                for M in mats for w in rows], field)
+        if len(image) == len(rows):
+            return False
+        rows = image
+    return True
 
 
 # ----------------------------------------------------------- minimal polys
@@ -509,68 +527,144 @@ def _coprime_split(p: Polynomial):
 
 # ------------------------------------------------------- idempotent search
 
-
-def _attempt_idempotent(M, field, ident, degree_cap):
-    p = minpoly_of_matrix(M, field, cap=degree_cap)
-    if p is None or p.degree < 2:
-        return None
-    split = _coprime_split(p)
-    if split is None:
-        return None
-    S, T = split
-    g, _u, v = poly_ext_gcd(S, T)
-    if g.degree != 0:
-        return None
-    e = _poly_at_matrix(v * T, M, field)
-    if not _mat_eq(linalg.mat_mul(e, e, field), e):
-        return None
-    if _mat_is_zero(e) or _mat_eq(e, ident):
-        return None
-    return [list(row) for row in e]
+QUOTIENT_TRIALS = 50
 
 
-def _scan_idempotent(A, degree_cap):
-    ident = linalg.identity_matrix(A.field, A.size)
-    for M in A.matrices:
-        e = _attempt_idempotent(M, A.field, ident, degree_cap)
-        if e is not None:
-            return e
+def _irreducible_over(field: FieldTower, p: Polynomial) -> Optional[bool]:
+    """True/False when decidable, None when this field is out of reach."""
+    if field.is_rationals:
+        try:
+            return is_irreducible_over_Q(p)
+        except DegreeTooLargeError:
+            return None
+    if p.degree > 3:
+        return None
+    if roots_in_field(p):
+        return False
+    # root search is complete on a single quadratic extension, so absence
+    # of roots proves a quadratic or cubic irreducible there
+    if field.base.is_rationals and field.minpoly.degree == 2:
+        return True
     return None
 
 
-def _random_idempotent(A, seed, trials, degree_cap):
-    ident = linalg.identity_matrix(A.field, A.size)
-    rng = random.Random(seed)
-    m = A.dim
-    for _ in range(trials):
-        coeffs = [rng.randrange(-2, 3) for _ in range(m)]
-        if all(c == 0 for c in coeffs):
-            continue
-        M = _zero_matrix(A.field, A.size)
-        for t, c in enumerate(coeffs):
-            if c:
-                M = _mat_add_scaled(M, A.matrices[t],
-                                    A.field.from_rational(c))
-        e = _attempt_idempotent(M, A.field, ident, degree_cap)
-        if e is not None:
-            return e
-    return None
+def _quotient_candidates(q: int):
+    """Quotient coordinates to try: the basis, then seeded combinations
+    with coefficients in {-2..2}."""
+    for t in range(q):
+        yield [int(i == t) for i in range(q)]
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(QUOTIENT_TRIALS):
+        y = [rng.randrange(-2, 3) for _ in range(q)]
+        if any(y):
+            yield y
 
 
-def find_idempotent(A, seed: int = DEFAULT_SEED, trials: int = 200,
-                    degree_cap: int = 8):
-    """A nontrivial idempotent of A, or None.
+def _lifted_idempotent(split, x, field):
+    """The idempotent of F[x] named by a coprime split S*T of x's minimal
+    polynomial modulo the radical.
 
-    Scans the basis, then seeded random combinations with coefficients in
-    {-2..2}; a candidate splits when its minimal polynomial factors into
-    coprime parts over the field, in which case the Bezout partial-fraction
-    projector is exactly idempotent.  Every returned matrix is re-verified:
-    e*e = e and e is neither 0 nor the identity.
+    With u S + v T = 1, e = (v T)(x) is idempotent modulo the radical R;
+    each step e <- 3e^2 - 2e^3 moves e^2 - e from R^k into R^2k, and R^n = 0
+    for n-by-n matrices.  Returns the exact idempotent, or None when it is
+    not reached after ceil(log2 n) + 1 steps.
     """
-    e = _scan_idempotent(A, degree_cap)
-    if e is not None:
-        return e
-    return _random_idempotent(A, seed, trials, degree_cap)
+    S, T = split
+    _g, _u, v = poly_ext_gcd(S, T)
+    e = _poly_at_matrix(v * T, x, field)
+    three, two = field.from_rational(3), field.from_rational(2)
+    for _ in range((len(x) - 1).bit_length() + 2):
+        e2 = linalg.mat_mul(e, e, field)
+        if _mat_eq(e2, e):
+            return e
+        e3 = linalg.mat_mul(e2, e, field)
+        e = [[three * a - two * b for a, b in zip(r2, r3)]
+             for r2, r3 in zip(e2, e3)]
+    return None
+
+
+def _certify_local(field, mats, gram, detail):
+    """Certificate for a centroid whose quotient by the trace radical is a
+    field: local once the radical is proven nilpotent."""
+    n = len(mats[0])
+    rad = [_combine(field, n, mats, v) for v in linalg.nullspace(gram, field)]
+    if _nilpotent_span(field, rad):
+        return CERTIFIED, detail
+    return HEURISTIC, ("no idempotent found; radical nilpotency could not "
+                       "be verified")
+
+
+def _split_or_certify(field, mats):
+    """A nontrivial idempotent of the unital matrix algebra A spanned by
+    mats, found through the radical quotient, or a certificate that the
+    search ended without one.
+
+    The trace Gram G of the basis has the radical R as its nullspace; the
+    basis matrices c_j at G's pivot columns span A/R, and the principal
+    block G_q on those columns is invertible, so the quotient coordinates
+    of any x in A are G_q^-1 (tr(x c_j))_j.  Each candidate x acts on A/R
+    by a q-by-q left multiplication matrix whose minimal polynomial is
+    that of x modulo R.  A coprime split of it is lifted to an exact
+    idempotent; an irreducible one of degree q proves A/R a field.
+
+    Returns (e, None, None), or (None, certificate, detail).
+    """
+    if len(mats) == 1:
+        return None, CERTIFIED, "centroid consists of scalars"
+    gram = _trace_gram(field, mats)
+    _, piv = linalg.rref(gram, field)
+    q = len(piv)
+    if q == 1:
+        return (None,) + _certify_local(
+            field, mats, gram,
+            "centroid is local: nilpotent radical of codimension one")
+    quo = [mats[k] for k in piv]
+    supports = [_support(M) for M in quo]
+    ginv = linalg.inverse([[gram[a][b] for b in piv] for a in piv], field)
+    # built on first use: a split on the first candidate needs q products
+    # instead of q^2
+    left = [None] * q
+
+    def left_mult(i):
+        if left[i] is None:
+            cols = []
+            for c in quo:
+                prod = linalg.mat_mul(quo[i], c, field)
+                traces = [_trace_with(s, prod, field) for s in supports]
+                cols.append(linalg.mat_vec(ginv, traces, field))
+            left[i] = linalg.transpose(cols)
+        return left[i]
+
+    for y in _quotient_candidates(q):
+        coeffs = [field.from_rational(c) for c in y]
+        mult = _combine(field, q, [left_mult(i) if c else None
+                                   for i, c in enumerate(y)], coeffs)
+        p = minpoly_of_matrix(mult, field)
+        if p.degree < 2:
+            continue
+        split = _coprime_split(p)
+        if split is not None:
+            x = _combine(field, len(quo[0]), quo, coeffs)
+            e = _lifted_idempotent(split, x, field)
+            if e is not None:
+                return e, None, None
+        elif p.degree == q and _irreducible_over(field, p):
+            return (None,) + _certify_local(
+                field, mats, gram, "centroid modulo its radical is a field")
+    return None, HEURISTIC, ("no idempotent found, but the centroid was not "
+                             "proven local")
+
+
+def find_idempotent(A):
+    """A nontrivial idempotent of the unital matrix algebra A, or None.
+
+    Splits the radical quotient of A as decompose_indecomposable does:
+    candidates are the quotient basis and seeded combinations with
+    coefficients in {-2..2}, and a coprime split of a candidate's minimal
+    polynomial modulo the radical is lifted to an exact idempotent.  Every
+    returned matrix satisfies e*e = e and is neither 0 nor the identity.
+    """
+    return _split_or_certify(A.field, A.matrices)[0]
 
 
 # ----------------------------------------------------------- decomposition
@@ -628,168 +722,16 @@ def verify_decomposition(L: LieAlgebra, ideal_bases) -> bool:
     return linalg.rank(total_rows, L.field) == L.dim
 
 
-def _certify_resistant(piece: LieAlgebra, A):
-    """Certificate claim for a piece where the basis scan found no
-    idempotent: proving the centroid local rules every idempotent out."""
-    rad = radical(A)
-    if not _nilpotent_span(rad, A.field):
-        return HEURISTIC, ("no idempotent found; radical nilpotency "
-                           "could not be verified")
-    qdim = A.dim - len(rad)
-    if qdim == 1:
-        return CERTIFIED, ("centroid is local: nilpotent radical of "
-                           "codimension one")
-    if _quotient_is_field(A, rad):
-        return CERTIFIED, "centroid modulo its radical is a field"
-    return HEURISTIC, ("no idempotent found, but the centroid was not "
-                       "proven local")
-
-
-def _nilpotent_span(mats, field) -> bool:
-    if not mats:
-        return True
-    n = len(mats[0])
-    prev_rank = None
-    current = [list(map(list, M)) for M in mats]
-    for _ in range(n * n + 1):
-        flat = [_flatten(M) for M in current]
-        red, _ = linalg.rref(flat, field)
-        if not red:
-            return True
-        if prev_rank is not None and len(red) >= prev_rank:
-            return False
-        prev_rank = len(red)
-        basis = [_mat_from_flat(row, n) for row in red]
-        current = [linalg.mat_mul(a, b, field) for a in mats for b in basis]
-    return False
-
-
-def _quotient_is_field(A, rad) -> bool:
-    """Prove A / rad(A) is a field by exhibiting a primitive element whose
-    minimal polynomial is irreducible of full degree; a reducible minimal
-    polynomial in the (semisimple, commutative) quotient disproves it."""
-    field = A.field
-    n = A.size
-    basis_mats = [list(map(list, M)) for M in rad]
-    acc_rows: list = []
-    acc_piv: list = []
-    if basis_mats:
-        acc_rows, acc_piv = linalg.rref(
-            [_flatten(M) for M in basis_mats], field)
-        basis_mats = [_mat_from_flat(r, n) for r in acc_rows]
-    rad_count = len(basis_mats)
-    for M in A.matrices:
-        flat = _flatten(M)
-        if linalg.express_in_rows(acc_rows, acc_piv, flat, field) is None:
-            basis_mats.append([list(row) for row in M])
-            acc_rows, acc_piv = linalg.rref(
-                [_flatten(b) for b in basis_mats], field)
-    qdim = len(basis_mats) - rad_count
-    if qdim < 2:
-        return False
-
-    cols = [[None] * len(basis_mats) for _ in range(n * n)]
-    for t, b in enumerate(basis_mats):
-        flat = _flatten(b)
-        for r in range(n * n):
-            cols[r][t] = flat[r]
-
-    def qcoords(M):
-        x = linalg.solve(cols, _flatten(M), field)
-        if x is None:
-            raise DegenerateError("product left the centroid span")
-        return x[rad_count:]
-
-    quo = basis_mats[rad_count:]
-    for a in range(qdim):
-        for b in range(a + 1, qdim):
-            ab = linalg.mat_mul(quo[a], quo[b], field)
-            ba = linalg.mat_mul(quo[b], quo[a], field)
-            comm = [[x - y for x, y in zip(ra, rb)]
-                    for ra, rb in zip(ab, ba)]
-            if any(not c.is_zero() for c in qcoords(comm)):
-                return False
-
-    table = [[qcoords(linalg.mat_mul(quo[a], quo[b], field))
-              for b in range(qdim)] for a in range(qdim)]
-    unit = qcoords(linalg.identity_matrix(field, n))
-
-    def qmul(x, y):
-        out = [field.zero()] * qdim
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            for b, yb in enumerate(y):
-                if yb.is_zero():
-                    continue
-                coef = xa * yb
-                for t, c in enumerate(table[a][b]):
-                    out[t] = out[t] + coef * c
-        return out
-
-    def qminpoly(x):
-        powers = [list(unit)]
-        while True:
-            k = len(powers)
-            rows = [[powers[t][r] for t in range(k)] for r in range(qdim)]
-            nxt = qmul(powers[-1], x)
-            sol = linalg.solve(rows, nxt, field)
-            if sol is not None:
-                return Polynomial(field, [-c for c in sol] + [field.one()])
-            powers.append(nxt)
-            if len(powers) > qdim + 1:
-                raise DegenerateError("quotient power sequence ran away")
-
-    def candidates():
-        for t in range(qdim):
-            e = [field.zero()] * qdim
-            e[t] = field.one()
-            yield e
-        rng = random.Random(DEFAULT_SEED)
-        for _ in range(50):
-            yield [field.from_rational(rng.randrange(-2, 3))
-                   for _ in range(qdim)]
-
-    for x in candidates():
-        if all(c.is_zero() for c in x):
-            continue
-        p = qminpoly(x)
-        if p.degree < 2:
-            continue
-        verdict = _irreducible_over(field, p)
-        if verdict is False:
-            return False
-        if verdict is True and p.degree == qdim:
-            return True
-    return False
-
-
-def _irreducible_over(field: FieldTower, p: Polynomial) -> Optional[bool]:
-    """True/False when decidable, None when this field is out of reach."""
-    if field.is_rationals:
-        try:
-            return is_irreducible_over_Q(p)
-        except DegreeTooLargeError:
-            return None
-    if p.degree > 3:
-        return None
-    if roots_in_field(p):
-        return False
-    # root search is complete on a single quadratic extension, so absence
-    # of roots proves a quadratic or cubic irreducible there
-    if field.base.is_rationals and field.minpoly.degree == 2:
-        return True
-    return None
-
-
 def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
     """Split L into indecomposable ideals along centroid idempotents.
 
-    Pieces where no idempotent is found are labeled CertifiedIndecomposable
-    when the centroid provably has no nontrivial idempotents (scalars only,
-    or a local ring), and HeuristicIndecomposable otherwise; random
-    combination trials run only when the certification attempt fails.  The
-    returned decomposition always passes verify_decomposition.
+    Each piece takes one route: centroid, trace Gram, radical and quotient,
+    then a split of the quotient lifted to an exact idempotent, or a
+    certificate.  Pieces without a split are labeled
+    CertifiedIndecomposable when the centroid is proven local (scalars
+    only, a quotient of dimension one, or a quotient that is a field, with
+    the radical proven nilpotent) and HeuristicIndecomposable otherwise.
+    The returned decomposition always passes verify_decomposition.
     """
     ident = linalg.identity_matrix(L.field, L.dim)
     pending = deque()
@@ -797,20 +739,10 @@ def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
     finished = []
     while pending:
         piece, rows = pending.popleft()
-        A = _MatrixSpan(piece.field, centroid_basis(piece), piece.dim)
-        if A.dim == 1:
-            finished.append(Summand(piece, _freeze_rows(rows), CERTIFIED,
-                                    "centroid consists of scalars"))
-            continue
-        e = _scan_idempotent(A, degree_cap=8)
+        e, cert, detail = _split_or_certify(piece.field, centroid_basis(piece))
         if e is None:
-            cert, detail = _certify_resistant(piece, A)
-            if cert != CERTIFIED:
-                e = _random_idempotent(A, DEFAULT_SEED, 200, degree_cap=8)
-            if e is None:
-                finished.append(Summand(piece, _freeze_rows(rows), cert,
-                                        detail))
-                continue
+            finished.append(Summand(piece, _freeze_rows(rows), cert, detail))
+            continue
         img, ker = _split_rows(piece, e)
         sub_img = restrict_to_span(piece, img)
         sub_ker = restrict_to_span(piece, ker)

@@ -42,7 +42,7 @@ class FieldTower:
     """One level of a field tower.  Treat instances as immutable."""
 
     __slots__ = ("base", "minpoly", "gen_name", "aut_images", "aut_table",
-                 "_hash", "_skey")
+                 "_hash", "_skey", "_zero", "_one")
 
     def __init__(self, base: Optional["FieldTower"] = None,
                  minpoly: Optional[Polynomial] = None,
@@ -54,6 +54,8 @@ class FieldTower:
         self.aut_table: Optional[tuple] = None
         self._hash = None
         self._skey = None
+        self._zero = None
+        self._one = None
 
     # ------------------------------------------------------------ queries
 
@@ -141,10 +143,15 @@ class FieldTower:
         return FieldElement(self, tuple(coords))
 
     def zero(self) -> "FieldElement":
-        return self.from_rational(0)
+        # built once per tower; elements are immutable, so it is shared
+        if self._zero is None:
+            self._zero = self.from_rational(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        if self._one is None:
+            self._one = self.from_rational(1)
+        return self._one
 
     def generator(self) -> "FieldElement":
         if self.is_rationals:

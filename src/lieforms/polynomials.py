@@ -671,19 +671,7 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     cs = _frac_coeffs(p)
     if not cs:
         raise DegenerateError("rational_roots of the zero polynomial")
-    roots = set()
-    while cs and cs[0] == 0:
-        roots.add(Fraction(0))
-        cs = cs[1:]
-    cs = _trim(list(cs))
-    if len(cs) - 1 >= 1:
-        ints, _ = _to_int_primitive(cs)
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _feval(cs, cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    return rational_roots_list(cs)
 
 
 def factor_over_Q(p: Polynomial):

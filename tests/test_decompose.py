@@ -20,7 +20,7 @@ from lieforms.fields import (
     quadratic_field,
     rationals,
 )
-from lieforms.polynomials import Polynomial
+from lieforms.polynomials import Polynomial, poly_ext_gcd
 from lieforms.liealg import (
     LieAlgebra,
     change_basis,
@@ -42,6 +42,8 @@ from lieforms.decompose import (
     CERTIFIED,
     HEURISTIC,
     AssocAlgebra,
+    _lifted_idempotent,
+    _nilpotent_span,
     centroid,
     centroid_basis,
     count_forms,
@@ -337,6 +339,90 @@ class TestRadical:
             assert mat_equal(M, R)
 
 
+def product_chain_nilpotent(mats, field):
+    """Reference check: spans of the products of k matrices, flattened to
+    n^2-long rows, until the span vanishes or its rank stops falling."""
+    if not mats:
+        return True
+    n = len(mats[0])
+    prev_rank = None
+    current = [list(map(list, M)) for M in mats]
+    for _ in range(n * n + 1):
+        red, _ = linalg.rref([[c for row in M for c in row]
+                              for M in current], field)
+        if not red:
+            return True
+        if prev_rank is not None and len(red) >= prev_rank:
+            return False
+        prev_rank = len(red)
+        basis = [[row[r * n:(r + 1) * n] for r in range(n)] for row in red]
+        current = [linalg.mat_mul(a, b, field) for a in mats for b in basis]
+    return False
+
+
+def nilpotency_cases():
+    Q, (Qi, lam) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam_f in (("Q", Q, Q.from_rational(3)),
+                                ("Q(i)", Qi, lam)):
+        for name, L in (
+                ("h3", heisenberg(field)),
+                ("h3+h3", direct_sum(heisenberg(field), heisenberg(field))),
+                ("h3+h3*P1", change_basis(
+                    direct_sum(heisenberg(field), heisenberg(field)),
+                    unitriangular(6, 1))),
+                ("r3+g1+ab1", direct_sum(r3_lambda(field, lam_f),
+                                         g1_alpha(field,
+                                                  field.from_rational(2)),
+                                         abelian(field, 1))),
+                ("g_lambda", g_lambda(field, lam_f))):
+            out.append(("%s/%s" % (fname, name), field,
+                        radical(centroid(L))))
+    out.append(("Q/restricted h3", Q,
+                radical(centroid(restrict_scalars(heisenberg(Qi), Q)
+                                 .algebra))))
+    return out
+
+
+NILPOTENCY_CASES = nilpotency_cases()
+
+
+class TestNilpotentSpan:
+    """_nilpotent_span follows the images W_{k+1} = sum of M W_k; it must
+    agree with the chain of product spans."""
+
+    @pytest.mark.parametrize("name, field, rad", NILPOTENCY_CASES,
+                             ids=[c[0] for c in NILPOTENCY_CASES])
+    def test_radicals_agree_with_product_chain(self, name, field, rad):
+        assert _nilpotent_span(field, rad) is True
+        assert product_chain_nilpotent(rad, field) is True
+
+    @pytest.mark.parametrize("entries, nilpotent", [
+        ([[[1, 0, 0], [0, 0, 0], [0, 0, 0]]], False),
+        ([[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+          [[1, 0, 0], [0, 0, 0], [0, 0, 0]]], False),
+        ([[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+          [[0, 0, 0], [1, 0, 0], [0, 0, 0]]], False),
+        ([[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+          [[0, 0, 1], [0, 0, 0], [0, 0, 0]]], True),
+        ([], True),
+    ], ids=["E11", "E11+E12", "E12,E21", "shift", "empty"])
+    def test_controls_agree_with_product_chain(self, entries, nilpotent):
+        Q = rationals()
+        mats = [mat(Q, M) for M in entries]
+        assert _nilpotent_span(Q, mats) is nilpotent
+        assert product_chain_nilpotent(mats, Q) is nilpotent
+
+    def test_span_not_closed_under_products(self):
+        # span{N} is not closed (N^2 lies outside it), so the product spans
+        # do not shrink: rank span{N^2} = rank span{N} stops that chain,
+        # while the images Q^3 > N Q^3 > N^2 Q^3 > 0 still prove N nilpotent
+        Q = rationals()
+        N = mat(Q, [[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        assert _nilpotent_span(Q, [N]) is True
+        assert product_chain_nilpotent([N], Q) is False
+
+
 class TestMinpolyAndRoots:
     def test_minpoly_examples(self):
         Q = rationals()
@@ -405,25 +491,64 @@ class TestFindIdempotent:
     def test_local_centroid_yields_none(self):
         Q = rationals()
         assert find_idempotent(centroid(heisenberg(Q))) is None
+        # the quotient by the radical is Q(i), a field
+        restricted = restrict_scalars(heisenberg(gaussian_rationals()), Q)
+        assert find_idempotent(centroid(restricted.algebra)) is None
 
     def test_full_matrix_algebra_splits(self):
         Q = rationals()
         e = find_idempotent(centroid(abelian(Q, 2)))
         assert e is not None
         assert mat_equal(linalg.mat_mul(e, e, Q), e)
+        # M_3(Q) has no radical and a non-commutative quotient; the first
+        # quotient basis element E_11 has minimal polynomial t(t - 1), and
+        # the split at its first root 0 gives the projector I - E_11
+        e3 = find_idempotent(centroid(abelian(Q, 3)))
+        assert mat_equal(linalg.mat_mul(e3, e3, Q), e3)
+        assert mat_equal(e3, mat(Q, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+class TestLiftIdempotent:
+    """x = p_1 + n, with p_1 the first block projection of h3+h3 and n the
+    radical element sending X_1 to Z_1, has minimal polynomial t(t - 1)
+    modulo the radical but t(t - 1)^2 as a matrix: the Bezout projector
+    e0 = (v T)(x) is idempotent only modulo the radical."""
+
+    @pytest.mark.parametrize("field", [rationals(), gaussian_rationals()],
+                             ids=["Q", "Q(i)"])
+    def test_lift_reaches_exact_idempotent(self, field):
+        L = direct_sum(heisenberg(field), heisenberg(field))
+        x = [[field.from_rational(int(r == c and r < 3)) for c in range(6)]
+             for r in range(6)]
+        x[2][0] = field.one()
+        assert in_centroid(L, x)
+        t = Polynomial(field, [field.zero(), field.one()])
+        S, T = t, t - Polynomial.one(field)
+        _g, _u, v = poly_ext_gcd(S, T)
+        assert v * T == Polynomial.one(field) - t  # so e0 = I - x
+        e0 = [[a - b for a, b in zip(ri, rx)]
+              for ri, rx in zip(linalg.identity_matrix(field, 6), x)]
+        assert not mat_equal(linalg.mat_mul(e0, e0, field), e0)
+        e = _lifted_idempotent((S, T), x, field)
+        assert mat_equal(linalg.mat_mul(e, e, field), e)
+        assert in_centroid(L, e)
+        # the lift is the second block projection
+        p2 = [[field.from_rational(int(r == c and r >= 3))
+               for c in range(6)] for r in range(6)]
+        assert mat_equal(e, p2)
 
 
 class TestDecompose:
     def test_double_heisenberg_splits_into_two_copies(self):
-        Q = rationals()
-        h = heisenberg(Q)
-        d = decompose_indecomposable(direct_sum(h, h))
-        assert len(d) == 2
-        assert d.verified
-        assert d.certificates == (CERTIFIED, CERTIFIED)
-        for s in d.summands:
-            assert s.algebra.dim == 3
-            assert fingerprint(s.algebra) == fingerprint(h)
+        for field in (rationals(), gaussian_rationals()):
+            h = heisenberg(field)
+            d = decompose_indecomposable(direct_sum(h, h))
+            assert len(d) == 2
+            assert d.verified
+            assert d.certificates == (CERTIFIED, CERTIFIED)
+            for s in d.summands:
+                assert s.algebra.dim == 3
+                assert fingerprint(s.algebra) == fingerprint(h)
 
     def test_indecomposables_certify(self):
         Q = rationals()
@@ -509,6 +634,44 @@ class TestDecompose:
         d = decompose_indecomposable(direct_sum(heisenberg(Q),
                                                 abelian(Q, 2)))
         assert sorted(s.algebra.dim for s in d.summands) == [1, 1, 3]
+
+
+def rebasing_cases():
+    Q, (Qi, lam) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam_f in (("Q", Q, Q.from_rational(3)),
+                                ("Q(i)", Qi, lam)):
+        out.append(("%s/h3+h3" % fname, (1, 2), direct_sum(
+            heisenberg(field), heisenberg(field))))
+        out.append(("%s/r3+g1+ab1" % fname, (1, 2), direct_sum(
+            r3_lambda(field, lam_f), g1_alpha(field, field.from_rational(2)),
+            abelian(field, 1))))
+    out.append(("Q(i)/g_lambda+h3", (1,), direct_sum(g_lambda(Qi, lam),
+                                                     heisenberg(Qi))))
+    out.append(("Q/restricted h3", (1, 2),
+                restrict_scalars(heisenberg(Qi), Q).algebra))
+    return [(name, seed, L) for name, seeds, L in out for seed in seeds]
+
+
+REBASING_CASES = rebasing_cases()
+
+
+class TestRebasedDecompose:
+    """A change of basis P.L must not change the summand dimensions or the
+    certificate labels."""
+
+    @pytest.mark.parametrize("name, seed, L", REBASING_CASES,
+                             ids=["%s*P%d" % (n, s)
+                                  for n, s, _ in REBASING_CASES])
+    def test_summands_and_labels_are_basis_free(self, name, seed, L):
+        d = decompose_indecomposable(L)
+        dp = decompose_indecomposable(change_basis(L,
+                                                   unitriangular(L.dim, seed)))
+        assert d.verified and dp.verified
+        assert d.all_certified
+        assert sorted(s.algebra.dim for s in dp.summands) == \
+            sorted(s.algebra.dim for s in d.summands)
+        assert sorted(dp.certificates) == sorted(d.certificates)
 
 
 class TestVerifyDecomposition:

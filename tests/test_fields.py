@@ -272,3 +272,20 @@ def test_automorphism_identity_on_rationals():
     x = Q.from_rational(Fraction(5, 3))
     assert ident(x) == x
     assert ident.compose(ident) == ident
+
+
+def test_zero_and_one_are_built_once_per_tower():
+    m = Polynomial(QI, [QI.from_rational(-2), QI.zero(), QI.one()])
+    T = field_extend(QI, m, "s", [(0, 1), (0, -1)])
+    for F in (Q, QI, T):
+        assert F.zero() is F.zero()
+        assert F.one() is F.one()
+        for const, value, text in ((F.zero(), 0, "0"), (F.one(), 1, "1")):
+            fresh = F.from_rational(value)
+            assert const == fresh and const == value
+            assert hash(const) == hash(fresh)
+            assert format_element(const) == format_element(fresh) == text
+        assert F.zero().is_zero() and not F.one().is_zero()
+        # arithmetic builds new elements and leaves the shared ones alone
+        two = F.one() + F.one()
+        assert two == F.from_rational(2) and F.one() == 1

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieforms.errors import DegreeTooLargeError
+from lieforms.errors import DegenerateError, DegreeTooLargeError
 from lieforms.fields import rationals
 from lieforms.polynomials import (
     Polynomial,
@@ -140,3 +140,9 @@ def test_random_factor_refactor_roundtrip():
         assert rebuilt == p
         for f, _ in factors:
             assert is_irreducible_over_Q(f)
+
+
+def test_rational_roots_of_zero_polynomial_raises():
+    with pytest.raises(DegenerateError):
+        rational_roots(Polynomial.zero(Q))
+    assert rational_roots(poly(5)) == []
