@@ -37,7 +37,13 @@ from .decompose import (
     krull_schmidt_match,
     witness_invariants,
 )
-from .pfaffian import invariant_S, invariant_T, invariant_c_of, pfaffian_form
+from .pfaffian import (
+    invariant_S,
+    invariant_T,
+    invariant_c,
+    pfaffian_form,
+    quartic_form_of,
+)
 from .catalog import (
     abelian,
     g1_alpha,
@@ -257,8 +263,8 @@ def cmd_pfaffian(args) -> int:
 def cmd_invariant_c(args) -> int:
     man = _load(args)
     L = man.algebra(args.algebra)
-    value = invariant_c_of(L)
-    form = pfaffian_form(L).form
+    form = quartic_form_of(L)
+    value = invariant_c(form)
     _emit(args, [format_element(value)],
           {"command": "invariant-c", "algebra": args.algebra,
            "c": format_element(value),

@@ -28,7 +28,11 @@ from .errors import (
     NotSubLevelError,
     TowerMismatchError,
 )
-from .polynomials import Polynomial, is_irreducible_over_Q, poly_ext_gcd
+from .polynomials import (
+    LITERAL_EXPONENT_CAP,
+    Polynomial,
+    is_irreducible_over_Q,
+)
 
 
 def _element_key(x) -> tuple:
@@ -305,14 +309,39 @@ class FieldElement:
         field = self.field
         if field.is_rationals:
             return FieldElement(field, (Fraction(1) / self.coords[0],))
-        a_poly = Polynomial(field.base, list(self.coords))
-        g, u, _ = poly_ext_gcd(a_poly, field.minpoly)
-        if g.degree != 0:
-            raise DegenerateError(
-                "minimal polynomial of %s is not irreducible" % field.gen_name)
-        coords = list(u.coeffs)
-        coords += [field.base.zero()] * (field.degree - len(coords))
-        return FieldElement(field, tuple(coords[:field.degree]))
+        # Solve M y = e_0 over the base, where column c of M holds the
+        # coordinates of x * t^c (t the generator): then x * y = 1.
+        d = field.degree
+        zero, one = field.base.zero(), field.base.one()
+        m = field.minpoly.coeffs  # monic, length d+1
+        cols = [list(self.coords)]
+        for _ in range(d - 1):
+            prev = cols[-1]
+            top = prev[-1]
+            col = [zero] + prev[:-1]
+            if not top.is_zero():
+                for j in range(d):
+                    if not m[j].is_zero():
+                        col[j] = col[j] - top * m[j]
+            cols.append(col)
+        rows = [[col[r] for col in cols] + [one if r == 0 else zero]
+                for r in range(d)]
+        for c in range(d):
+            sel = next((r for r in range(c, d) if not rows[r][c].is_zero()),
+                       None)
+            if sel is None:
+                raise DegenerateError("minimal polynomial of %s is not "
+                                      "irreducible" % field.gen_name)
+            rows[c], rows[sel] = rows[sel], rows[c]
+            inv = rows[c][c].inverse()
+            pivot = [a * inv for a in rows[c][c:]]
+            rows[c][c:] = pivot
+            for r in range(d):
+                f = rows[r][c]
+                if r != c and not f.is_zero():
+                    rows[r][c:] = [a - f * b for a, b in
+                                   zip(rows[r][c:], pivot)]
+        return FieldElement(field, tuple(row[d] for row in rows))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -778,7 +807,8 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
     for level in field.levels():
         if not level.is_rationals:
             names[level.gen_name] = lift_to(level.generator(), field)
-    state = {"i": 0}
+    # "nest": largest product of exponents nested in the current group
+    state = {"i": 0, "nest": 1}
 
     def peek():
         return tokens[state["i"]] if state["i"] < len(tokens) else (None, None)
@@ -823,9 +853,16 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
 
     def parse_atom():
         k, v = peek()
+        nest = 1
         if k == "num":
             take("num")
-            base = field.from_rational(Fraction(v))
+            try:
+                value = Fraction(v)
+            except (ValueError, ZeroDivisionError) as exc:
+                # int() refuses numerals over the interpreter's digit limit
+                raise ManifestError("bad number in element literal: %s"
+                                    % exc) from exc
+            base = field.from_rational(value)
         elif k == "name":
             take("name")
             if v not in names:
@@ -834,7 +871,9 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
             base = names[v]
         elif k == "lpar":
             take("lpar")
+            outer, state["nest"] = state["nest"], 1
             base = parse_expr()
+            nest, state["nest"] = state["nest"], outer
             take("rpar")
         else:
             raise ManifestError("unexpected token in element literal %r"
@@ -845,7 +884,17 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
             e = take("num")
             if "/" in e:
                 raise ManifestError("exponent must be an integer in %r" % text)
-            base = base ** int(e)
+            # a numeral longer than the cap's is over it (and int() of a
+            # very long one would fail)
+            if (len(e.lstrip("0")) > len(str(LITERAL_EXPONENT_CAP))
+                    or nest * int(e) > LITERAL_EXPONENT_CAP):
+                raise ManifestError("element literal exponent over the cap "
+                                    "%d (nested exponents multiply)"
+                                    % LITERAL_EXPONENT_CAP)
+            power = int(e)
+            nest *= power
+            base = base ** power
+        state["nest"] = max(state["nest"], nest)
         return base
 
     result = parse_expr()

@@ -453,13 +453,24 @@ def commutator_rows(L: LieAlgebra) -> tuple[list, list]:
 
 
 def center_rows(L: LieAlgebra) -> tuple[list, list]:
-    """Echelonized basis of the center."""
+    """Echelonized basis of the center.
+
+    x is central when sum_i x_i c_ij^k = 0 for every (j, k).  A stored
+    bracket (i, j) -> {k: c} gives +c for x_i in equation (j, k) and -c for
+    x_j in equation (i, k); no other entry of the system is nonzero.
+    """
+    sparse: dict = {}
+    for (i, j), comps in L.brackets.items():
+        for k, c in comps.items():
+            sparse.setdefault((j, k), {})[i] = c
+            sparse.setdefault((i, k), {})[j] = -c
+    zero = L.field.zero()
     eqs = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            row = [L.structure_constant(i, j, k) for i in range(L.dim)]
-            if any(not c.is_zero() for c in row):
-                eqs.append(row)
+    for key in sorted(sparse):
+        row = [zero] * L.dim
+        for i, c in sparse[key].items():
+            row[i] = c
+        eqs.append(row)
     if not eqs:
         basis = linalg.identity_matrix(L.field, L.dim)
         return linalg.rref(basis, L.field)

@@ -259,7 +259,7 @@ def parse_manifest(text: str, into: Manifest = None) -> Manifest:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ManifestError("line %d: %s" % (lineno, exc)) from exc
         if not isinstance(obj, dict):
             raise ManifestError("line %d: expected a JSON object" % lineno)

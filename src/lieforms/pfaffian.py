@@ -5,10 +5,20 @@ commutator basis W = (W_1, ..., W_q), the matrix J(z) has entries
 J(z)_{ab} = sum_k z_k * (W_k-coefficient of [V_a, V_b]); its Pfaffian is a
 degree p/2 form in z_1, ..., z_q.  For type (8, 2) that form is a binary
 quartic and S, T, c = S^3/T^2 are its classical invariants.
+
+The form is found by evaluation and interpolation, in time polynomial in
+p for fixed q.  J is evaluated at z = (1, a) for the points a of the
+principal lattice {a in N^(q-1) : |a| <= p/2}, the Pfaffian of each value
+is taken by sparse skew elimination over the field in O(p^3), and the
+coefficients are recovered with the lattice's rational Vandermonde
+inverse, computed once per (p/2, q).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +32,7 @@ from .errors import (
     WrongShapeError,
     ZeroScalarError,
 )
-from .fields import FieldElement, FieldTower
+from .fields import FieldElement, FieldTower, rationals
 from .liealg import LieAlgebra, commutator_rows
 
 
@@ -154,12 +164,17 @@ class MultiPoly:
 
 
 def pfaffian(matrix, one=None):
-    """Pfaffian of a skew-symmetric matrix by first-row expansion.
+    """Pfaffian of a skew-symmetric matrix of field elements.
 
-    Entries may be field elements or MultiPoly values; they only need ring
-    operations and is_zero.  Raises OddSizeError for odd size and
-    NotSkewError when the matrix is not skew-symmetric.  The empty matrix
-    has Pfaffian one, which must be supplied explicitly.
+    Skew elimination on a sparse copy {i: {j: a_ij}}: r is the first
+    remaining index and s the first remaining index in r's support, at
+    position m of the remaining list; then Pf(A) = (-1)^(m+1) a_rs Pf(A')
+    with A' the matrix on the remaining indices and
+    a_ij += (a_si a_rj - a_ri a_sj) / a_rs, updated only for i, j in
+    supp(a_r) | supp(a_s).  A row with no partner gives zero.  Raises
+    OddSizeError for odd size and NotSkewError when the matrix is not
+    skew-symmetric.  The empty matrix has Pfaffian one, which must be
+    supplied explicitly.
     """
     n = len(matrix)
     for row in matrix:
@@ -167,40 +182,70 @@ def pfaffian(matrix, one=None):
             raise WrongShapeError("pfaffian needs a square matrix")
     if n % 2 == 1:
         raise OddSizeError("pfaffian of an odd-size matrix")
+    rows = {i: {} for i in range(n)}
     for i in range(n):
         if not matrix[i][i].is_zero():
             raise NotSkewError("nonzero diagonal entry at %d" % (i + 1))
         for j in range(i + 1, n):
-            if not (matrix[i][j] + matrix[j][i]).is_zero():
+            a, b = matrix[i][j], matrix[j][i]
+            if a.is_zero() and b.is_zero():
+                continue
+            if not (a + b).is_zero():
                 raise NotSkewError("entries (%d,%d) and (%d,%d) do not "
                                    "cancel" % (i + 1, j + 1, j + 1, i + 1))
+            rows[i][j] = a
+            rows[j][i] = b
     if n == 0:
         if one is None:
             raise WrongShapeError("empty pfaffian needs an explicit one")
         return one
-    return _pf_expand(matrix)
-
-
-def _pf_expand(matrix):
-    n = len(matrix)
-    if n == 2:
-        return matrix[0][1]
-    total = None
-    for j in range(1, n):
-        a = matrix[0][j]
-        if a.is_zero():
-            continue
-        keep = [r for r in range(1, n) if r != j]
-        minor = [[matrix[r][c] for c in keep] for r in keep]
-        term = a * _pf_expand(minor)
-        if j % 2 == 0:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        # whole first row is zero
-        probe = matrix[1][1] if n > 1 else matrix[0][0]
-        total = probe - probe  # a zero of the right kind
-    return total
+    remaining = list(range(n))
+    product = None
+    negate = False
+    while remaining:
+        r = remaining[0]
+        row_r = rows.pop(r)
+        if not row_r:
+            return matrix[0][0]  # a zero of the right kind
+        s = min(row_r)
+        m = remaining.index(s)
+        row_s = rows.pop(s)
+        a_rs = row_r[s]
+        product = a_rs if product is None else product * a_rs
+        if m % 2 == 0:
+            negate = not negate
+        del remaining[m]
+        del remaining[0]
+        if not remaining:
+            break
+        inv = a_rs.inverse()
+        u = {i: c * inv for i, c in row_s.items() if i != r}
+        v = {i: c * inv for i, c in row_r.items() if i != s}
+        touched = sorted(u.keys() | v.keys())
+        for i in touched:
+            rows[i].pop(r, None)
+            rows[i].pop(s, None)
+        for x, i in enumerate(touched):
+            u_i, v_i = u.get(i), v.get(i)
+            row_i = rows[i]
+            for j in touched[x + 1:]:
+                delta = None
+                if u_i is not None and j in row_r:
+                    delta = u_i * row_r[j]
+                if v_i is not None and j in row_s:
+                    t = v_i * row_s[j]
+                    delta = -t if delta is None else delta - t
+                if delta is None:
+                    continue
+                prev = row_i.get(j)
+                new = delta if prev is None else prev + delta
+                if new.is_zero():
+                    row_i.pop(j, None)
+                    rows[j].pop(i, None)
+                else:
+                    row_i[j] = new
+                    rows[j][i] = -new
+    return -product if negate else product
 
 
 @dataclass(frozen=True)
@@ -224,12 +269,15 @@ def two_step_type(L: LieAlgebra) -> TwoStepData:
     q = len(w)
     if q == 0:
         raise NotTwoStepError("commutator is zero")
-    zero = L.field.zero()
     for row in w:
+        support = [(i, c) for i, c in enumerate(row) if not c.is_zero()]
         for j in range(L.dim):
-            basis = [zero] * L.dim
-            basis[j] = L.field.one()
-            if any(not c.is_zero() for c in L.bracket_coords(row, basis)):
+            image: dict = {}  # [row, e_j], summed over the row's support
+            for i, c in support:
+                for k, b in L.bracket_basis(i, j).items():
+                    t = c * b
+                    image[k] = t if k not in image else image[k] + t
+            if any(not t.is_zero() for t in image.values()):
                 raise NotTwoStepError("commutator is not central")
     v_idx = tuple(i for i in range(L.dim) if i not in set(pivots))
     return TwoStepData(L, v_idx, tuple(tuple(r) for r in w),
@@ -248,43 +296,105 @@ class PfaffianForm:
         return self.data.type
 
 
+def _jay_coefficients(data: TwoStepData) -> list:
+    """J(z) = sum_k z_k J_k as q sparse upper triangles {(a, b): c}.
+
+    Every bracket lies in [L, L] and the commutator rows are reduced, so
+    the coefficient of [V_a, V_b] on W_k is its entry at pivot k.
+    """
+    L = data.algebra
+    v = data.v_indices
+    coeffs = [{} for _ in data.w_pivots]
+    for a in range(len(v)):
+        for b in range(a + 1, len(v)):
+            entry = L.bracket_basis(v[a], v[b])
+            for k, pivot in enumerate(data.w_pivots):
+                c = entry.get(pivot)
+                if c is not None:
+                    coeffs[k][(a, b)] = c
+    return coeffs
+
+
 def jay_matrix(data: TwoStepData) -> list:
     """J(z): skew matrix of linear forms in the commutator coordinates."""
-    L = data.algebra
-    field = L.field
-    q = data.type[1]
-    p = data.type[0]
-    rows_w = [list(r) for r in data.w_rows]
+    field = data.algebra.field
+    p, q = data.type
+    terms: dict = {}
+    for k, part in enumerate(_jay_coefficients(data)):
+        exps = tuple(1 if t == k else 0 for t in range(q))
+        for key, c in part.items():
+            terms.setdefault(key, {})[exps] = c
     mat = [[MultiPoly.zero(field, q) for _ in range(p)] for _ in range(p)]
-    for a in range(p):
-        for b in range(a + 1, p):
-            coords = L.bracket_basis(data.v_indices[a], data.v_indices[b])
-            if not coords:
-                continue
-            vec = [field.zero()] * L.dim
-            for k, c in coords.items():
-                vec[k] = c
-            expr = linalg.express_in_rows(rows_w, list(data.w_pivots), vec,
-                                          field)
-            if expr is None:
-                raise NotTwoStepError("bracket image escapes the commutator")
-            entry = MultiPoly(field, q,
-                              {tuple(1 if t == k else 0 for t in range(q)): c
-                               for k, c in enumerate(expr)})
-            mat[a][b] = entry
-            mat[b][a] = -entry
+    for (a, b), entry_terms in terms.items():
+        entry = MultiPoly(field, q, entry_terms)
+        mat[a][b] = entry
+        mat[b][a] = -entry
     return mat
 
 
-def pfaffian_form(L: LieAlgebra) -> PfaffianForm:
-    """Pfaffian of J(z); OddSizeError when the complement has odd dimension."""
-    data = two_step_type(L)
+@functools.lru_cache(maxsize=None)
+def _lattice_inverse(d: int, q: int):
+    """The principal lattice {a in N^(q-1) : |a| <= d} and the inverse of
+    its Vandermonde matrix V[a][m] = a^m (m over the same set), in
+    Fractions.  The lattice is unisolvent for total degree <= d, so row m
+    of the inverse maps values at the points to the coefficient of a^m.
+    """
+    points = tuple(a for a in itertools.product(range(d + 1), repeat=q - 1)
+                   if sum(a) <= d)
+    Q = rationals()
+    vandermonde = [[Q.from_rational(math.prod(x ** e for x, e in zip(a, m)))
+                    for m in points] for a in points]
+    inverse = linalg.inverse(vandermonde, Q)
+    return points, tuple(tuple(w.rational_value() for w in row)
+                         for row in inverse)
+
+
+def _form_of(data: TwoStepData) -> MultiPoly:
+    """Pf J(z) from its values at (1, a) over the principal lattice."""
     p, q = data.type
     if p % 2 == 1:
         raise OddSizeError("complement dimension %d is odd" % p)
-    mat = jay_matrix(data)
-    form = pfaffian(mat, one=MultiPoly.constant(L.field, q, L.field.one()))
-    return PfaffianForm(data, form)
+    field = data.algebra.field
+    zero = field.zero()
+    d = p // 2
+    parts = _jay_coefficients(data)
+    points, inverse = _lattice_inverse(d, q)
+    values = []
+    for a in points:
+        entries: dict = {}
+        for t, part in zip((1,) + a, parts):
+            if t == 0:
+                continue
+            scale = field.from_rational(t)
+            for key, c in part.items():
+                term = c if t == 1 else c * scale
+                prev = entries.get(key)
+                entries[key] = term if prev is None else prev + term
+        mat = [[zero] * p for _ in range(p)]
+        for (i, j), c in entries.items():
+            mat[i][j] = c
+            mat[j][i] = -c
+        values.append(pfaffian(mat))
+    terms = {}
+    for m, weights in zip(points, inverse):
+        acc = zero
+        for w, value in zip(weights, values):
+            if w and not value.is_zero():
+                acc = acc + value * field.from_rational(w)
+        terms[(d - sum(m),) + m] = acc
+    return MultiPoly(field, q, terms)
+
+
+def pfaffian_form(L: LieAlgebra) -> PfaffianForm:
+    """Pfaffian of J(z); OddSizeError when the complement has odd dimension.
+
+    Pf J(z) is homogeneous of degree d = p/2, so it is fixed by its values
+    at z = (1, a) for the C(d+q-1, q-1) points a of the principal lattice;
+    each value is a field Pfaffian and the coefficients come from the
+    lattice's cached rational Vandermonde inverse.
+    """
+    data = two_step_type(L)
+    return PfaffianForm(data, _form_of(data))
 
 
 def _quartic_coeffs(form: MultiPoly):
@@ -354,13 +464,21 @@ def invariant_c(form: MultiPoly) -> FieldElement:
     return (S * S * S) / (T * T)
 
 
+def quartic_form_of(L: LieAlgebra) -> MultiPoly:
+    """The binary quartic Pf J(z) of a type (8, 2) two-step algebra.
+
+    The type is checked before the form is built.
+    """
+    data = two_step_type(L)
+    if data.type != (8, 2):
+        raise WrongShapeError("quartic invariant needs type (8, 2), got %r"
+                              % (data.type,))
+    return _form_of(data)
+
+
 def invariant_c_of(L: LieAlgebra) -> FieldElement:
     """The quartic invariant of a type (8, 2) two-step algebra."""
-    pf = pfaffian_form(L)
-    if pf.type != (8, 2):
-        raise WrongShapeError("quartic invariant needs type (8, 2), got %r"
-                              % (pf.type,))
-    return invariant_c(pf.form)
+    return invariant_c(quartic_form_of(L))
 
 
 def refute_isomorphism_by_c(A: LieAlgebra, B: LieAlgebra) -> bool:

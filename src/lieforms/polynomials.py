@@ -22,6 +22,13 @@ from .errors import DegenerateError, DegreeTooLargeError
 
 FACTOR_DEGREE_CAP = 12
 
+# Largest exponent an element literal may use (see fields.parse_element).
+# Exponents nested through parentheses multiply, and their product is held
+# to the cap, so a literal's value grows at most polynomially in its length.
+# An exponent over the cap is a ManifestError, raised before any power is
+# computed.
+LITERAL_EXPONENT_CAP = 256
+
 
 class Polynomial:
     """Dense univariate polynomial, coefficients low to high, over a field."""

@@ -1,6 +1,7 @@
 """Tests for manifest files and the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -360,3 +361,43 @@ class TestCommandLine:
         rc, _ = run_cli(capsys, "catalog", "r3_lambda", "--field", "Q",
                         "--lambda", "0")
         assert rc == 2
+
+    @pytest.mark.parametrize("literal, message", [
+        ("1" + "0" * 5000, "bad number"),
+        ("1/0", "bad number"),
+        ("3^1000000000", "cap"),
+        ("(2^16)^17", "cap"),
+    ])
+    def test_bad_literal_exits_two_quickly(self, capsys, tmp_path, literal,
+                                           message):
+        entity = {"name": "a", "field": "Q", "dim": 3,
+                  "brackets": [{"i": 1, "j": 2, "k": 3, "coeff": literal}]}
+        path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
+        start = time.perf_counter()
+        rc = cli.main(["decompose", "a", "--manifest", path])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: line 1:") and message in err
+        assert elapsed < 2.0, elapsed
+
+    def test_over_long_json_integer_exits_two(self, capsys, tmp_path):
+        path = write_lines(tmp_path, "m.jsonl",
+                           '{"name": "a", "field": "Q", "dim": 1%s, '
+                           '"brackets": []}' % ("0" * 5000))
+        rc = cli.main(["check", "a", "--manifest", path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 1:")
+
+    def test_literals_within_the_caps_round_trip(self, capsys, tmp_path):
+        Qi = gaussian_rationals()
+        entity = {"name": "a", "field": "Q(i)", "dim": 3,
+                  "brackets": [{"i": 1, "j": 2, "k": 3,
+                                "coeff": "(1+1i)^4*2^100"}]}
+        path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
+        man = parse_manifest(open(path, encoding="utf-8").read())
+        coeff = man.algebra("a").brackets[(0, 1)][2]
+        assert coeff == Qi.from_rational(-4 * 2 ** 100)
+        text = serialize_manifest(man)
+        assert serialize_manifest(parse_manifest(text)) == text
+        rc, _ = run_cli(capsys, "check", "a", "--manifest", path)
+        assert rc == 0

@@ -14,6 +14,8 @@ from lieforms.errors import (
 )
 from lieforms.fields import (
     Automorphism,
+    FieldElement,
+    FieldTower,
     coords_over,
     cyclotomic_field,
     eval_poly_at,
@@ -33,7 +35,11 @@ from lieforms.fields import (
     relative_degree,
     sqrt_or_none,
 )
-from lieforms.polynomials import Polynomial
+from lieforms.polynomials import (
+    LITERAL_EXPONENT_CAP,
+    Polynomial,
+    poly_ext_gcd,
+)
 
 Q = rationals()
 QI = gaussian_rationals()
@@ -241,7 +247,7 @@ def test_sqrt_in_rationals_and_quadratics():
 
 def test_parse_format_roundtrip():
     rng = random.Random(23)
-    for field in (Q, QI, QR2):
+    for field in (Q, QI, QR2, cyclotomic_field(8)):
         for _ in range(60):
             k = field.degree if not field.is_rationals else 1
             coords = [Fraction(rng.randint(-12, 12), rng.randint(1, 6))
@@ -289,3 +295,78 @@ def test_zero_and_one_are_built_once_per_tower():
         # arithmetic builds new elements and leaves the shared ones alone
         two = F.one() + F.one()
         assert two == F.from_rational(2) and F.one() == 1
+
+
+def gcd_inverse(x):
+    """x^-1 from the extended Euclidean algorithm against the minpoly."""
+    field = x.field
+    g, u, _ = poly_ext_gcd(Polynomial(field.base, list(x.coords)),
+                           field.minpoly)
+    assert g.degree == 0
+    coords = list(u.coeffs) + [field.base.zero()] * field.degree
+    return FieldElement(field, tuple(coords[:field.degree]))
+
+
+def random_element(field, rng):
+    if field.is_rationals:
+        return field.from_rational(Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 5)))
+    return field.element([random_element(field.base, rng)
+                          for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt2)", "Q(zeta8)",
+                                  "Q(i)(sqrt2)"])
+def test_inverse_by_solve_matches_gcd_inverse(name):
+    field = {"Q(i)": lambda: QI, "Q(sqrt2)": lambda: QR2,
+             "Q(zeta8)": lambda: cyclotomic_field(8),
+             "Q(i)(sqrt2)": lambda: field_extend(
+                 QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+                 [(0, 1), (0, -1)])}[name]()
+    rng = random.Random(41)
+    checked = 0
+    while checked < 25:
+        x = random_element(field, rng)
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        assert inv == gcd_inverse(x)
+        assert x * inv == field.one()
+        checked += 1
+    # sparse elements: a single power of the generator, and 1 + t^k
+    t = field.generator()
+    for k in range(field.degree):
+        assert (t ** k).inverse() * t ** k == field.one()
+        y = field.one() + t ** k
+        if not y.is_zero():
+            assert y.inverse() == gcd_inverse(y)
+
+
+def test_inverse_of_zero_divisor_is_degenerate():
+    # t^2 - 1 is reducible, so 1 + t divides zero and has no inverse
+    T = FieldTower(Q, Polynomial.from_rationals(Q, [-1, 0, 1]), "u")
+    x = FieldElement(T, (Q.one(), Q.one()))
+    with pytest.raises(DegenerateError):
+        x.inverse()
+    with pytest.raises(ZeroDivisionError):
+        QI.zero().inverse()
+
+
+def test_literal_exponent_cap():
+    assert parse_element("2^%d" % LITERAL_EXPONENT_CAP, Q) == \
+        Q.from_rational(2 ** LITERAL_EXPONENT_CAP)
+    assert parse_element("(2^16)^16", Q) == Q.from_rational(2 ** 256)
+    assert parse_element("i^0003", QI) == -QI.generator()
+    z = cyclotomic_field(8).generator()
+    assert format_element(z ** 3) == "1z8^3"
+    assert parse_element("1z8^3", z.field) == z ** 3
+    for text in ("2^%d" % (LITERAL_EXPONENT_CAP + 1), "(2^16)^17",
+                 "((1i^2)^16)^9", "3^" + "9" * 5000):
+        with pytest.raises(ManifestError, match="cap"):
+            parse_element(text, QI)
+
+
+def test_literal_numbers_that_cannot_be_read():
+    for text in ("1" * 5000, "1/0", "1/" + "7" * 5000):
+        with pytest.raises(ManifestError):
+            parse_element(text, Q)

@@ -9,7 +9,13 @@ from lieforms.errors import (
     OwnerMismatchError,
     SingularMatrixError,
 )
-from lieforms.catalog import g_lambda
+from lieforms import linalg
+from lieforms.catalog import (
+    abelian,
+    g1_alpha,
+    g_lambda,
+    r3_lambda_plus_abelian,
+)
 from lieforms.descent import conjugate, verify_sumconjugate
 from lieforms.fields import field_extend, gaussian_rationals, rationals
 from lieforms.liealg import (
@@ -349,3 +355,38 @@ def test_verify_morphism_on_rebased_dense_constants(name):
         bad = [list(row) for row in P]
         bad[r][c] = bad[r][c] + QI.one()
         assert not verify_morphism(M, L, bad), (r, c)
+
+
+def dense_center_reference(L):
+    """The center from all n^2 equations sum_i x_i c_ij^k = 0, one
+    structure constant at a time."""
+    eqs = []
+    for j in range(L.dim):
+        for k in range(L.dim):
+            row = [L.structure_constant(i, j, k) for i in range(L.dim)]
+            if any(not c.is_zero() for c in row):
+                eqs.append(row)
+    if not eqs:
+        return linalg.rref(linalg.identity_matrix(L.field, L.dim), L.field)
+    return linalg.rref(linalg.nullspace(eqs, L.field), L.field)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Q(i)", "Q(i)(sqrt2)"])
+def test_center_rows_matches_dense_reference(field_name):
+    field = {"Q": lambda: Q, "Q(i)": lambda: QI, "Q(i)(sqrt2)": tower}[
+        field_name]()
+    rng = random.Random(31)
+    lam = random_element(field, rng, nonzero=True)
+    catalog = [heis(field), sl2(field), abelian(field, 3),
+               LieAlgebra(field, 0, {}), g_lambda(field, lam),
+               r3_lambda_plus_abelian(field, lam), g1_alpha(field, lam),
+               direct_sum(heis(field), heis(field)),
+               direct_sum(sl2(field), abelian(field, 2))]
+    rebased = [change_basis(L, unitriangular(field, L.dim, rng))
+               for L in catalog if 0 < L.dim <= 6]
+    dims = []
+    for L in catalog + rebased:
+        rows, pivots = center_rows(L)
+        assert (rows, pivots) == dense_center_reference(L)
+        dims.append(len(rows))
+    assert dims[:len(catalog)] == [1, 0, 3, 0, 2, 1, 0, 2, 2]

@@ -1,6 +1,8 @@
 """Tests for Pfaffians, two-step types and binary quartic invariants."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,8 @@ from lieforms.errors import (
     WrongShapeError,
     ZeroScalarError,
 )
-from lieforms.fields import gaussian_rationals, rationals
+from lieforms.catalog import g_lambda
+from lieforms.fields import field_extend, gaussian_rationals, rationals
 from lieforms.liealg import LieAlgebra, direct_sum
 from lieforms.pfaffian import (
     MultiPoly,
@@ -29,11 +32,46 @@ from lieforms.pfaffian import (
     pfaffian,
     pfaffian_form,
     projective_equivalence_check,
+    quartic_form_of,
     refute_isomorphism_by_c,
     two_step_type,
 )
+from lieforms.polynomials import Polynomial
 
 Q = rationals()
+QI = gaussian_rationals()
+
+
+def sqrt2_over_gaussian():
+    return field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+                        [(0, 1), (0, -1)])
+
+
+def pf_expand(matrix):
+    """Reference Pfaffian: expansion along the first row, (p-1)!! terms.
+
+    Entries only need ring operations and is_zero, so this runs on field
+    elements and on MultiPoly entries alike.
+    """
+    n = len(matrix)
+    if n == 2:
+        return matrix[0][1]
+    total = None
+    for j in range(1, n):
+        a = matrix[0][j]
+        if a.is_zero():
+            continue
+        keep = [r for r in range(1, n) if r != j]
+        minor = [[matrix[r][c] for c in keep] for r in keep]
+        term = a * pf_expand(minor)
+        if j % 2 == 0:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        # whole first row is zero
+        probe = matrix[1][1] if n > 1 else matrix[0][0]
+        total = probe - probe  # a zero of the right kind
+    return total
 
 
 def _random_sl2(field, rng):
@@ -149,6 +187,205 @@ class TestPfaffian:
         with pytest.raises(WrongShapeError):
             pfaffian([])
         assert pfaffian([], one=Q.one()) == Q.one()
+
+
+def random_entry(field, rng, nonzero=False):
+    """A seeded element with small rational coordinates at every level."""
+    while True:
+        if field.is_rationals:
+            x = field.from_rational(Fraction(rng.randint(-4, 4),
+                                             rng.randint(1, 3)))
+        else:
+            x = field.element([random_entry(field.base, rng)
+                               for _ in range(field.degree)])
+        if not (nonzero and x.is_zero()):
+            return x
+
+
+def random_sparse_skew(field, n, rng, density):
+    return random_skew(field, n, rng,
+                       lambda r: (random_entry(field, r, nonzero=True)
+                                  if r.random() < density else field.zero()))
+
+
+def skew_from(field, n, upper):
+    """Skew matrix with the given {(i, j): value} above the diagonal."""
+    m = [[field.zero() for _ in range(n)] for _ in range(n)]
+    for (i, j), x in upper.items():
+        m[i][j] = field.from_rational(x)
+        m[j][i] = field.from_rational(-x)
+    return m
+
+
+class TestSkewElimination:
+    @pytest.mark.parametrize("field_name", ["Q", "Q(i)", "Q(i)(sqrt2)"])
+    def test_square_is_determinant_up_to_twelve(self, field_name):
+        field = {"Q": lambda: Q, "Q(i)": lambda: QI,
+                 "Q(i)(sqrt2)": sqrt2_over_gaussian}[field_name]()
+        rng = random.Random(20261018)
+        reps = 2 if field_name == "Q(i)(sqrt2)" else 4
+        zeros = 0
+        for n in (2, 4, 6, 8, 10, 12):
+            for density in (1.0, 0.5, 0.25):
+                for _ in range(reps):
+                    m = random_sparse_skew(field, n, rng, density)
+                    pf = pfaffian(m)
+                    assert pf * pf == linalg.det(m, field)
+                    zeros += pf.is_zero()
+        assert zeros > 0
+
+    def test_matches_expansion_up_to_eight(self):
+        rng = random.Random(5)
+        zeros = pivoted = 0
+        for field in (Q, QI):
+            for n in (2, 4, 6, 8):
+                for density in (1.0, 0.6, 0.35, 0.2):
+                    for _ in range(6):
+                        m = random_sparse_skew(field, n, rng, density)
+                        pf = pfaffian(m)
+                        assert pf == pf_expand(m)
+                        zeros += pf.is_zero()
+                        # the first step pairs index 0 beyond index 1
+                        pivoted += (m[0][1].is_zero()
+                                    and any(not x.is_zero() for x in m[0]))
+        assert zeros >= 10 and pivoted >= 10
+
+    def test_pivot_beyond_the_next_index(self):
+        # a_01 = 0, so r = 0 pairs with s = 2 at position 2: sign -1
+        m = skew_from(Q, 4, {(0, 2): 3, (1, 3): 5})
+        assert pfaffian(m) == Q.from_rational(-15) == pf_expand(m)
+        m = skew_from(Q, 6, {(0, 3): 2, (1, 2): 7, (4, 5): 1, (1, 5): 4})
+        assert pfaffian(m) == pf_expand(m) == Q.from_rational(14)
+
+    def test_row_without_partner_gives_zero(self):
+        # index 0 has no partner at the first step
+        m = skew_from(Q, 6, {(1, 2): 1, (3, 4): 2, (2, 5): 3})
+        assert pfaffian(m).is_zero()
+        # the update a_23 += a_12 a_03 - a_02 a_13 cancels, so index 2 has
+        # no partner at the second step
+        m = skew_from(Q, 4, {(0, 1): 1, (0, 2): 1, (0, 3): 1,
+                             (1, 2): 1, (1, 3): 1})
+        assert pfaffian(m).is_zero() and pf_expand(m).is_zero()
+        m = skew_from(QI, 6, {(0, 1): 2, (0, 2): 1, (0, 3): 1, (1, 2): 2,
+                              (1, 3): 2, (4, 5): 1, (2, 4): 1})
+        assert pfaffian(m).is_zero() and pf_expand(m).is_zero()
+
+
+def dense_two_step(field, p, q, rng):
+    """Two-step algebra X_1..X_p, Z_1..Z_q whose brackets [X_a, X_b] are
+    nonzero vectors from {-2..2}^q, redrawn until they span all q."""
+    vectors = [v for v in itertools.product(range(-2, 3), repeat=q) if any(v)]
+    while True:
+        br = {(a, b): {p + k: c for k, c in enumerate(rng.choice(vectors))
+                       if c}
+              for a in range(p) for b in range(a + 1, p)}
+        L = LieAlgebra(field, p + q, br)
+        if two_step_type(L).type == (p, q):
+            return L
+
+
+def expanded_form(L):
+    """Pf J(z) by expansion over MultiPoly entries (p <= 8)."""
+    return pf_expand(jay_matrix(two_step_type(L)))
+
+
+def power_sum(field, copies):
+    L = heis(field)
+    for _ in range(copies - 1):
+        L = direct_sum(L, heis(field))
+    return L
+
+
+class TestFormByInterpolation:
+    @pytest.mark.parametrize("p, q", [(2, 1), (4, 1), (6, 1), (8, 1),
+                                      (4, 2), (6, 2), (8, 2), (4, 3),
+                                      (6, 3), (8, 3), (4, 4), (6, 4),
+                                      (8, 4)])
+    def test_dense_matches_expansion(self, p, q):
+        rng = random.Random(1000 * p + q)
+        fields = (Q, QI) if p <= 6 else (Q,)
+        for field in fields:
+            L = dense_two_step(field, p, q, rng)
+            pf = pfaffian_form(L)
+            assert pf.type == (p, q)
+            assert pf.form == expanded_form(L)
+            assert not pf.form.is_zero()
+
+    def test_sparse_catalog_matches_expansion(self):
+        algebras = [heis(Q), power_sum(Q, 2), power_sum(QI, 3),
+                    power_sum(Q, 4), quartic_algebra(Q, 3),
+                    g_lambda(Q, Q.from_rational(Fraction(-5, 2))),
+                    g_lambda(QI, QI.one() + QI.generator())]
+        types = []
+        for L in algebras:
+            pf = pfaffian_form(L)
+            types.append(pf.type)
+            assert pf.form == expanded_form(L)
+        assert types == [(2, 1), (4, 2), (6, 3), (8, 4), (8, 2), (8, 2),
+                         (8, 2)]
+        # h3^4 has Pfaffian z1 z2 z3 z4
+        assert pfaffian_form(power_sum(Q, 4)).form == \
+            MultiPoly(Q, 4, {(1, 1, 1, 1): Q.one()})
+
+    def test_degenerate_jay_has_zero_form(self):
+        one = Q.one()
+        # X4 brackets with nothing: J has a zero row, Pf J(z) = 0
+        L = LieAlgebra(Q, 6, {(0, 1): {4: one}, (0, 2): {5: one},
+                              (1, 2): {4: one}})
+        assert pfaffian_form(L).type == (4, 2)
+        assert pfaffian_form(L).form.is_zero()
+        assert expanded_form(L).is_zero()
+        # h3 + ab2: type (4, 1), J(z) = z1 E_12
+        L = direct_sum(heis(Q), LieAlgebra(Q, 2, {}))
+        assert pfaffian_form(L).type == (4, 1)
+        assert pfaffian_form(L).form.is_zero()
+
+    def test_singular_first_coefficient_matrix(self):
+        # J_1 of h3 + h3 pairs only X1, X2, so the lattice point a = 0
+        # has Pfaffian 0 while the form z1 z2 does not vanish
+        for field in (Q, QI):
+            L = power_sum(field, 2)
+            data = two_step_type(L)
+            at_origin = [[entry.eval([field.one(), field.zero()])
+                          for entry in row] for row in jay_matrix(data)]
+            assert pfaffian(at_origin).is_zero()
+            assert pfaffian_form(L).form == \
+                MultiPoly(field, 2, {(1, 1): field.one()}) == expanded_form(L)
+        rng = random.Random(77)
+        L = dense_two_step(Q, 6, 2, rng)
+        br = {key: {k: c for k, c in comps.items() if k != 6}
+              for key, comps in L.brackets.items()}
+        br[(0, 1)] = {6: Q.one()}  # J_1 = E_12: singular for p = 6
+        L = LieAlgebra(Q, 8, br)
+        assert two_step_type(L).type == (6, 2)
+        assert pfaffian_form(L).form == expanded_form(L)
+
+    def test_dense_sixteen_by_two_under_a_second(self):
+        rng = random.Random(16)
+        L = dense_two_step(Q, 16, 2, rng)
+        start = time.perf_counter()
+        pf = pfaffian_form(L)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+        assert pf.form.degree() == 8
+        jay = jay_matrix(two_step_type(L))
+        for z in ((Fraction(-3, 2), 5), (7, Fraction(2, 3))):
+            point = [Q.from_rational(x) for x in z]
+            value = [[entry.eval(point) for entry in row] for row in jay]
+            f = pf.form.eval(point)
+            assert f * f == linalg.det(value, Q)
+
+    def test_quartic_form_checks_type_first(self):
+        L = quartic_algebra(QI, QI.generator())
+        assert quartic_form_of(L) == pfaffian_form(L).form
+        with pytest.raises(WrongShapeError, match=r"got \(6, 3\)"):
+            quartic_form_of(power_sum(Q, 3))
+        # an odd complement is reported by its type, not by its parity
+        one = Q.one()
+        odd = LieAlgebra(Q, 6, {(0, 1): {5: one}, (2, 3): {5: one},
+                                (2, 4): {5: one}})
+        with pytest.raises(WrongShapeError, match=r"got \(5, 1\)"):
+            invariant_c_of(odd)
 
 
 class TestTwoStepType:
