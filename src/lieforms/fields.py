@@ -884,14 +884,16 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
             e = take("num")
             if "/" in e:
                 raise ManifestError("exponent must be an integer in %r" % text)
-            # a numeral longer than the cap's is over it (and int() of a
-            # very long one would fail)
-            if (len(e.lstrip("0")) > len(str(LITERAL_EXPONENT_CAP))
-                    or nest * int(e) > LITERAL_EXPONENT_CAP):
+            # a numeral longer than the cap's is over it; int() reads the
+            # numeral without its leading zeros, which count towards the
+            # interpreter's digit limit
+            digits = e.lstrip("0") or "0"
+            if (len(digits) > len(str(LITERAL_EXPONENT_CAP))
+                    or nest * int(digits) > LITERAL_EXPONENT_CAP):
                 raise ManifestError("element literal exponent over the cap "
                                     "%d (nested exponents multiply)"
                                     % LITERAL_EXPONENT_CAP)
-            power = int(e)
+            power = int(digits)
             nest *= power
             base = base ** power
         state["nest"] = max(state["nest"], nest)

@@ -10,15 +10,14 @@ The form is found by evaluation and interpolation, in time polynomial in
 p for fixed q.  J is evaluated at z = (1, a) for the points a of the
 principal lattice {a in N^(q-1) : |a| <= p/2}, the Pfaffian of each value
 is taken by sparse skew elimination over the field in O(p^3), and the
-coefficients are recovered with the lattice's rational Vandermonde
-inverse, computed once per (p/2, q).
+coefficients are recovered by Newton interpolation on the lattice:
+forward differences, then a change from binomial to power basis, one axis
+at a time.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from .errors import (
     WrongShapeError,
     ZeroScalarError,
 )
-from .fields import FieldElement, FieldTower, rationals
+from .fields import FieldElement, FieldTower
 from .liealg import LieAlgebra, commutator_rows
 
 
@@ -199,14 +198,20 @@ def pfaffian(matrix, one=None):
         if one is None:
             raise WrongShapeError("empty pfaffian needs an explicit one")
         return one
-    remaining = list(range(n))
+    return _eliminate(rows, matrix[0][0])
+
+
+def _eliminate(rows: dict, zero: FieldElement) -> FieldElement:
+    """Pfaffian of a nonempty skew matrix held as {i: {j: a_ij}}, both
+    halves, by the elimination described in pfaffian(); consumes rows."""
+    remaining = sorted(rows)
     product = None
     negate = False
     while remaining:
         r = remaining[0]
         row_r = rows.pop(r)
         if not row_r:
-            return matrix[0][0]  # a zero of the right kind
+            return zero
         s = min(row_r)
         m = remaining.index(s)
         row_s = rows.pop(s)
@@ -269,15 +274,12 @@ def two_step_type(L: LieAlgebra) -> TwoStepData:
     q = len(w)
     if q == 0:
         raise NotTwoStepError("commutator is zero")
+    zero = L.field.zero()
     for row in w:
-        support = [(i, c) for i, c in enumerate(row) if not c.is_zero()]
         for j in range(L.dim):
-            image: dict = {}  # [row, e_j], summed over the row's support
-            for i, c in support:
-                for k, b in L.bracket_basis(i, j).items():
-                    t = c * b
-                    image[k] = t if k not in image else image[k] + t
-            if any(not t.is_zero() for t in image.values()):
+            basis = [zero] * L.dim
+            basis[j] = L.field.one()
+            if any(not c.is_zero() for c in L.bracket_coords(row, basis)):
                 raise NotTwoStepError("commutator is not central")
     v_idx = tuple(i for i in range(L.dim) if i not in set(pivots))
     return TwoStepData(L, v_idx, tuple(tuple(r) for r in w),
@@ -333,20 +335,84 @@ def jay_matrix(data: TwoStepData) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice_inverse(d: int, q: int):
-    """The principal lattice {a in N^(q-1) : |a| <= d} and the inverse of
-    its Vandermonde matrix V[a][m] = a^m (m over the same set), in
-    Fractions.  The lattice is unisolvent for total degree <= d, so row m
-    of the inverse maps values at the points to the coefficient of a^m.
+def _lattice(d: int, n: int) -> tuple:
+    """The principal lattice {a in N^n : |a| <= d}, built as compositions."""
+    if n == 0:
+        return ((),)
+    return tuple((k,) + rest for k in range(d + 1)
+                 for rest in _lattice(d - k, n - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_powers(d: int) -> tuple:
+    """Row m holds the coefficients of x^0..x^m in binom(x, m), m <= d."""
+    rows = [(Fraction(1),)]
+    for m in range(d):
+        # binom(x, m + 1) = binom(x, m) * (x - m) / (m + 1)
+        nxt = [Fraction(0)] * (m + 2)
+        for e, c in enumerate(rows[-1]):
+            nxt[e + 1] += c / (m + 1)
+            nxt[e] -= c * m / (m + 1)
+        rows.append(tuple(nxt))
+    return tuple(rows)
+
+
+def _along(values: dict, axis: int, d: int, step) -> dict:
+    """Apply step to every lattice line along axis that holds a nonzero
+    value; values and the result list only nonzero entries, a line is
+    passed as a list with None for zero."""
+    out = {}
+    for start in {a[:axis] + (0,) + a[axis + 1:] for a in values}:
+        head, tail = start[:axis], start[axis + 1:]
+        line = [head + (k,) + tail for k in range(d - sum(start) + 1)]
+        for a, c in zip(line, step([values.get(a) for a in line])):
+            if c is not None and not c.is_zero():
+                out[a] = c
+    return out
+
+
+def _differences(vals: list) -> list:
+    """Forward differences: position k ends up holding Delta^k v(0)."""
+    for level in range(1, len(vals)):
+        for k in range(len(vals) - 1, level - 1, -1):
+            prev = vals[k - 1]
+            if prev is not None:
+                vals[k] = -prev if vals[k] is None else vals[k] - prev
+    return vals
+
+
+def _interpolate(values: dict, d: int, n: int, field: FieldTower) -> dict:
+    """Coefficients {m: c of a^m} of the polynomial of total degree <= d in
+    n variables with the given values on the principal lattice; both
+    dicts list only nonzero entries.
+
+    Forward differences along each axis in turn leave Delta^m f(0) at m,
+    the coefficients of Newton's series f(a) = sum_m Delta^m f(0)
+    prod_i binom(a_i, m_i); a difference along a line uses only the nodes
+    on it, so every step stays inside the lattice.  Rewriting each
+    binom(a_i, m_i) in powers of a_i, again axis by axis, gives the
+    monomial coefficients.  Each pass costs O(d) field operations per
+    lattice point on a line with a nonzero value.
     """
-    points = tuple(a for a in itertools.product(range(d + 1), repeat=q - 1)
-                   if sum(a) <= d)
-    Q = rationals()
-    vandermonde = [[Q.from_rational(math.prod(x ** e for x, e in zip(a, m)))
-                    for m in points] for a in points]
-    inverse = linalg.inverse(vandermonde, Q)
-    return points, tuple(tuple(w.rational_value() for w in row)
-                         for row in inverse)
+    table = _binomial_powers(d)
+    weights = [[field.from_rational(c) for c in row] for row in table]
+
+    def to_powers(vals):
+        out = []
+        for e in range(len(vals)):
+            acc = None
+            for m in range(e, len(vals)):
+                if vals[m] is not None and table[m][e]:
+                    t = vals[m] * weights[m][e]
+                    acc = t if acc is None else acc + t
+            out.append(acc)
+        return out
+
+    for axis in range(n):
+        values = _along(values, axis, d, _differences)
+    for axis in range(n):
+        values = _along(values, axis, d, to_powers)
+    return values
 
 
 def _form_of(data: TwoStepData) -> MultiPoly:
@@ -358,9 +424,8 @@ def _form_of(data: TwoStepData) -> MultiPoly:
     zero = field.zero()
     d = p // 2
     parts = _jay_coefficients(data)
-    points, inverse = _lattice_inverse(d, q)
-    values = []
-    for a in points:
+    values = {}
+    for a in _lattice(d, q - 1):
         entries: dict = {}
         for t, part in zip((1,) + a, parts):
             if t == 0:
@@ -370,19 +435,19 @@ def _form_of(data: TwoStepData) -> MultiPoly:
                 term = c if t == 1 else c * scale
                 prev = entries.get(key)
                 entries[key] = term if prev is None else prev + term
-        mat = [[zero] * p for _ in range(p)]
+        # J(1, a) is skew by construction: eliminate without re-checking
+        rows = {i: {} for i in range(p)}
         for (i, j), c in entries.items():
-            mat[i][j] = c
-            mat[j][i] = -c
-        values.append(pfaffian(mat))
-    terms = {}
-    for m, weights in zip(points, inverse):
-        acc = zero
-        for w, value in zip(weights, values):
-            if w and not value.is_zero():
-                acc = acc + value * field.from_rational(w)
-        terms[(d - sum(m),) + m] = acc
-    return MultiPoly(field, q, terms)
+            if not c.is_zero():
+                rows[i][j] = c
+                rows[j][i] = -c
+        if all(rows.values()):
+            value = _eliminate(rows, zero)
+            if not value.is_zero():
+                values[a] = value
+    coeffs = _interpolate(values, d, q - 1, field)
+    return MultiPoly(field, q, {(d - sum(m),) + m: c
+                                for m, c in coeffs.items()})
 
 
 def pfaffian_form(L: LieAlgebra) -> PfaffianForm:
@@ -390,8 +455,8 @@ def pfaffian_form(L: LieAlgebra) -> PfaffianForm:
 
     Pf J(z) is homogeneous of degree d = p/2, so it is fixed by its values
     at z = (1, a) for the C(d+q-1, q-1) points a of the principal lattice;
-    each value is a field Pfaffian and the coefficients come from the
-    lattice's cached rational Vandermonde inverse.
+    each value is a field Pfaffian and the coefficients come from Newton
+    interpolation on the lattice.
     """
     data = two_step_type(L)
     return PfaffianForm(data, _form_of(data))

@@ -367,6 +367,7 @@ class TestCommandLine:
         ("1/0", "bad number"),
         ("3^1000000000", "cap"),
         ("(2^16)^17", "cap"),
+        ("3^" + "0" * 5000 + "1000000000", "cap"),
     ])
     def test_bad_literal_exits_two_quickly(self, capsys, tmp_path, literal,
                                            message):

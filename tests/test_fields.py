@@ -357,6 +357,9 @@ def test_literal_exponent_cap():
         Q.from_rational(2 ** LITERAL_EXPONENT_CAP)
     assert parse_element("(2^16)^16", Q) == Q.from_rational(2 ** 256)
     assert parse_element("i^0003", QI) == -QI.generator()
+    # leading zeros do not count towards the cap or the digit limit
+    assert parse_element("2^" + "0" * 5000, Q) == Q.one()
+    assert parse_element("2^" + "0" * 5000 + "3", Q) == Q.from_rational(8)
     z = cyclotomic_field(8).generator()
     assert format_element(z ** 3) == "1z8^3"
     assert parse_element("1z8^3", z.field) == z ** 3

@@ -1,6 +1,7 @@
 """Tests for Pfaffians, two-step types and binary quartic invariants."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,6 +23,7 @@ from lieforms.fields import field_extend, gaussian_rationals, rationals
 from lieforms.liealg import LieAlgebra, direct_sum
 from lieforms.pfaffian import (
     MultiPoly,
+    _lattice,
     classical_S,
     classical_T,
     invariant_S,
@@ -289,6 +291,14 @@ def expanded_form(L):
     return pf_expand(jay_matrix(two_step_type(L)))
 
 
+def free_two_step(field, n):
+    """Free two-step algebra on n generators: type (n, n(n-1)/2), with
+    [X_a, X_b] = Z_ab."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    br = {pair: {n + k: field.one()} for k, pair in enumerate(pairs)}
+    return LieAlgebra(field, n + len(pairs), br)
+
+
 def power_sum(field, copies):
     L = heis(field)
     for _ in range(copies - 1):
@@ -374,6 +384,29 @@ class TestFormByInterpolation:
             value = [[entry.eval(point) for entry in row] for row in jay]
             f = pf.form.eval(point)
             assert f * f == linalg.det(value, Q)
+
+    def test_principal_lattice(self):
+        for d, n in ((0, 3), (3, 0), (4, 1), (3, 14), (4, 27)):
+            points = _lattice(d, n)
+            assert len(points) == len(set(points)) == math.comb(d + n, n)
+            assert all(len(a) == n and sum(a) <= d for a in points)
+
+    @pytest.mark.parametrize("n, field, bound", [
+        (4, Q, 1.0), (6, Q, 2.0), (6, QI, 2.0), (8, Q, 10.0),
+    ], ids=["free4", "free6", "free6-Q(i)", "free8"])
+    def test_free_algebras_with_many_commutator_directions(self, n, field,
+                                                            bound):
+        # q = n(n-1)/2 grows faster than p = n: the lattice has
+        # C(n/2 + q - 1, q - 1) points, up to 31465 for n = 8
+        L = free_two_step(field, n)
+        start = time.perf_counter()
+        pf = pfaffian_form(L)
+        elapsed = time.perf_counter() - start
+        assert pf.type == (n, n * (n - 1) // 2)
+        assert elapsed < bound, elapsed
+        # one term per perfect matching of the n generators
+        assert len(pf.form.terms) == math.prod(range(n - 1, 0, -2))
+        assert pf.form == expanded_form(L)
 
     def test_quartic_form_checks_type_first(self):
         L = quartic_algebra(QI, QI.generator())
