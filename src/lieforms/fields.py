@@ -1,10 +1,15 @@
 """Number field towers with exact arithmetic and explicit automorphisms.
 
 A tower is either the rationals or an extension of a lower tower by a monic
-minimal polynomial.  Elements are power-basis coordinate vectors over the
-level below; at the bottom they wrap a single Fraction.  Every operation is
-exact, and automorphisms are stored explicitly as generator images so group
-structure (closure, composition tables) is validated at construction time.
+minimal polynomial.  An element of a tower E is one flat tuple of [E:Q]
+Fractions, its coordinates in the absolute power-product basis (H. Cohen,
+GTM 138, sec. 4.2): index t*D + u, D = [base:Q], stands for theta**t times
+base basis element u.  Each tower builds the product table of that basis
+once, so arithmetic never recurses through the levels; ``coords`` is a
+read-only view of the power-basis coordinates over the level below.  Every
+operation is exact, and automorphisms are stored explicitly as generator
+images so group structure (closure, composition tables) is validated at
+construction time.
 
 Automorphisms act as the identity on all strictly lower levels.  As a
 consequence galois_group(E, F) can only realize the full relative degree
@@ -17,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -35,18 +41,17 @@ from .polynomials import (
 )
 
 
-def _element_key(x) -> tuple:
-    """Plain-data view of an element: nested tuples of Fractions."""
-    if x.field.is_rationals:
-        return x.coords[0]
-    return tuple(_element_key(c) for c in x.coords)
+# Product-table coefficients equal to 1 or -1 are these objects, and fresh
+# accumulators start as _ZERO, so arithmetic tests them by identity and
+# skips a Fraction product or sum.
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 class FieldTower:
     """One level of a field tower.  Treat instances as immutable."""
 
     __slots__ = ("base", "minpoly", "gen_name", "aut_images", "aut_table",
-                 "_hash", "_skey", "_zero", "_one")
+                 "n", "_table", "_hash", "_skey", "_zero", "_one")
 
     def __init__(self, base: Optional["FieldTower"] = None,
                  minpoly: Optional[Polynomial] = None,
@@ -60,6 +65,13 @@ class FieldTower:
         self._skey = None
         self._zero = None
         self._one = None
+        # n = [E:Q], the length of every element's coordinate tuple
+        if base is None:
+            self.n = 1
+            self._table = ((((0, _ONE),),),)
+        else:
+            self.n = base.n * minpoly.degree
+            self._table = _product_table(base, minpoly)
 
     # ------------------------------------------------------------ queries
 
@@ -73,12 +85,7 @@ class FieldTower:
         return 1 if self.is_rationals else self.minpoly.degree
 
     def absolute_degree(self) -> int:
-        d = 1
-        level = self
-        while not level.is_rationals:
-            d *= level.degree
-            level = level.base
-        return d
+        return self.n
 
     def levels(self) -> tuple["FieldTower", ...]:
         """All levels bottom-up, ending with this tower."""
@@ -94,9 +101,6 @@ class FieldTower:
             return True
         return len(self.aut_images) == self.degree
 
-    def gen_names(self) -> tuple[str, ...]:
-        return tuple(l.gen_name for l in self.levels() if not l.is_rationals)
-
     def structure_key(self):
         """Nested plain-data key describing the whole tower.
 
@@ -110,9 +114,9 @@ class FieldTower:
             self._skey = ("Q",)
             return self._skey
         images = (None if self.aut_images is None else
-                  tuple(_element_key(im) for im in self.aut_images))
+                  tuple(im.vec for im in self.aut_images))
         key = ("ext", self.gen_name,
-               tuple(_element_key(c) for c in self.minpoly.coeffs),
+               tuple(c.vec for c in self.minpoly.coeffs),
                images, self.base.structure_key())
         if images is not None:
             # only cache once construction has filled in the automorphisms
@@ -138,13 +142,13 @@ class FieldTower:
 
     # ------------------------------------------------------------ elements
 
+    def _unit(self, k: int) -> "FieldElement":
+        vec = [_ZERO] * self.n
+        vec[k] = _ONE
+        return FieldElement(self, tuple(vec))
+
     def from_rational(self, value) -> "FieldElement":
-        value = Fraction(value)
-        if self.is_rationals:
-            return FieldElement(self, (value,))
-        coords = [self.base.from_rational(value)]
-        coords += [self.base.zero()] * (self.degree - 1)
-        return FieldElement(self, tuple(coords))
+        return FieldElement(self, (Fraction(value),) + (_ZERO,) * (self.n - 1))
 
     def zero(self) -> "FieldElement":
         # built once per tower; elements are immutable, so it is shared
@@ -160,9 +164,7 @@ class FieldTower:
     def generator(self) -> "FieldElement":
         if self.is_rationals:
             raise DegenerateError("the rationals have no generator")
-        coords = [self.base.zero()] * self.degree
-        coords[1] = self.base.one()
-        return FieldElement(self, tuple(coords))
+        return self._unit(self.base.n)
 
     def element(self, coords: Sequence) -> "FieldElement":
         """Build an element from power-basis coordinates over the base."""
@@ -171,19 +173,16 @@ class FieldTower:
             if len(cs) != 1:
                 raise DegenerateError("rational element takes one coordinate")
             return FieldElement(self, (Fraction(cs[0]),))
-        out = []
+        vec = []
         for c in coords:
             if isinstance(c, FieldElement):
-                if c.field != self.base:
-                    c = lift_to(c, self.base)
-                out.append(c)
+                vec.extend(lift_to(c, self.base).vec)
             else:
-                out.append(self.base.from_rational(c))
-        if len(out) > self.degree:
+                vec.extend(self.base.from_rational(c).vec)
+        if len(vec) > self.n:
             raise DegenerateError("too many coordinates for degree %d"
                                   % self.degree)
-        out += [self.base.zero()] * (self.degree - len(out))
-        return FieldElement(self, tuple(out))
+        return FieldElement(self, tuple(vec) + (_ZERO,) * (self.n - len(vec)))
 
     # ------------------------------------------------------------ automorphisms
 
@@ -196,45 +195,86 @@ class FieldTower:
         return Automorphism(self, 0)
 
 
+def _product_table(base: FieldTower, minpoly: Polynomial) -> tuple:
+    """Sparse products of the absolute basis of base(theta).
+
+    Cell [a][b] lists the (k, c) with b_a * b_b = sum of c * b_k, where
+    b_{t*D+u} = theta**t * (base basis element u).  Built with the base's
+    own table, so each level is reduced by its minimal polynomial once.
+    """
+    d, D = minpoly.degree, base.n
+    zero = base.zero()
+    # theta**s for s <= 2d-2, as power-basis coordinates over the base
+    powers = [[base.one()] + [zero] * (d - 1)]
+    for _ in range(2 * d - 2):
+        prev = powers[-1]
+        top = prev[-1]
+        col = [zero] + prev[:-1]
+        if not top.is_zero():
+            col = [c - top * m for c, m in zip(col, minpoly.coeffs)]
+        powers.append(col)
+    units = [base._unit(u) for u in range(D)]
+    table = []
+    for a in range(d * D):
+        t1, u1 = divmod(a, D)
+        row = []
+        for b in range(d * D):
+            t2, u2 = divmod(b, D)
+            p = units[u1] * units[u2]
+            vec = [c for r in powers[t1 + t2] for c in (r * p).vec]
+            row.append(tuple((k, _ONE if c == 1 else _MINUS_ONE if c == -1
+                              else c) for k, c in enumerate(vec) if c))
+        table.append(tuple(row))
+    return tuple(table)
+
+
 class FieldElement:
-    """Element of a tower level; power-basis coordinates over the base."""
+    """Element of a tower level, stored flat.
 
-    __slots__ = ("field", "coords")
+    ``vec`` holds the [E:Q] rational coordinates in the absolute
+    power-product basis; ``FieldElement(field, vec)`` takes exactly that
+    tuple of Fractions.  ``coords`` is the read-only view over the level
+    below: base elements, or the single Fraction at the bottom.
+    """
 
-    def __init__(self, field: FieldTower, coords: tuple):
+    __slots__ = ("field", "vec")
+
+    def __init__(self, field: FieldTower, vec: tuple):
         self.field = field
-        self.coords = coords
+        self.vec = vec
+
+    @property
+    def coords(self) -> tuple:
+        field = self.field
+        if field.is_rationals:
+            return self.vec
+        base, D = field.base, field.base.n
+        return tuple(FieldElement(base, self.vec[k:k + D])
+                     for k in range(0, field.n, D))
 
     # ------------------------------------------------------------ queries
 
     def is_zero(self) -> bool:
-        if self.field.is_rationals:
-            return self.coords[0] == 0
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.vec)
 
     def is_rational(self) -> bool:
         """True when all coordinates above the bottom level vanish."""
-        if self.field.is_rationals:
-            return True
-        return self.coords[0].is_rational() and \
-            all(c.is_zero() for c in self.coords[1:])
+        return not any(self.vec[1:])
 
     def rational_value(self) -> Fraction:
-        if self.field.is_rationals:
-            return self.coords[0]
         if not self.is_rational():
             raise DegenerateError("element is not rational: %s" % self)
-        return self.coords[0].rational_value()
+        return self.vec[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return self.field == other.field and self.vec == other.vec
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.vec))
 
     def __repr__(self) -> str:
         return format_element(self)
@@ -242,64 +282,52 @@ class FieldElement:
     # ------------------------------------------------------------ arithmetic
 
     def _pair(self, other) -> tuple["FieldElement", "FieldElement"]:
+        if isinstance(other, FieldElement):
+            if self.field is other.field or self.field == other.field:
+                return self, other
+            if is_level_of(other.field, self.field):
+                return self, lift_to(other, self.field)
+            if is_level_of(self.field, other.field):
+                return lift_to(self, other.field), other
+            raise TowerMismatchError("elements of unrelated towers")
         if isinstance(other, (int, Fraction)):
             return self, self.field.from_rational(other)
-        if not isinstance(other, FieldElement):
-            raise TypeError("cannot combine FieldElement with %r" % (other,))
-        if self.field == other.field:
-            return self, other
-        if is_level_of(other.field, self.field):
-            return self, lift_to(other, self.field)
-        if is_level_of(self.field, other.field):
-            return lift_to(self, other.field), other
-        raise TowerMismatchError("elements of unrelated towers")
+        raise TypeError("cannot combine FieldElement with %r" % (other,))
 
     def __add__(self, other):
         a, b = self._pair(other)
-        if a.field.is_rationals:
-            return FieldElement(a.field, (a.coords[0] + b.coords[0],))
-        return FieldElement(a.field, tuple(x + y for x, y in
-                                           zip(a.coords, b.coords)))
+        return FieldElement(a.field, tuple(map(_add, a.vec, b.vec)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.is_rationals:
-            return FieldElement(self.field, (-self.coords[0],))
-        return FieldElement(self.field, tuple(-c for c in self.coords))
+        return FieldElement(self.field, tuple(map(_neg, self.vec)))
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return a + (-b)
+        return FieldElement(a.field, tuple(map(_sub, a.vec, b.vec)))
 
     def __rsub__(self, other):
         a, b = self._pair(other)
-        return b + (-a)
+        return FieldElement(a.field, tuple(map(_sub, b.vec, a.vec)))
 
     def __mul__(self, other):
         a, b = self._pair(other)
         field = a.field
-        if field.is_rationals:
-            return FieldElement(field, (a.coords[0] * b.coords[0],))
-        d = field.degree
-        zero = field.base.zero()
-        prod = [zero] * (2 * d - 1)
-        for i, x in enumerate(a.coords):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b.coords):
-                if not y.is_zero():
-                    prod[i + j] = prod[i + j] + x * y
-        m = field.minpoly.coeffs  # monic, length d+1
-        for top in range(2 * d - 2, d - 1, -1):
-            c = prod[top]
-            if c.is_zero():
-                continue
-            for j in range(d):
-                mj = m[j]
-                if not mj.is_zero():
-                    prod[top - d + j] = prod[top - d + j] - c * mj
-        return FieldElement(field, tuple(prod[:d]))
+        table = field._table
+        out = [_ZERO] * field.n
+        for i, x in enumerate(a.vec):
+            if x:
+                row = table[i]
+                for j, y in enumerate(b.vec):
+                    if y:
+                        p = x * y
+                        for k, c in row[j]:
+                            t = p if c is _ONE else -p if c is _MINUS_ONE \
+                                else c * p
+                            acc = out[k]
+                            out[k] = t if acc is _ZERO else acc + t
+        return FieldElement(field, tuple(out))
 
     __rmul__ = __mul__
 
@@ -307,41 +335,32 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
-        if field.is_rationals:
-            return FieldElement(field, (Fraction(1) / self.coords[0],))
-        # Solve M y = e_0 over the base, where column c of M holds the
-        # coordinates of x * t^c (t the generator): then x * y = 1.
-        d = field.degree
-        zero, one = field.base.zero(), field.base.one()
-        m = field.minpoly.coeffs  # monic, length d+1
-        cols = [list(self.coords)]
-        for _ in range(d - 1):
-            prev = cols[-1]
-            top = prev[-1]
-            col = [zero] + prev[:-1]
-            if not top.is_zero():
-                for j in range(d):
-                    if not m[j].is_zero():
-                        col[j] = col[j] - top * m[j]
-            cols.append(col)
-        rows = [[col[r] for col in cols] + [one if r == 0 else zero]
-                for r in range(d)]
-        for c in range(d):
-            sel = next((r for r in range(c, d) if not rows[r][c].is_zero()),
-                       None)
+        n, table = field.n, field._table
+        # Solve M y = e_0 over Q, where column c of M holds the coordinates
+        # of x * b_c: then x * y = 1.
+        rows = [[_ZERO] * n + [_ONE if r == 0 else _ZERO] for r in range(n)]
+        for i, x in enumerate(self.vec):
+            if x:
+                for c, cell in enumerate(table[i]):
+                    for k, t in cell:
+                        t = x if t is _ONE else t * x
+                        acc = rows[k][c]
+                        rows[k][c] = t if acc is _ZERO else acc + t
+        for c in range(n):
+            sel = next((r for r in range(c, n) if rows[r][c]), None)
             if sel is None:
                 raise DegenerateError("minimal polynomial of %s is not "
                                       "irreducible" % field.gen_name)
             rows[c], rows[sel] = rows[sel], rows[c]
-            inv = rows[c][c].inverse()
-            pivot = [a * inv for a in rows[c][c:]]
-            rows[c][c:] = pivot
-            for r in range(d):
+            inv = _ONE / rows[c][c]
+            pivot = [a * inv if a else a for a in rows[c][c + 1:]]
+            rows[c][c + 1:] = pivot
+            for r in range(n):
                 f = rows[r][c]
-                if r != c and not f.is_zero():
-                    rows[r][c:] = [a - f * b for a, b in
-                                   zip(rows[r][c:], pivot)]
-        return FieldElement(field, tuple(row[d] for row in rows))
+                if r != c and f:
+                    rows[r][c + 1:] = [a - f * b if b else a for a, b in
+                                       zip(rows[r][c + 1:], pivot)]
+        return FieldElement(field, tuple(row[n] for row in rows))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -390,25 +409,19 @@ def relative_degree(E: FieldTower, F: FieldTower) -> int:
 
 def lift_to(x: FieldElement, E: FieldTower) -> FieldElement:
     """Embed an element of a lower level into E (zero-padding coordinates)."""
-    if x.field == E:
+    if x.field is E or x.field == E:
         return x
-    if E.is_rationals or not is_level_of(x.field, E):
+    if not is_level_of(x.field, E):
         raise TowerMismatchError("%r is not a level of %r" % (x.field, E))
-    lower = lift_to(x, E.base)
-    coords = [lower] + [E.base.zero()] * (E.degree - 1)
-    return FieldElement(E, tuple(coords))
+    return FieldElement(E, x.vec + (_ZERO,) * (E.n - x.field.n))
 
 
 def coords_over(x: FieldElement, F: FieldTower) -> list[FieldElement]:
     """Power-product coordinates of x over the level F (flattened)."""
-    if x.field == F:
-        return [x]
-    if x.field.is_rationals:
+    if not is_level_of(F, x.field):
         raise NotSubLevelError("%r is not a level of %r" % (F, x.field))
-    out = []
-    for c in x.coords:
-        out.extend(coords_over(c, F))
-    return out
+    m = F.n
+    return [FieldElement(F, x.vec[k:k + m]) for k in range(0, x.field.n, m)]
 
 
 def power_basis_over(E: FieldTower, F: FieldTower) -> list[FieldElement]:
@@ -417,36 +430,17 @@ def power_basis_over(E: FieldTower, F: FieldTower) -> list[FieldElement]:
     Ordered to match coords_over: index t*D + u corresponds to
     theta**t * (inner basis element u), D = [base(E):F].
     """
-    if E == F:
-        return [E.one()]
-    if E.is_rationals:
-        raise NotSubLevelError("%r is not a level of %r" % (F, E))
-    inner = power_basis_over(E.base, F)
-    gen = E.generator()
-    out = []
-    power = E.one()
-    for _ in range(E.degree):
-        for e in inner:
-            out.append(power * lift_to(e, E))
-        power = power * gen
-    return out
+    return [E._unit(s * F.n) for s in range(relative_degree(E, F))]
 
 
 def from_coords_over(E: FieldTower, F: FieldTower,
                      cs: Sequence[FieldElement]) -> FieldElement:
     """Rebuild an E-element from its flattened F-coordinates."""
-    if E == F:
-        if len(cs) != 1:
-            raise DegenerateError("expected a single coordinate")
-        return cs[0]
-    D = relative_degree(E.base, F)
-    if len(cs) != D * E.degree:
+    m = relative_degree(E, F)
+    if len(cs) != m:
         raise DegenerateError("coordinate count %d, expected %d"
-                              % (len(cs), D * E.degree))
-    coords = []
-    for t in range(E.degree):
-        coords.append(from_coords_over(E.base, F, cs[t * D:(t + 1) * D]))
-    return FieldElement(E, tuple(coords))
+                              % (len(cs), m))
+    return FieldElement(E, tuple(c for x in cs for c in x.vec))
 
 
 def eval_poly_at(p: Polynomial, x: FieldElement) -> FieldElement:
@@ -644,7 +638,7 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
     for a in ordered:
         row = []
         for b in ordered:
-            composed = _apply_image(tuple(c for c in b.coords), a)
+            composed = _apply_image(b.coords, a)
             if composed not in ordered:
                 raise NotClosedError(
                     "composition of automorphisms leaves the given list "
@@ -736,8 +730,7 @@ def sqrt_or_none(x: FieldElement) -> Optional[FieldElement]:
     p = field.minpoly.coeff(1).rational_value()
     q = field.minpoly.coeff(0).rational_value()
     D0 = p * p / 4 - q          # phi = theta + p/2 has phi^2 = D0
-    a = x.coords[0].rational_value()
-    b = x.coords[1].rational_value()
+    a, b = x.vec
     u0 = a - b * p / 2
     v0 = b
     candidates = []

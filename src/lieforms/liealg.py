@@ -130,11 +130,6 @@ class LieAlgebra:
         self._own(v)
         return Vector(self, tuple(self.bracket_coords(u.coords, v.coords)))
 
-    def basis_vector(self, i: int) -> "Vector":
-        coords = [self.field.zero()] * self.dim
-        coords[i] = self.field.one()
-        return Vector(self, tuple(coords))
-
     def vector(self, coords: Sequence) -> "Vector":
         cs = [_coerce(self.field, c) for c in coords]
         if len(cs) != self.dim:
@@ -157,18 +152,6 @@ class LieAlgebra:
                     col[k] = col[k] + ci * c
             cols.append(col)
         return [[cols[j][r] for j in range(self.dim)] for r in range(self.dim)]
-
-    def bracket_table(self) -> list[tuple[int, int, int, FieldElement]]:
-        """Sorted (i, j, k, coeff) rows, 1-based, for serialization."""
-        rows = []
-        for (i, j), comps in sorted(self.brackets.items()):
-            for k in sorted(comps):
-                rows.append((i + 1, j + 1, k + 1, comps[k]))
-        return rows
-
-    def relabel(self, labels: Sequence[str]) -> "LieAlgebra":
-        return LieAlgebra(self.field, self.dim, self.brackets, labels,
-                          self.meta)
 
     def with_meta(self, **meta) -> "LieAlgebra":
         merged = dict(self.meta)

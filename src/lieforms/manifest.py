@@ -82,6 +82,7 @@ class Manifest:
 
     def __init__(self):
         self._fields: dict = {}
+        self._builtins: dict = {}       # builtin towers, built once each
         self._field_bases: dict = {}    # field name -> base name as given
         self._specs: dict = {}
         self._built: dict = {}
@@ -96,13 +97,13 @@ class Manifest:
         return tuple(n for kind, n in self._order if kind == "algebra")
 
     def field(self, name: str) -> FieldTower:
-        got = self._fields.get(name)
-        if got is not None:
-            return got
-        built = builtin_field(name)
-        if built is None:
-            raise ManifestError("unknown field %r" % name)
-        return built
+        got = self._fields.get(name) or self._builtins.get(name)
+        if got is None:
+            got = builtin_field(name)
+            if got is None:
+                raise ManifestError("unknown field %r" % name)
+            self._builtins[name] = got
+        return got
 
     def algebra(self, name: str) -> LieAlgebra:
         got = self._built.get(name)

@@ -82,6 +82,29 @@ class TestManifest:
         assert man.algebra("h").brackets == \
             heisenberg(builtin_field("Q")).brackets
 
+    def test_builtin_tower_is_built_once_per_manifest(self, monkeypatch):
+        import lieforms.fields as fields
+        calls = []
+        real = fields.field_extend
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "field_extend", counting)
+        Qi = gaussian_rationals()
+        text = "\n".join(serialize_entity(algebra_entity(
+            "g%d" % k, "Q(i)", g_lambda(Qi, Qi.from_rational(k + 2))))
+            for k in range(10))
+        calls.clear()
+        man = parse_manifest(text)
+        assert calls == ["i"]
+        towers = {id(man.algebra(name).field) for name in man.algebra_names}
+        assert len(towers) == 1 and man.field("Q(i)") == Qi
+        # the cache belongs to the manifest: a new one builds its own tower
+        parse_manifest(text)
+        assert calls == ["i", "i"]
+
     def test_multihop_towers_parse_and_resolve_literals(self):
         text = "\n".join([
             '{"name": "E", "base": "Q(sqrt2)", "gen": "i", "minpoly": '

@@ -304,7 +304,7 @@ def gcd_inverse(x):
                            field.minpoly)
     assert g.degree == 0
     coords = list(u.coeffs) + [field.base.zero()] * field.degree
-    return FieldElement(field, tuple(coords[:field.degree]))
+    return field.element(coords[:field.degree])
 
 
 def random_element(field, rng):
@@ -345,11 +345,89 @@ def test_inverse_by_solve_matches_gcd_inverse(name):
 def test_inverse_of_zero_divisor_is_degenerate():
     # t^2 - 1 is reducible, so 1 + t divides zero and has no inverse
     T = FieldTower(Q, Polynomial.from_rationals(Q, [-1, 0, 1]), "u")
-    x = FieldElement(T, (Q.one(), Q.one()))
+    x = T.element([Q.one(), Q.one()])
     with pytest.raises(DegenerateError):
         x.inverse()
     with pytest.raises(ZeroDivisionError):
         QI.zero().inverse()
+
+
+def nested_mul(a, b):
+    """a * b by the recursive product over the level below: multiply the
+    coordinate polynomials, reduce by the minimal polynomial, and multiply
+    coefficients the same way one level down."""
+    field = a.field
+    if field.is_rationals:
+        return field.from_rational(a.coords[0] * b.coords[0])
+    d = field.degree
+    prod = [field.base.zero()] * (2 * d - 1)
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            prod[i + j] = prod[i + j] + nested_mul(x, y)
+    m = field.minpoly.coeffs  # monic, length d+1
+    for top in range(2 * d - 2, d - 1, -1):
+        c = prod[top]
+        for j in range(d):
+            prod[top - d + j] = prod[top - d + j] - nested_mul(c, m[j])
+    return field.element(prod[:d])
+
+
+def three_level_tower():
+    """Q(i)(s)(w) with s^2 = 2 and w^2 = s, of degree 8 over Q."""
+    T = field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+                     [(0, 1), (0, -1)])
+    m = Polynomial(T, [-T.generator(), T.zero(), T.one()])
+    return field_extend(T, m, "w", [(0, 1), (0, -1)])
+
+
+FLAT_TOWERS = {
+    "Q(i)": lambda: QI,
+    "Q(sqrt2)": lambda: QR2,
+    "Q(zeta8)": lambda: cyclotomic_field(8),
+    "Q(i)(sqrt2)": lambda: field_extend(
+        QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+        [(0, 1), (0, -1)]),
+    "Q(i)(sqrt2)(w)": three_level_tower,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TOWERS))
+def test_flat_product_and_inverse_match_nested_product(name):
+    field = FLAT_TOWERS[name]()
+    rng = random.Random(43)
+    samples = [random_element(field, rng) for _ in range(12)]
+    # sparse elements too: powers of the generator and lifted base elements
+    t = field.generator()
+    samples += [t ** k for k in range(2 * field.degree)]
+    samples += [lift_to(random_element(field.base, rng), field)
+                for _ in range(3)]
+    for x in samples:
+        assert isinstance(x, FieldElement) and len(x.vec) == field.n
+        assert all(type(c) is Fraction for c in x.vec)
+        for y in samples[:8]:
+            assert x * y == nested_mul(x, y)
+        if not x.is_zero():
+            inv = x.inverse()
+            assert nested_mul(x, inv) == field.one()
+            assert inv == gcd_inverse(x)
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TOWERS))
+def test_relative_view_and_level_maps(name):
+    E = FLAT_TOWERS[name]()
+    rng = random.Random(44)
+    levels = E.levels()
+    for _ in range(5):
+        x = random_element(E, rng)
+        assert E.element(x.coords) == x
+        for lo, F in enumerate(levels):
+            for K in levels[lo:]:
+                y = random_element(K, rng)
+                lifted = lift_to(y, E)
+                assert lifted.vec[:K.n] == y.vec
+                padding = [F.zero()] * (relative_degree(E, F)
+                                        - relative_degree(K, F))
+                assert coords_over(lifted, F) == coords_over(y, F) + padding
 
 
 def test_literal_exponent_cap():
