@@ -1,15 +1,23 @@
 """Number field towers with exact arithmetic and explicit automorphisms.
 
 A tower is either the rationals or an extension of a lower tower by a monic
-minimal polynomial.  An element of a tower E is one flat tuple of [E:Q]
-Fractions, its coordinates in the absolute power-product basis (H. Cohen,
-GTM 138, sec. 4.2): index t*D + u, D = [base:Q], stands for theta**t times
-base basis element u.  Each tower builds the product table of that basis
-once, so arithmetic never recurses through the levels; ``coords`` is a
-read-only view of the power-basis coordinates over the level below.  Every
+minimal polynomial.  An element of a tower E is a tuple ``num`` of [E:Q]
+Python ints over one positive int ``den``, its coordinates in the absolute
+power-product basis (H. Cohen, GTM 138, sec. 4.2): index t*D + u,
+D = [base:Q], stands for theta**t times base basis element u.  The pair is
+always reduced, gcd(num..., den) = 1, so zero is (0, ..., 0)/1 and equal
+elements have equal ``num`` and ``den``.  Each tower builds the product
+table of that basis once, as integers over one table denominator, so
+arithmetic never recurses through the levels and works on ints; inverses
+are fraction-free (E. Bareiss, Math. Comp. 22, 1968).  ``coords`` is a
+read-only view of the power-basis coordinates over the level below.
+``Fraction`` appears only where values enter or leave: parsing and
+``from_rational``, ``rational_value``, ``format_element``, the ``vec``
+view, and the rational square roots behind ``sqrt_or_none``.  Every
 operation is exact, and automorphisms are stored explicitly as generator
 images so group structure (closure, composition tables) is validated at
-construction time.
+construction time; each one also keeps its integer matrix on the absolute
+basis.
 
 Automorphisms act as the identity on all strictly lower levels.  As a
 consequence galois_group(E, F) can only realize the full relative degree
@@ -22,7 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add, neg as _neg, sub as _sub
+from math import gcd, lcm
+from operator import add as _add, sub as _sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -41,17 +50,12 @@ from .polynomials import (
 )
 
 
-# Product-table coefficients equal to 1 or -1 are these objects, and fresh
-# accumulators start as _ZERO, so arithmetic tests them by identity and
-# skips a Fraction product or sum.
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
-
 class FieldTower:
     """One level of a field tower.  Treat instances as immutable."""
 
     __slots__ = ("base", "minpoly", "gen_name", "aut_images", "aut_table",
-                 "n", "_table", "_hash", "_skey", "_zero", "_one")
+                 "n", "_table", "_tden", "_aut_maps", "_hash", "_skey",
+                 "_zero", "_one")
 
     def __init__(self, base: Optional["FieldTower"] = None,
                  minpoly: Optional[Polynomial] = None,
@@ -61,6 +65,8 @@ class FieldTower:
         self.gen_name = gen_name
         self.aut_images: Optional[tuple] = None
         self.aut_table: Optional[tuple] = None
+        # per automorphism index: (columns, denominator), see _aut_map
+        self._aut_maps: Optional[tuple] = None
         self._hash = None
         self._skey = None
         self._zero = None
@@ -68,10 +74,10 @@ class FieldTower:
         # n = [E:Q], the length of every element's coordinate tuple
         if base is None:
             self.n = 1
-            self._table = ((((0, _ONE),),),)
+            self._table, self._tden = ((((0, 1),),),), 1
         else:
             self.n = base.n * minpoly.degree
-            self._table = _product_table(base, minpoly)
+            self._table, self._tden = _product_table(base, minpoly)
 
     # ------------------------------------------------------------ queries
 
@@ -114,9 +120,9 @@ class FieldTower:
             self._skey = ("Q",)
             return self._skey
         images = (None if self.aut_images is None else
-                  tuple(im.vec for im in self.aut_images))
+                  tuple((im.num, im.den) for im in self.aut_images))
         key = ("ext", self.gen_name,
-               tuple(c.vec for c in self.minpoly.coeffs),
+               tuple((c.num, c.den) for c in self.minpoly.coeffs),
                images, self.base.structure_key())
         if images is not None:
             # only cache once construction has filled in the automorphisms
@@ -143,12 +149,17 @@ class FieldTower:
     # ------------------------------------------------------------ elements
 
     def _unit(self, k: int) -> "FieldElement":
-        vec = [_ZERO] * self.n
-        vec[k] = _ONE
-        return FieldElement(self, tuple(vec))
+        num = [0] * self.n
+        num[k] = 1
+        return FieldElement(self, tuple(num), 1)
 
     def from_rational(self, value) -> "FieldElement":
-        return FieldElement(self, (Fraction(value),) + (_ZERO,) * (self.n - 1))
+        if type(value) is not int:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        else:
+            num, den = value, 1
+        return FieldElement(self, (num,) + (0,) * (self.n - 1), den)
 
     def zero(self) -> "FieldElement":
         # built once per tower; elements are immutable, so it is shared
@@ -172,17 +183,14 @@ class FieldTower:
             cs = list(coords)
             if len(cs) != 1:
                 raise DegenerateError("rational element takes one coordinate")
-            return FieldElement(self, (Fraction(cs[0]),))
-        vec = []
-        for c in coords:
-            if isinstance(c, FieldElement):
-                vec.extend(lift_to(c, self.base).vec)
-            else:
-                vec.extend(self.base.from_rational(c).vec)
-        if len(vec) > self.n:
+            return self.from_rational(cs[0])
+        parts = [lift_to(c, self.base) if isinstance(c, FieldElement)
+                 else self.base.from_rational(c) for c in coords]
+        if len(parts) > self.degree:
             raise DegenerateError("too many coordinates for degree %d"
                                   % self.degree)
-        return FieldElement(self, tuple(vec) + (_ZERO,) * (self.n - len(vec)))
+        parts += [self.base.zero()] * (self.degree - len(parts))
+        return _joined(self, parts)
 
     # ------------------------------------------------------------ automorphisms
 
@@ -196,11 +204,13 @@ class FieldTower:
 
 
 def _product_table(base: FieldTower, minpoly: Polynomial) -> tuple:
-    """Sparse products of the absolute basis of base(theta).
+    """Sparse products of the absolute basis of base(theta), over one
+    denominator: returns (table, tden).
 
-    Cell [a][b] lists the (k, c) with b_a * b_b = sum of c * b_k, where
-    b_{t*D+u} = theta**t * (base basis element u).  Built with the base's
-    own table, so each level is reduced by its minimal polynomial once.
+    Cell [a][b] lists the (k, c) with b_a * b_b = sum of (c / tden) * b_k,
+    every c a nonzero int, where b_{t*D+u} = theta**t * (base basis element
+    u).  Built with the base's own table, so each level is reduced by its
+    minimal polynomial once.
     """
     d, D = minpoly.degree, base.n
     zero = base.zero()
@@ -214,34 +224,46 @@ def _product_table(base: FieldTower, minpoly: Polynomial) -> tuple:
             col = [c - top * m for c, m in zip(col, minpoly.coeffs)]
         powers.append(col)
     units = [base._unit(u) for u in range(D)]
-    table = []
+    products = []
     for a in range(d * D):
         t1, u1 = divmod(a, D)
         row = []
         for b in range(d * D):
             t2, u2 = divmod(b, D)
             p = units[u1] * units[u2]
-            vec = [c for r in powers[t1 + t2] for c in (r * p).vec]
-            row.append(tuple((k, _ONE if c == 1 else _MINUS_ONE if c == -1
-                              else c) for k, c in enumerate(vec) if c))
-        table.append(tuple(row))
-    return tuple(table)
+            row.append([r * p for r in powers[t1 + t2]])
+        products.append(row)
+    tden = lcm(*(x.den for row in products for parts in row for x in parts))
+    table = tuple(tuple(tuple((k, c) for k, c in enumerate(_over(parts, tden))
+                              if c)
+                        for parts in row)
+                  for row in products)
+    return table, tden
 
 
 class FieldElement:
-    """Element of a tower level, stored flat.
+    """Element of a tower level, stored flat over one denominator.
 
-    ``vec`` holds the [E:Q] rational coordinates in the absolute
-    power-product basis; ``FieldElement(field, vec)`` takes exactly that
-    tuple of Fractions.  ``coords`` is the read-only view over the level
-    below: base elements, or the single Fraction at the bottom.
+    ``num`` holds [E:Q] ints and ``den`` one positive int: the coordinates
+    in the absolute power-product basis are num[k] / den.
+    ``FieldElement(field, num, den)`` takes that pair already in lowest
+    terms, gcd(num..., den) = 1 with zero as (0, ..., 0)/1, and arithmetic
+    keeps it so.  ``vec`` is the read-only view as a tuple of Fractions;
+    ``coords`` the view over the level below: base elements, or the single
+    Fraction at the bottom.
     """
 
-    __slots__ = ("field", "vec")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: FieldTower, vec: tuple):
+    def __init__(self, field: FieldTower, num: tuple, den: int):
         self.field = field
-        self.vec = vec
+        self.num = num
+        self.den = den
+
+    @property
+    def vec(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.num)
 
     @property
     def coords(self) -> tuple:
@@ -249,32 +271,34 @@ class FieldElement:
         if field.is_rationals:
             return self.vec
         base, D = field.base, field.base.n
-        return tuple(FieldElement(base, self.vec[k:k + D])
+        num, den = self.num, self.den
+        return tuple(_reduced(base, num[k:k + D], den)
                      for k in range(0, field.n, D))
 
     # ------------------------------------------------------------ queries
 
     def is_zero(self) -> bool:
-        return not any(self.vec)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
         """True when all coordinates above the bottom level vanish."""
-        return not any(self.vec[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DegenerateError("element is not rational: %s" % self)
-        return self.vec[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.vec == other.vec
+        return (self.num == other.num and self.den == other.den
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.vec))
+        return hash((self.field, self.num, self.den))
 
     def __repr__(self) -> str:
         return format_element(self)
@@ -296,71 +320,89 @@ class FieldElement:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return FieldElement(a.field, tuple(map(_add, a.vec, b.vec)))
+        return _combine(a.field, a.num, a.den, b.num, b.den, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(map(_neg, self.vec)))
+        return FieldElement(self.field, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return FieldElement(a.field, tuple(map(_sub, a.vec, b.vec)))
+        return _combine(a.field, a.num, a.den, b.num, b.den, _sub)
 
     def __rsub__(self, other):
         a, b = self._pair(other)
-        return FieldElement(a.field, tuple(map(_sub, b.vec, a.vec)))
+        return _combine(a.field, b.num, b.den, a.num, a.den, _sub)
 
     def __mul__(self, other):
         a, b = self._pair(other)
         field = a.field
+        if field.n == 1:
+            num, den = a.num[0] * b.num[0], a.den * b.den
+            g = gcd(num, den)
+            return FieldElement(field, (num // g,), den // g)
         table = field._table
-        out = [_ZERO] * field.n
-        for i, x in enumerate(a.vec):
+        out = [0] * field.n
+        bnum = b.num
+        for i, x in enumerate(a.num):
             if x:
                 row = table[i]
-                for j, y in enumerate(b.vec):
+                for j, y in enumerate(bnum):
                     if y:
                         p = x * y
                         for k, c in row[j]:
-                            t = p if c is _ONE else -p if c is _MINUS_ONE \
-                                else c * p
-                            acc = out[k]
-                            out[k] = t if acc is _ZERO else acc + t
-        return FieldElement(field, tuple(out))
+                            out[k] += c * p
+        return _reduced(field, out, a.den * b.den * field._tden)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
-        n, table = field.n, field._table
-        # Solve M y = e_0 over Q, where column c of M holds the coordinates
-        # of x * b_c: then x * y = 1.
-        rows = [[_ZERO] * n + [_ONE if r == 0 else _ZERO] for r in range(n)]
-        for i, x in enumerate(self.vec):
+        field, num, den = self.field, self.num, self.den
+        n = field.n
+        if n == 1:
+            a = num[0]
+            return (FieldElement(field, (den,), a) if a > 0
+                    else FieldElement(field, (-den,), -a))
+        # x * b_c = sum of A[k][c] * b_k / (den * tden) for an integer
+        # matrix A, so the inverse is den * tden * z with A z = e_0.
+        # Bareiss elimination of [A | e_0] ends on the pivot D = +-det A;
+        # D * z is an integer vector (Cramer), so the back substitution
+        # that computes it divides exactly.
+        table = field._table
+        rows = [[0] * n + [1 if r == 0 else 0] for r in range(n)]
+        for i, x in enumerate(num):
             if x:
                 for c, cell in enumerate(table[i]):
                     for k, t in cell:
-                        t = x if t is _ONE else t * x
-                        acc = rows[k][c]
-                        rows[k][c] = t if acc is _ZERO else acc + t
+                        rows[k][c] += t * x
+        prev = 1
         for c in range(n):
             sel = next((r for r in range(c, n) if rows[r][c]), None)
             if sel is None:
                 raise DegenerateError("minimal polynomial of %s is not "
                                       "irreducible" % field.gen_name)
             rows[c], rows[sel] = rows[sel], rows[c]
-            inv = _ONE / rows[c][c]
-            pivot = [a * inv if a else a for a in rows[c][c + 1:]]
-            rows[c][c + 1:] = pivot
-            for r in range(n):
-                f = rows[r][c]
-                if r != c and f:
-                    rows[r][c + 1:] = [a - f * b if b else a for a, b in
-                                       zip(rows[r][c + 1:], pivot)]
-        return FieldElement(field, tuple(row[n] for row in rows))
+            pivot = rows[c]
+            p = pivot[c]
+            for row in rows[c + 1:]:
+                f = row[c]
+                for j in range(c + 1, n + 1):
+                    row[j] = (row[j] * p - f * pivot[j]) // prev
+            prev = p
+        sol = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            acc = prev * row[n]
+            for j in range(i + 1, n):
+                acc -= row[j] * sol[j]
+            sol[i] = acc // row[i]
+        scale = den * field._tden
+        if prev < 0:
+            prev, scale = -prev, -scale
+        return _reduced(field, [v * scale for v in sol], prev)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -381,6 +423,46 @@ class FieldElement:
             base = base * base
             n >>= 1
         return out
+
+
+def _reduced(field: FieldTower, num, den: int) -> FieldElement:
+    """The element num / den (den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g == 1:
+        return FieldElement(field, tuple(num), den)
+    return FieldElement(field, tuple(v // g for v in num), den // g)
+
+
+def _combine(field: FieldTower, anum, aden: int, bnum, bden: int,
+             op) -> FieldElement:
+    """anum/aden op bnum/bden, coordinatewise, for op add or sub."""
+    if field.n == 1:
+        num, den = op(anum[0] * bden, bnum[0] * aden), aden * bden
+        g = gcd(num, den)
+        return FieldElement(field, (num // g,), den // g)
+    if aden == bden:
+        return _reduced(field, tuple(map(op, anum, bnum)), aden)
+    g = gcd(aden, bden)
+    s, t = bden // g, aden // g
+    return _reduced(field, [op(x * s, y * t) for x, y in zip(anum, bnum)],
+                    aden * s)
+
+
+def _over(parts: Sequence[FieldElement], den: int) -> list:
+    """The concatenated numerators of parts over den, a common multiple of
+    their denominators."""
+    return [v * (den // x.den) for x in parts for v in x.num]
+
+
+def _joined(E: FieldTower, parts: Sequence[FieldElement]) -> FieldElement:
+    """The E-element whose coordinates over a lower level are ``parts``.
+
+    Over the lcm of the parts' denominators the result is in lowest terms:
+    each prime power of it is a part's whole denominator, whose numerators
+    that prime does not all divide.
+    """
+    den = lcm(*(x.den for x in parts))
+    return FieldElement(E, tuple(_over(parts, den)), den)
 
 
 # ---------------------------------------------------------------- tower maps
@@ -413,15 +495,15 @@ def lift_to(x: FieldElement, E: FieldTower) -> FieldElement:
         return x
     if not is_level_of(x.field, E):
         raise TowerMismatchError("%r is not a level of %r" % (x.field, E))
-    return FieldElement(E, x.vec + (_ZERO,) * (E.n - x.field.n))
+    return FieldElement(E, x.num + (0,) * (E.n - x.field.n), x.den)
 
 
 def coords_over(x: FieldElement, F: FieldTower) -> list[FieldElement]:
     """Power-product coordinates of x over the level F (flattened)."""
     if not is_level_of(F, x.field):
         raise NotSubLevelError("%r is not a level of %r" % (F, x.field))
-    m = F.n
-    return [FieldElement(F, x.vec[k:k + m]) for k in range(0, x.field.n, m)]
+    m, num, den = F.n, x.num, x.den
+    return [_reduced(F, num[k:k + m], den) for k in range(0, x.field.n, m)]
 
 
 def power_basis_over(E: FieldTower, F: FieldTower) -> list[FieldElement]:
@@ -440,7 +522,7 @@ def from_coords_over(E: FieldTower, F: FieldTower,
     if len(cs) != m:
         raise DegenerateError("coordinate count %d, expected %d"
                               % (len(cs), m))
-    return FieldElement(E, tuple(c for x in cs for c in x.vec))
+    return _joined(E, cs)
 
 
 def eval_poly_at(p: Polynomial, x: FieldElement) -> FieldElement:
@@ -470,10 +552,17 @@ class Automorphism:
         return self.index == 0
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field == self.field:
-            if self.index == 0 or self.field.is_rationals:
+        field = self.field
+        if x.field == field:
+            if self.index == 0 or field.is_rationals:
                 return x
-            return _apply_image(x.coords, self.image)
+            columns, mden = field._aut_maps[self.index]
+            out = [0] * field.n
+            for c, v in enumerate(x.num):
+                if v:
+                    for k, m in columns[c]:
+                        out[k] += m * v
+            return _reduced(field, out, x.den * mden)
         if is_level_of(x.field, self.field):
             return x
         raise TowerMismatchError(
@@ -502,6 +591,17 @@ def _apply_image(coords: tuple, image: FieldElement) -> FieldElement:
     for c in reversed(coords):
         acc = acc * image + lift_to(c, E)
     return acc
+
+
+def _aut_map(image: FieldElement) -> tuple:
+    """The automorphism theta -> image on the absolute basis, over one
+    denominator: (columns, mden), where columns[c] lists the (k, m) with
+    sigma(b_c) = sum of (m / mden) * b_k, every m a nonzero int."""
+    E = image.field
+    cols = [_apply_image(E._unit(c).coords, image) for c in range(E.n)]
+    mden = lcm(*(x.den for x in cols))
+    return (tuple(tuple((k, m) for k, m in enumerate(_over([x], mden)) if m)
+                  for x in cols), mden)
 
 
 @dataclass(frozen=True)
@@ -647,6 +747,7 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
         table.append(tuple(row))
     tower.aut_images = tuple(ordered)
     tower.aut_table = tuple(table)
+    tower._aut_maps = tuple(_aut_map(image) for image in ordered)
     return tower
 
 

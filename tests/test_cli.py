@@ -238,6 +238,37 @@ class TestCommandLine:
         assert rc == 0
         assert json.loads(out)["field"] == "Q(i)"
 
+    def test_field_with_non_integer_minpoly(self, capsys, tmp_path):
+        field = ('{"name": "H", "base": "Q", "gen": "h", "minpoly": '
+                 '["-1/2", "0", "1"], "automorphisms": [["0", "1"], '
+                 '["0", "-1"]]}')
+        path = write_lines(tmp_path, "h.jsonl", field)
+        rc, out = run_cli(capsys, "catalog", "g_lambda", "--field", "H",
+                          "--lambda", "1/3+2h", "--name", "g",
+                          "--manifest", path)
+        assert rc == 0
+        path = write_lines(tmp_path, "g.jsonl", field, *out.splitlines())
+        rc, out = run_cli(capsys, "check", "g", "--manifest", path)
+        assert rc == 0
+        assert "jacobi: ok" in out
+        rc, out = run_cli(capsys, "restrict", "g", "--to", "Q",
+                          "--name", "gq", "--manifest", path)
+        assert rc == 0
+        entity = json.loads(out)
+        assert entity["dim"] == 20 and entity["field"] == "Q"
+        rc, once = run_cli(capsys, "conjugate", "g", "--sigma", "1",
+                           "--name", "gbar", "--manifest", path)
+        assert rc == 0
+        path2 = write_lines(tmp_path, "gbar.jsonl",
+                            *open(path, encoding="utf-8").read().splitlines(),
+                            *once.splitlines())
+        rc, twice = run_cli(capsys, "conjugate", "gbar", "--sigma", "1",
+                            "--name", "g2", "--manifest", path2)
+        assert rc == 0
+        man = parse_manifest(open(path2, encoding="utf-8").read() + twice)
+        assert man.algebra("gbar").brackets != man.algebra("g").brackets
+        assert man.algebra("g2").brackets == man.algebra("g").brackets
+
     def test_verify_sumconjugate_exits_zero(self, capsys, tmp_path):
         rc, out = run_cli(capsys, "catalog", "heisenberg", "--field", "Q(i)",
                           "--name", "h3")

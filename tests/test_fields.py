@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from lieforms.fields import (
     Automorphism,
     FieldElement,
     FieldTower,
+    _apply_image,
     coords_over,
     cyclotomic_field,
     eval_poly_at,
@@ -388,6 +390,14 @@ FLAT_TOWERS = {
         QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
         [(0, 1), (0, -1)]),
     "Q(i)(sqrt2)(w)": three_level_tower,
+    # minimal polynomials with non-integer coefficients: the product
+    # tables then carry a denominator
+    "Q(sqrt1/2)": lambda: field_extend(
+        Q, Polynomial.from_rationals(Q, [Fraction(-1, 2), 0, 1]), "h",
+        [(0, 1), (0, -1)]),
+    "Q(i)(sqrt3/2)": lambda: field_extend(
+        QI, Polynomial.from_rationals(QI, [Fraction(-3, 2), 0, 1]), "t",
+        [(0, 1), (0, -1)]),
 }
 
 
@@ -428,6 +438,67 @@ def test_relative_view_and_level_maps(name):
                 padding = [F.zero()] * (relative_degree(E, F)
                                         - relative_degree(K, F))
                 assert coords_over(lifted, F) == coords_over(y, F) + padding
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TOWERS))
+def test_automorphism_matrices_match_horner(name):
+    E = FLAT_TOWERS[name]()
+    rng = random.Random(45)
+    samples = [random_element(E, rng) for _ in range(6)]
+    samples += [E._unit(k) for k in range(E.n)]
+    sigmas = E.automorphisms()
+    for x in samples:
+        for sigma in sigmas:
+            assert sigma(x) == _apply_image(x.coords, sigma.image)
+            for tau in sigmas:
+                k = E.aut_table[sigma.index][tau.index]
+                assert sigma(tau(x)) == sigmas[k](x)
+
+
+def assert_canonical(x, ref=None):
+    """x is in lowest terms; with ref, x has its num, den and hash."""
+    assert all(type(v) is int for v in x.num) and type(x.den) is int
+    assert len(x.num) == x.field.n
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.den == 1
+    if ref is not None:
+        assert (x.num, x.den, hash(x)) == (ref.num, ref.den, hash(ref))
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TOWERS))
+def test_every_path_gives_the_canonical_form(name):
+    E = FLAT_TOWERS[name]()
+    rng = random.Random(46)
+    zero = E.zero()
+    assert zero.num == (0,) * E.n and zero.den == 1
+    scale = E.from_rational(Fraction(6, 35))
+    for _ in range(8):
+        a = random_element(E, rng) * scale
+        b = random_element(E, rng)
+        if b.is_zero():
+            b = E.one()
+        assert_canonical(a)
+        assert_canonical(a + b - b, a)
+        assert_canonical((a * b) / b, a)
+        assert_canonical(b - a + a - b, zero)
+        assert_canonical(a * zero, zero)
+        assert_canonical(parse_element(format_element(a), E), a)
+        assert_canonical(b * b.inverse(), E.one())
+        for K in E.levels():
+            y = random_element(K, rng) * K.from_rational(Fraction(10, 21))
+            lifted = lift_to(y, E)
+            assert_canonical(lifted)
+            parts = coords_over(lifted, K)
+            assert_canonical(parts[0], y)
+            for part in parts[1:]:
+                assert_canonical(part, K.zero())
+            for part in coords_over(a, K):
+                assert_canonical(part)
+            assert_canonical(from_coords_over(E, K, coords_over(a, K)), a)
+        for c in a.coords:
+            if isinstance(c, FieldElement):
+                assert_canonical(c)
 
 
 def test_literal_exponent_cap():
