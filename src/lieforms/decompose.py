@@ -3,10 +3,15 @@
 Direct summands of a Lie algebra correspond to idempotents of its centroid,
 the associative algebra of linear maps M with M[x,y] = [Mx,y] = [x,My] for
 all x and y.  The pipeline here computes the centroid as the commutant of
-ad(L), one ad(e_j) at a time: the solution space left by the blocks so far
-is kept as a canonical basis (1 on its own free column, 0 on the others),
-each new block is solved in that basis's coordinates, and only the basis
-vectors its reduced rows name are rewritten.  Each piece then takes one
+ad(L), in a basis adapted to [L, L] (a complement of coordinate vectors,
+then the reduced echelon basis of [L, L]) where the structure constants
+are sparse whatever basis L came in, and maps the result back.  The
+commutant is solved one ad(e_j) at a time: the solution space left by the
+blocks so far is kept as a canonical basis (1 on its own free column, 0 on
+the others), each new block is solved in that basis's coordinates, and
+only the basis vectors its reduced rows name are rewritten.  The answer is
+that canonical basis in L's own coordinates, so it does not depend on the
+basis the system was solved in.  Each piece then takes one
 route through the radical quotient: the trace Gram of the centroid basis
 gives the Jacobson radical R as its nullspace and the small quotient by R
 through its pivot columns; a candidate whose minimal polynomial modulo R
@@ -253,49 +258,137 @@ def _centroid_rows(L: LieAlgebra, j: int):
     sparse {flat index r*n + c: coeff} dicts; together they say that M
     commutes with ad(e_j)."""
     n, zero = L.dim, L.field.zero()
-    cols = [L.bracket_basis(s, j) for s in range(n)]
-    targets = set()
+    into: dict = {}  # p -> [(s, coefficient of e_p in [e_s, e_j])]
     for s in range(n):
-        targets.update(cols[s])
+        for p, c in L.bracket_basis(s, j).items():
+            into.setdefault(p, []).append((s, c))
     for i in range(n):
         lhs = L.bracket_basis(i, j)
-        p_range = range(n) if lhs else sorted(targets)
+        p_range = range(n) if lhs else sorted(into)
         for p in p_range:
             row: dict = {}
             for k, c in lhs.items():
                 col = p * n + k
                 row[col] = row.get(col, zero) + c
-            for s in range(n):
-                c = cols[s].get(p)
-                if c is not None:
-                    col = s * n + i
-                    row[col] = row.get(col, zero) - c
+            for s, c in into.get(p, ()):
+                col = s * n + i
+                row[col] = row.get(col, zero) - c
             yield row
 
 
 def centroid_basis(L: LieAlgebra) -> list:
-    """Basis matrices of the centroid of L.
+    """Basis matrices of the centroid of L, in canonical form.
 
-    The conditions M[e_i, e_j] = [M e_i, e_j] over all ordered basis pairs,
-    including i = j (which forces [M e_i, e_i] = 0), are linear in the
-    entries M[r][c] at flat index r*n + c; for one j they say that M
-    commutes with ad(e_j).  The solution space is shrunk one j at a time.
-    Block 0 is solved in flat coordinates.  Each later block is projected
-    onto the current basis through an index from flat column to the basis
-    vectors that touch it, so the cost follows the supports, and is
-    solved there in basis coordinates.
+    The centroid does not depend on the basis: written in the basis given
+    by the columns of Q, L has centroid Q^-1 C(L) Q.  So the system is
+    solved in a basis adapted to D = [L, L]: e_c for the non-pivot columns
+    c of D's reduced echelon basis, ascending, then D's rows.  Every
+    bracket lands in D, so there it has at most dim D constants, however
+    dense it is in L's basis; the coordinates of a vector of D are its
+    entries at D's pivots.  Each solution M' is mapped back as Q M' Q^-1
+    and the span is put in canonical form: the reduced echelon basis with
+    the flat columns read in reverse, vector t being 1 on its own free
+    column f_t (its last nonzero flat entry, at flat index r*n + c for
+    entry M[r][c]), 0 on every other free column, sorted by f_t.  That is
+    the reduced echelon nullspace basis of the whole system in L's basis,
+    which _block_centroid gives when run on L itself.  When D is a
+    coordinate subspace, L is already adapted and is solved as it stands.
+    """
+    n, field = L.dim, L.field
+    if n == 0:
+        raise DegenerateError("centroid of a zero-dimensional algebra")
+    derived = _SparseReducer(field)
+    for comps in L.brackets.values():
+        derived.add(comps)
+    derived.reduce_fully()
+    if all(len(row) == 1 for row in derived.pivots.values()):
+        basis = _block_centroid(L)
+    else:
+        basis = _adapted_centroid(L, derived.pivots)
+    out = []
+    for vec in basis:
+        flat = [field.zero()] * (n * n)
+        for c, v in vec.items():
+            flat[c] = v
+        out.append(_mat_from_flat(flat, n))
+    return out
+
+
+def _adapted_centroid(L: LieAlgebra, derived: dict) -> list:
+    """The canonical centroid basis of L, as sparse flat vectors, solved in
+    the basis adapted to [L, L]; derived maps each pivot column of [L, L]
+    to its reduced echelon row."""
+    n, field = L.dim, L.field
+    one = field.one()
+    pivots = sorted(derived)
+    free = [c for c in range(n) if c not in derived]
+    p = len(free)
+    # columns of Q, in L's coordinates
+    vecs = [{c: one} for c in free] + [derived[c] for c in pivots]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            acc: dict = {}
+            L._add_bracket(acc, vecs[a], vecs[b])
+            entry = {}
+            for s, c in enumerate(pivots):
+                v = acc.get(c)
+                if v is not None and not v.is_zero():
+                    entry[p + s] = v
+            if entry:
+                brackets[(a, b)] = entry
+    adapted = LieAlgebra(field, n, brackets)
+    # Q^-1 e_j, in the adapted coordinates
+    inv_cols = [None] * n
+    for t, c in enumerate(free):
+        inv_cols[c] = {t: one}
+    for s, c in enumerate(pivots):
+        col = {p + s: one}
+        for t, f in enumerate(free):
+            v = derived[c].get(f)
+            if v is not None:
+                col[t] = -v
+        inv_cols[c] = col
+    last = n * n - 1
+    canonical = _SparseReducer(field)  # on flat columns read in reverse
+    for vec in _block_centroid(adapted):
+        neg_images: dict = {}  # u -> -(Q times column u of M'), L's coords
+        for k, v in vec.items():
+            _sub_scaled(neg_images.setdefault(k % n, {}), v, vecs[k // n])
+        row: dict = {}
+        for j in range(n):
+            col: dict = {}  # column j of Q M' Q^-1
+            for u, y in inv_cols[j].items():
+                if u in neg_images:
+                    _sub_scaled(col, y, neg_images[u])
+            for r, v in col.items():
+                row[last - (r * n + j)] = v
+        canonical.add(row)
+    canonical.reduce_fully()
+    return [{last - k: v for k, v in canonical.pivots[c].items()}
+            for c in sorted(canonical.pivots, reverse=True)]
+
+
+def _block_centroid(L: LieAlgebra) -> list:
+    """The reduced echelon nullspace basis, as sparse flat vectors ordered
+    by free column, of the conditions M[e_i, e_j] = [M e_i, e_j] over all
+    ordered basis pairs, including i = j (which forces [M e_i, e_i] = 0).
+
+    They are linear in the entries M[r][c] at flat index r*n + c; for one j
+    they say that M commutes with ad(e_j).  The solution space is shrunk
+    one j at a time.  Block 0 is solved in flat coordinates.  Each later
+    block is projected onto the current basis through an index from flat
+    column to the basis vectors that touch it, so the cost follows the
+    supports, and is solved there in basis coordinates.
 
     The basis is kept canonical throughout: vector t is 1 on its own free
     column f_t, 0 on every other free column, and sorted by f_t.  The
     reduced rows of a block pivot on their smallest t, so vector u only
     takes multiples of pivot vectors t < u, which vanish on f_u and on
     every free column kept; dropping the pivot vectors leaves the
-    canonical basis of the smaller space.  The result is the reduced
-    echelon nullspace basis of the whole system, ordered by free column.
+    canonical basis of the smaller space.
     """
     n, field = L.dim, L.field
-    if n == 0:
-        raise DegenerateError("centroid of a zero-dimensional algebra")
     red = _SparseReducer(field)
     for row in _centroid_rows(L, 0):
         red.add(row)
@@ -324,13 +417,7 @@ def centroid_basis(L: LieAlgebra) -> list:
                     _sub_scaled(basis[u], a, basis[t])
         basis = [vec for t, vec in enumerate(basis) if t not in red.pivots]
         index = None
-    out = []
-    for vec in basis:
-        flat = [field.zero()] * (n * n)
-        for c, v in vec.items():
-            flat[c] = v
-        out.append(_mat_from_flat(flat, n))
-    return out
+    return basis
 
 
 def centroid(L: LieAlgebra) -> AssocAlgebra:

@@ -182,44 +182,50 @@ class LieAlgebra:
     # ------------------------------------------------------------ validation
 
     def _validate_jacobi(self) -> None:
-        support = set()
-        for (i, j) in self.brackets:
-            support.add(i)
-            support.add(j)
-        # A triple can only fail if at least two of its members bracket
-        # nontrivially with something, but double brackets through any pair
-        # matter; restrict to indices appearing in the table plus pairs.
-        idx = sorted(support)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                for c in range(b + 1, len(idx)):
-                    i, j, k = idx[a], idx[b], idx[c]
-                    acc: dict = {}
-                    self._jacobi_term(acc, i, j, k)
-                    self._jacobi_term(acc, j, k, i)
-                    self._jacobi_term(acc, k, i, j)
-                    bad = {m: v for m, v in acc.items() if not v.is_zero()}
-                    if bad:
-                        raise JacobiError((i + 1, j + 1, k + 1), bad)
+        """Check the Jacobi identity on every triple the table reaches.
 
-    def _jacobi_term(self, acc: dict, i: int, j: int, k: int) -> None:
-        # [e_i, [e_j, e_k]], read from the stored (min, max) entries with the
-        # sign of a reversed pair applied to the coefficient
+        The sum for a triple a < b < c is [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]]
+        + [e_c,[e_a,e_b]].  Its nonzero terms come from a stored (j, k) ->
+        {m: c} and a stored [e_i, e_m] with i not in {j, k}: each adds
+        c*[e_i, e_m] to the triple sorted(i, j, k), negated when j < i < k
+        (the term is then [e_i, [e_k, e_j]]).  Triples no term reaches sum
+        to zero; the first failing triple in lexicographic order is raised.
+        """
         brackets = self.brackets
-        inner = brackets.get((j, k) if j < k else (k, j))
-        if inner is None:
-            return
-        for m, c in inner.items():
-            if m == i:
-                continue
-            outer = brackets.get((i, m) if i < m else (m, i))
-            if outer is None:
-                continue
-            if (j < k) != (i < m):
-                c = -c
-            for t, d in outer.items():
-                cur = acc.get(t)
-                acc[t] = c * d if cur is None else cur + c * d
+        # m -> [(i, entry, negate)] with [e_i, e_m] = -entry if negate
+        touching: dict = {}
+        for (i, j), entry in brackets.items():
+            touching.setdefault(j, []).append((i, entry, False))
+            touching.setdefault(i, []).append((j, entry, True))
+        sums: dict = {}
+        for (j, k), inner in brackets.items():
+            for m, c in inner.items():
+                for i, outer, negate in touching.get(m, ()):
+                    if i < j:
+                        triple = (i, j, k)
+                    elif j < i < k:
+                        triple = (j, i, k)
+                        negate = not negate
+                    elif i > k:
+                        triple = (j, k, i)
+                    else:
+                        continue
+                    acc = sums.get(triple)
+                    if acc is None:
+                        acc = sums[triple] = {}
+                    for t, d in outer.items():
+                        cd = c * d
+                        cur = acc.get(t)
+                        if cur is None:
+                            acc[t] = -cd if negate else cd
+                        else:
+                            acc[t] = cur - cd if negate else cur + cd
+        failing = [triple for triple, acc in sums.items()
+                   if any(not v.is_zero() for v in acc.values())]
+        if failing:
+            triple = min(failing)
+            bad = {m: v for m, v in sums[triple].items() if not v.is_zero()}
+            raise JacobiError(tuple(t + 1 for t in triple), bad)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,7 @@ class Manifest:
     def __init__(self):
         self._fields: dict = {}
         self._builtins: dict = {}       # builtin towers, built once each
+        self._literals: dict = {}       # (tower, literal) -> parsed element
         self._field_bases: dict = {}    # field name -> base name as given
         self._specs: dict = {}
         self._built: dict = {}
@@ -189,13 +190,17 @@ class Manifest:
         self._specs[name] = spec
         self._order.append(("algebra", name))
 
-    @staticmethod
-    def _coeff(text, field, owner):
+    def _coeff(self, text, field, owner):
+        """Parse a literal against a tower, once per distinct pair."""
         if not isinstance(text, str):
             raise ManifestError(
                 "%r: coefficients must be element-literal strings, got %r"
                 % (owner, text))
-        return parse_element(text, field)
+        key = (field, text)
+        got = self._literals.get(key)
+        if got is None:
+            got = self._literals[key] = parse_element(text, field)
+        return got
 
     # -------------------------------------------------------- serialization
 

@@ -1,12 +1,12 @@
-"""Pinned answers of the benchmark workloads at seed 7.
+"""Pinned answers of the benchmark workloads at seeds 7 and 11.
 
 Builds the ``forms``, ``rebased`` and ``descent`` manifests with
 ``perfbench/workloads.py``, runs every job in order through
 ``lieforms.cli.main`` as ``perfbench/worker.py`` does (saving the entity a
 job with ``save`` reports), and compares each job's SHA-256 of (exit code,
-stdout) with ``tests/data/answers_seed7.json``.  The pinned answers include
-the benchmark's known false g_lambda refutation.  A change that alters an
-answer rewrites the file and says why:
+stdout) with ``tests/data/answers_seed<seed>.json``.  The pinned answers
+include the benchmark's known false g_lambda refutation.  A change that
+alters an answer rewrites the files and says why:
 
     PYTHONPATH=src python tests/test_answers.py
 """
@@ -21,8 +21,11 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ANSWERS = os.path.join(ROOT, "tests", "data", "answers_seed7.json")
-SEED = 7
+SEEDS = (7, 11)
+
+
+def answers_path(seed):
+    return os.path.join(ROOT, "tests", "data", "answers_seed%d.json" % seed)
 
 
 def load_workloads():
@@ -62,20 +65,23 @@ def job_digest(cli, job, workdir):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def workload_answers(workload, workdir):
+def workload_answers(workload, seed, workdir):
     import lieforms.cli as cli
 
-    workloads.build(workload, SEED, workdir)
+    workloads.build(workload, seed, workdir)
     with open(os.path.join(workdir, "jobs.json"), encoding="utf-8") as fh:
         jobs = json.load(fh)["jobs"]
     return {job["id"]: job_digest(cli, job, workdir) for job in jobs}
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_answers_match_pinned_digests(workload, tmp_path):
-    with open(ANSWERS, encoding="utf-8") as handle:
+# Seed 7 keeps the bare workload ids it was first pinned under.
+@pytest.mark.parametrize("workload,seed", [
+    pytest.param(w, s, id=w if s == SEEDS[0] else "%s-seed%d" % (w, s))
+    for s in SEEDS for w in workloads.WORKLOADS])
+def test_answers_match_pinned_digests(workload, seed, tmp_path):
+    with open(answers_path(seed), encoding="utf-8") as handle:
         pinned = json.load(handle)[workload]
-    got = workload_answers(workload, str(tmp_path))
+    got = workload_answers(workload, seed, str(tmp_path))
     assert sorted(got) == sorted(pinned)
     changed = sorted(j for j in got if got[j] != pinned[j])
     assert not changed, "answers changed: %s" % changed
@@ -84,10 +90,11 @@ def test_answers_match_pinned_digests(workload, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    answers = {}
-    for name in workloads.WORKLOADS:
-        with tempfile.TemporaryDirectory() as tmp:
-            answers[name] = workload_answers(name, tmp)
-    with open(ANSWERS, "w", encoding="utf-8") as handle:
-        json.dump(answers, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    for seed in SEEDS:
+        answers = {}
+        for name in workloads.WORKLOADS:
+            with tempfile.TemporaryDirectory() as tmp:
+                answers[name] = workload_answers(name, seed, tmp)
+        with open(answers_path(seed), "w", encoding="utf-8") as handle:
+            json.dump(answers, handle, indent=1, sort_keys=True)
+            handle.write("\n")

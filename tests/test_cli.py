@@ -39,6 +39,11 @@ def write_lines(tmp_path, name, *lines):
     return str(path)
 
 
+def read_text(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def gaussian_entities():
     Qi = gaussian_rationals()
     i = Qi.generator()
@@ -81,6 +86,29 @@ class TestManifest:
         man = parse_manifest(text)
         assert man.algebra("h").brackets == \
             heisenberg(builtin_field("Q")).brackets
+
+    def test_each_literal_is_parsed_once_per_manifest(self, monkeypatch):
+        import lieforms.manifest as manifest
+        calls = []
+        real = manifest.parse_element
+
+        def counting(text, field):
+            calls.append((text, field))
+            return real(text, field)
+
+        monkeypatch.setattr(manifest, "parse_element", counting)
+        Qi = gaussian_rationals()
+        text = "\n".join(serialize_entity(algebra_entity(
+            "g%d" % k, "Q(i)", g_lambda(Qi, Qi.from_rational(k % 3 + 2))))
+            for k in range(10))
+        man = parse_manifest(text)
+        assert sorted(t for t, _ in calls) == ["-1", "-2", "-3", "-4", "1"]
+        for k in range(10):
+            assert man.algebra("g%d" % k) == g_lambda(
+                Qi, Qi.from_rational(k % 3 + 2))
+        calls.clear()
+        parse_manifest(text)
+        assert len(calls) == 5
 
     def test_builtin_tower_is_built_once_per_manifest(self, monkeypatch):
         import lieforms.fields as fields
@@ -260,12 +288,12 @@ class TestCommandLine:
                            "--name", "gbar", "--manifest", path)
         assert rc == 0
         path2 = write_lines(tmp_path, "gbar.jsonl",
-                            *open(path, encoding="utf-8").read().splitlines(),
+                            *read_text(path).splitlines(),
                             *once.splitlines())
         rc, twice = run_cli(capsys, "conjugate", "gbar", "--sigma", "1",
                             "--name", "g2", "--manifest", path2)
         assert rc == 0
-        man = parse_manifest(open(path2, encoding="utf-8").read() + twice)
+        man = parse_manifest(read_text(path2) + twice)
         assert man.algebra("gbar").brackets != man.algebra("g").brackets
         assert man.algebra("g2").brackets == man.algebra("g").brackets
 
@@ -307,7 +335,7 @@ class TestCommandLine:
                           "--name", "deepE", "--manifest", path)
         assert rc == 0
         path = write_lines(tmp_path, "deep3.jsonl",
-                           *open(path, encoding="utf-8").read().splitlines(),
+                           *read_text(path).splitlines(),
                            *out.splitlines())
         rc, out = run_cli(capsys, "decompose", "deepE", "--manifest", path)
         assert rc == 3
@@ -449,7 +477,7 @@ class TestCommandLine:
                   "brackets": [{"i": 1, "j": 2, "k": 3,
                                 "coeff": "(1+1i)^4*2^100"}]}
         path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
-        man = parse_manifest(open(path, encoding="utf-8").read())
+        man = parse_manifest(read_text(path))
         coeff = man.algebra("a").brackets[(0, 1)][2]
         assert coeff == Qi.from_rational(-4 * 2 ** 100)
         text = serialize_manifest(man)

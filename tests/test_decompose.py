@@ -24,6 +24,7 @@ from lieforms.polynomials import Polynomial, poly_ext_gcd
 from lieforms.liealg import (
     LieAlgebra,
     change_basis,
+    commutator_rows,
     direct_sum,
     fingerprint,
     is_ideal,
@@ -36,12 +37,14 @@ from lieforms.catalog import (
     g1_alpha,
     g_lambda,
     heisenberg,
+    nintot_family,
     r3_lambda,
 )
 from lieforms.decompose import (
     CERTIFIED,
     HEURISTIC,
     AssocAlgebra,
+    _block_centroid,
     _lifted_idempotent,
     _nilpotent_span,
     centroid,
@@ -276,12 +279,130 @@ class TestCentroidBlocks:
                 assert mat_equal(linalg.mat_mul(M, ad, field),
                                  linalg.mat_mul(ad, M, field))
 
+    @pytest.mark.parametrize("name, L", CENTROID_ALGEBRAS,
+                             ids=[name for name, _ in CENTROID_ALGEBRAS])
+    def test_equals_block_solver(self, name, L):
+        got = centroid_basis(L)
+        want = block_solver_matrices(L)
+        assert len(got) == len(want)
+        for M, R in zip(got, want):
+            assert mat_equal(M, R)
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_dimension_is_basis_free(self, seed):
         Qi, lam = gaussian_lambda()
         for _, L in centroid_cases(Qi, lam, Qi.from_rational(2)):
             PL = change_basis(L, unitriangular(L.dim, seed))
             assert len(centroid_basis(PL)) == len(centroid_basis(L))
+
+
+def block_solver_matrices(L):
+    """The block solver run on L as it stands, in its own basis."""
+    n, field = L.dim, L.field
+    out = []
+    for vec in _block_centroid(L):
+        flat = [field.zero()] * (n * n)
+        for k, v in vec.items():
+            flat[k] = v
+        out.append([flat[r * n:(r + 1) * n] for r in range(n)])
+    return out
+
+
+def invertible(field, n, seed, fill):
+    """A seeded invertible matrix that is not unitriangular: a unit lower
+    triangular factor times an upper triangular one with a nonzero
+    diagonal, with fill off-diagonal entries between them.  Entries are
+    small integers, plus a multiple of the generator over an extension."""
+    rng = random.Random(seed)
+    gen = None if field.is_rationals else field.generator()
+
+    def entry():
+        v = field.from_rational(rng.choice((-2, -1, 1, 2, 3)))
+        if gen is not None and rng.random() < 0.5:
+            v = v + field.from_rational(rng.choice((-1, 1, 2))) * gen
+        return v
+
+    zero = field.zero()
+    lower = linalg.identity_matrix(field, n)
+    upper = [[entry() if r == c else zero for c in range(n)]
+             for r in range(n)]
+    for _ in range(fill):
+        r, c = rng.sample(range(n), 2)
+        (lower if r > c else upper)[r][c] = entry()
+    return linalg.mat_mul(lower, upper, field)
+
+
+def canonical_span(mats, field):
+    """The canonical basis of the span of mats: the reduced echelon form of
+    the flattened matrices with the columns read in reverse, each vector 1
+    on its last nonzero flat entry and 0 there in the others, sorted by
+    that entry."""
+    n = len(mats[0])
+    flats = [[x for row in M for x in row][::-1] for M in mats]
+    rows, _ = linalg.rref(flats, field)
+    return [[v[::-1][r * n:(r + 1) * n] for r in range(n)]
+            for v in reversed(rows)]
+
+
+def sl2(field):
+    """[h, e] = 2e, [h, f] = -2f, [e, f] = h: perfect, so [L, L] = L."""
+    return LieAlgebra(field, 3, {(0, 1): {1: field.from_rational(2)},
+                                 (0, 2): {2: field.from_rational(-2)},
+                                 (1, 2): {0: field.one()}})
+
+
+def adapted_cases():
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        for name, L in (
+                ("h3+h3", direct_sum(heisenberg(field), heisenberg(field))),
+                ("r3+g1+ab1", direct_sum(
+                    r3_lambda(field, lam),
+                    g1_alpha(field, field.from_rational(2)),
+                    abelian(field, 1))),
+                ("g_lambda", g_lambda(field, lam)),
+                ("sl2", sl2(field)),
+                ("ab3", abelian(field, 3))):
+            for seed in (1, 2):
+                out.append(("%s/%s*P%d" % (fname, name, seed), L, seed))
+    out.append(("Q(i)/nintot(2,1)*P1", nintot_family(Qi, lam_i, 2, 1), 1))
+    return out
+
+
+ADAPTED_CASES = adapted_cases()
+
+
+class TestAdaptedCentroid:
+    """centroid_basis solves in a basis adapted to [L, L].  On P.L, for P
+    invertible and not unitriangular, it must give the block solver's
+    output on P.L itself and the canonical form of P^-1 C(L) P."""
+
+    @pytest.mark.parametrize("name, L, seed", ADAPTED_CASES,
+                             ids=[name for name, _, _ in ADAPTED_CASES])
+    def test_rebased_centroid(self, name, L, seed):
+        n, field = L.dim, L.field
+        P = invertible(field, n, seed, n)
+        PL = change_basis(L, P)
+        rows, _ = commutator_rows(PL)
+        coordinate = all(sum(not x.is_zero() for x in row) == 1
+                         for row in rows)
+        # [L, L] = L for sl2 and 0 for ab3; elsewhere the adapted solve runs
+        assert coordinate == (name.split("/")[1].split("*")[0]
+                              in ("sl2", "ab3"))
+        got = centroid_basis(PL)
+        want = block_solver_matrices(PL)
+        assert len(got) == len(want)
+        for M, R in zip(got, want):
+            assert mat_equal(M, R)
+        Pinv = linalg.inverse(P, field)
+        conj = [linalg.mat_mul(linalg.mat_mul(Pinv, M, field), P, field)
+                for M in centroid_basis(L)]
+        want = canonical_span(conj, field)
+        assert len(got) == len(want)
+        for M, R in zip(got, want):
+            assert mat_equal(M, R)
 
 
 class TestRadical:

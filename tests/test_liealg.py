@@ -390,3 +390,119 @@ def test_center_rows_matches_dense_reference(field_name):
         assert (rows, pivots) == dense_center_reference(L)
         dims.append(len(rows))
     assert dims[:len(catalog)] == [1, 0, 3, 0, 2, 1, 0, 2, 2]
+
+
+# ------------------------------------------------ Jacobi check
+
+def jacobi_terms(brackets, i, j, k):
+    """The contributions to [e_i, [e_j, e_k]] read from the stored (min, max)
+    entries, as (reversed, {t: value}); reversed says that the inner pair
+    (j, k) or the outer pair (i, m) was read against its stored order."""
+    inner = brackets.get((j, k) if j < k else (k, j), {})
+    for m, c in inner.items():
+        if m == i:
+            continue
+        outer = brackets.get((i, m) if i < m else (m, i))
+        if outer is None:
+            continue
+        if (j < k) != (i < m):
+            c = -c
+        yield j > k or i > m, {t: c * d for t, d in outer.items()}
+
+
+def triple_sums(brackets, triple):
+    """The Jacobi sum of a sorted triple, split into the part read only in
+    stored order and the part carried by reversed pairs."""
+    a, b, c = triple
+    straight: dict = {}
+    rev: dict = {}
+    for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+        for reversed_read, term in jacobi_terms(brackets, i, j, k):
+            acc = rev if reversed_read else straight
+            for t, v in term.items():
+                acc[t] = acc[t] + v if t in acc else v
+    return ({t: v for t, v in straight.items() if not v.is_zero()},
+            {t: v for t, v in rev.items() if not v.is_zero()})
+
+
+def brute_force_jacobi(brackets):
+    """The first failing support triple in lexicographic order and its
+    residual, from every triple of indices in the table; None if none."""
+    idx = sorted({x for key in brackets for x in key})
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            for c in range(b + 1, len(idx)):
+                triple = (idx[a], idx[b], idx[c])
+                straight, rev = triple_sums(brackets, triple)
+                total = dict(straight)
+                for t, v in rev.items():
+                    total[t] = total[t] + v if t in total else v
+                total = {t: v for t, v in total.items() if not v.is_zero()}
+                if total:
+                    return triple, total
+    return None
+
+
+def jacobi_tables():
+    """Valid tables over Q and Q(i): catalog, in reversed basis order (so
+    most stored pairs are read reversed) and re-based by a dense P that is
+    not unitriangular."""
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", QI, QI.one() + QI.generator())):
+        rng = random.Random(5)
+        for name, L in (("h3+h3", direct_sum(heis(field), heis(field))),
+                        ("sl2+h3", direct_sum(sl2(field), heis(field))),
+                        ("g_lambda", g_lambda(field, lam)),
+                        ("r3+g1", direct_sum(
+                            r3_lambda_plus_abelian(field, lam),
+                            g1_alpha(field, field.from_rational(2))))):
+            n = L.dim
+            out.append(("%s/%s" % (fname, name), L))
+            rev = [[1 if r + c == n - 1 else 0 for c in range(n)]
+                   for r in range(n)]
+            out.append(("%s/%s*reversed" % (fname, name),
+                        change_basis(L, rev)))
+            if fname == "Q" or n < 10:
+                P = unitriangular(field, n, rng)
+                P[n - 1][0] = field.one()
+                out.append(("%s/%s*P" % (fname, name), change_basis(L, P)))
+    return out
+
+
+JACOBI_TABLES = jacobi_tables()
+
+
+@pytest.mark.parametrize("name, L", JACOBI_TABLES,
+                         ids=[name for name, _ in JACOBI_TABLES])
+def test_jacobi_check_matches_brute_force_on_planted_errors(name, L):
+    """One planted error per table: the constructor must raise on the same
+    triple with the same residual as the triple loop, or on neither.  On
+    the sparse tables some first failing triples are carried only by
+    reversed pairs."""
+    field, n = L.field, L.dim
+    rng = random.Random(name)
+    only_reversed = 0
+    for _ in range(12):
+        brackets = {key: dict(entry) for key, entry in L.brackets.items()}
+        a, b = sorted(rng.sample(range(n), 2))
+        m = rng.randrange(n)
+        entry = brackets.setdefault((a, b), {})
+        entry[m] = entry.get(m, field.zero()) + random_element(
+            field, rng, nonzero=True)
+        if entry[m].is_zero():
+            del entry[m]
+        if not entry:
+            del brackets[(a, b)]
+        want = brute_force_jacobi(brackets)
+        try:
+            LieAlgebra(field, n, brackets)
+            got = None
+        except JacobiError as exc:
+            got = (tuple(t - 1 for t in exc.triple), exc.residual)
+        assert got == want
+        if want is not None:
+            straight, rev = triple_sums(brackets, want[0])
+            only_reversed += not straight and bool(rev)
+    if not name.endswith("*P"):
+        assert only_reversed, "no planted error carried only by reversed pairs"
