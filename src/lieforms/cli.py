@@ -368,107 +368,89 @@ def cmd_match(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
+_ALGEBRA = (("algebra",), {})
+_OVER = (("--over",), {"required": True, "metavar": "FIELD"})
+_TO = (("--to",), {"required": True, "metavar": "FIELD"})
+
+# Every subcommand: name -> (help, handler, arguments), each argument as
+# (flags, keywords) for add_argument; --manifest and --json follow.
+COMMANDS = {
+    "check": ("validate Jacobi and report the fingerprint", cmd_check,
+              [_ALGEBRA]),
+    "conjugate": (
+        "apply a field automorphism to the constants", cmd_conjugate,
+        [_ALGEBRA,
+         (("--sigma",), {"required": True, "help": '"id", an index, or a '
+                         'generator image like "-1i"'}),
+         (("--name",), {"help": "name for the emitted algebra entity"})]),
+    "restrict": ("restrict scalars to a lower tower level", cmd_restrict,
+                 [_ALGEBRA, _TO, (("--name",), {})]),
+    "extend": ("extend scalars to a larger tower", cmd_extend,
+               [_ALGEBRA, _TO, (("--name",), {})]),
+    "verify-sumconjugate": (
+        "check L tensor E = sum of conjugates via the explicit map",
+        cmd_verify_sumconjugate, [_ALGEBRA, _OVER]),
+    "decompose": ("split into indecomposable ideals", cmd_decompose,
+                  [_ALGEBRA]),
+    "pfaffian": ("Pfaffian form of a two-step algebra", cmd_pfaffian,
+                 [_ALGEBRA]),
+    "invariant-c": ("the quartic invariant c = S^3 / T^2", cmd_invariant_c,
+                    [_ALGEBRA]),
+    "count-forms": ("count forms over a lower tower level", cmd_count_forms,
+                    [_ALGEBRA, _OVER]),
+    "catalog": (
+        "emit a named family as entities", cmd_catalog,
+        [(("family",), {"help": "heisenberg | abelian | g_lambda | "
+                        "r3_lambda | r3_lambda_plus_abelian | g1_alpha | "
+                        "nintot"}),
+         (("--field",), {"default": "Q", "help": 'field spec, e.g. "Q(i)"'}),
+         (("--lambda",), {"dest": "lam", "metavar": "ELEM"}),
+         (("--alpha",), {"metavar": "ELEM"}),
+         (("--n",), {"type": int}),
+         (("--k",), {"type": int}),
+         (("--j",), {"type": int}),
+         (("--name",), {})]),
+    "match": ("compare indecomposable decompositions", cmd_match,
+              [_ALGEBRA, (("other",), {})]),
+}
+
+_COMMON = [
+    (("--manifest",), {"action": "append", "metavar": "FILE",
+                       "help": "manifest file to load (repeatable)"}),
+    (("--json",), {"action": "store_true",
+                   "help": "emit one machine-readable report object"}),
+]
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser, or, given a name in COMMANDS, the parser
+    with that subcommand alone.
+
+    A command line whose first word is that name parses the same with
+    either, including its errors and help; building one subcommand instead
+    of all of them is most of the setup of a short command.
+    """
     parser = argparse.ArgumentParser(
         prog="lieforms",
         description="Exact Lie algebra computations over Galois extensions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--manifest", action="append", metavar="FILE",
-                        help="manifest file to load (repeatable)")
-        sp.add_argument("--json", action="store_true",
-                        help="emit one machine-readable report object")
-
-    sp = sub.add_parser("check",
-                        help="validate Jacobi and report the fingerprint")
-    sp.add_argument("algebra")
-    common(sp)
-    sp.set_defaults(handler=cmd_check)
-
-    sp = sub.add_parser("conjugate",
-                        help="apply a field automorphism to the constants")
-    sp.add_argument("algebra")
-    sp.add_argument("--sigma", required=True,
-                    help='"id", an index, or a generator image like "-1i"')
-    sp.add_argument("--name", help="name for the emitted algebra entity")
-    common(sp)
-    sp.set_defaults(handler=cmd_conjugate)
-
-    sp = sub.add_parser("restrict",
-                        help="restrict scalars to a lower tower level")
-    sp.add_argument("algebra")
-    sp.add_argument("--to", required=True, metavar="FIELD")
-    sp.add_argument("--name")
-    common(sp)
-    sp.set_defaults(handler=cmd_restrict)
-
-    sp = sub.add_parser("extend", help="extend scalars to a larger tower")
-    sp.add_argument("algebra")
-    sp.add_argument("--to", required=True, metavar="FIELD")
-    sp.add_argument("--name")
-    common(sp)
-    sp.set_defaults(handler=cmd_extend)
-
-    sp = sub.add_parser(
-        "verify-sumconjugate",
-        help="check L tensor E = sum of conjugates via the explicit map")
-    sp.add_argument("algebra")
-    sp.add_argument("--over", required=True, metavar="FIELD")
-    common(sp)
-    sp.set_defaults(handler=cmd_verify_sumconjugate)
-
-    sp = sub.add_parser("decompose",
-                        help="split into indecomposable ideals")
-    sp.add_argument("algebra")
-    common(sp)
-    sp.set_defaults(handler=cmd_decompose)
-
-    sp = sub.add_parser("pfaffian", help="Pfaffian form of a two-step algebra")
-    sp.add_argument("algebra")
-    common(sp)
-    sp.set_defaults(handler=cmd_pfaffian)
-
-    sp = sub.add_parser("invariant-c",
-                        help="the quartic invariant c = S^3 / T^2")
-    sp.add_argument("algebra")
-    common(sp)
-    sp.set_defaults(handler=cmd_invariant_c)
-
-    sp = sub.add_parser("count-forms",
-                        help="count forms over a lower tower level")
-    sp.add_argument("algebra")
-    sp.add_argument("--over", required=True, metavar="FIELD")
-    common(sp)
-    sp.set_defaults(handler=cmd_count_forms)
-
-    sp = sub.add_parser("catalog", help="emit a named family as entities")
-    sp.add_argument("family",
-                    help="heisenberg | abelian | g_lambda | r3_lambda | "
-                         "r3_lambda_plus_abelian | g1_alpha | nintot")
-    sp.add_argument("--field", default="Q", help='field spec, e.g. "Q(i)"')
-    sp.add_argument("--lambda", dest="lam", metavar="ELEM")
-    sp.add_argument("--alpha", metavar="ELEM")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--name")
-    common(sp)
-    sp.set_defaults(handler=cmd_catalog)
-
-    sp = sub.add_parser("match",
-                        help="compare indecomposable decompositions")
-    sp.add_argument("algebra")
-    sp.add_argument("other")
-    common(sp)
-    sp.set_defaults(handler=cmd_match)
-
+    # usage lists every subcommand whichever ones are built
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, keywords in arguments + _COMMON:
+                sp.add_argument(*flags, **keywords)
+            sp.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only a subcommand named first can be parsed without the others
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (UncertifiedDecompositionError, OracleUndecidedError) as exc:

@@ -45,7 +45,9 @@ from .errors import (
 )
 from .polynomials import (
     LITERAL_EXPONENT_CAP,
+    QUADRATIC_RADICAND_CAP,
     Polynomial,
+    cyclotomic_coeffs,
     is_irreducible_over_Q,
 )
 
@@ -556,13 +558,7 @@ class Automorphism:
         if x.field == field:
             if self.index == 0 or field.is_rationals:
                 return x
-            columns, mden = field._aut_maps[self.index]
-            out = [0] * field.n
-            for c, v in enumerate(x.num):
-                if v:
-                    for k, m in columns[c]:
-                        out[k] += m * v
-            return _reduced(field, out, x.den * mden)
+            return _mapped(field, field._aut_maps[self.index], x)
         if is_level_of(x.field, self.field):
             return x
         raise TowerMismatchError(
@@ -584,24 +580,36 @@ class Automorphism:
         return "%s->%s" % (self.field.gen_name, format_element(self.image))
 
 
-def _apply_image(coords: tuple, image: FieldElement) -> FieldElement:
-    """Evaluate sum coords[k] * image**k (coords live one level down)."""
-    E = image.field
-    acc = E.zero()
-    for c in reversed(coords):
-        acc = acc * image + lift_to(c, E)
-    return acc
-
-
 def _aut_map(image: FieldElement) -> tuple:
     """The automorphism theta -> image on the absolute basis, over one
     denominator: (columns, mden), where columns[c] lists the (k, m) with
-    sigma(b_c) = sum of (m / mden) * b_k, every m a nonzero int."""
+    sigma(b_c) = sum of (m / mden) * b_k, every m a nonzero int.
+
+    sigma fixes the base, so sigma(b_{t*D+u}) = image**t * b_u.
+    """
     E = image.field
-    cols = [_apply_image(E._unit(c).coords, image) for c in range(E.n)]
+    units = [E._unit(u) for u in range(E.base.n)]
+    cols = []
+    power = E.one()
+    for _ in range(E.degree):
+        cols += [power * unit for unit in units]
+        power = power * image
     mden = lcm(*(x.den for x in cols))
     return (tuple(tuple((k, m) for k, m in enumerate(_over([x], mden)) if m)
                   for x in cols), mden)
+
+
+def _mapped(field: FieldTower, aut_map: tuple,
+            x: FieldElement) -> FieldElement:
+    """x under the automorphism of field with matrix aut_map (see
+    _aut_map)."""
+    columns, mden = aut_map
+    out = [0] * field.n
+    for c, v in enumerate(x.num):
+        if v:
+            for k, m in columns[c]:
+                out[k] += m * v
+    return _reduced(field, out, x.den * mden)
 
 
 @dataclass(frozen=True)
@@ -729,50 +737,64 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
     if gen not in elems:
         raise DegenerateError("automorphism list must contain the identity "
                               "image %s" % gen_name)
-    if len(set(elems)) != len(elems):
+    ordered = [gen] + [e for e in elems if e != gen]
+    # images are keyed by (num, den): hashing an element hashes its tower,
+    # whose automorphisms are not filled in yet
+    index = {(e.num, e.den): k for k, e in enumerate(ordered)}
+    if len(index) != len(elems):
         raise DegenerateError("duplicate automorphism images")
     if len(elems) > minpoly.degree:
         raise DegenerateError("more automorphisms than the degree allows")
-    ordered = [gen] + [e for e in elems if e != gen]
+    maps = [_aut_map(image) for image in ordered]
+    # a after b sends theta to a(b(theta)); every image is a root, so each
+    # map is a field embedding and the composite is exact
     table = []
-    for a in ordered:
+    for a in maps:
         row = []
         for b in ordered:
-            composed = _apply_image(b.coords, a)
-            if composed not in ordered:
+            composed = _mapped(tower, a, b)
+            k = index.get((composed.num, composed.den))
+            if k is None:
                 raise NotClosedError(
                     "composition of automorphisms leaves the given list "
                     "(image %s)" % format_element(composed))
-            row.append(ordered.index(composed))
+            row.append(k)
         table.append(tuple(row))
     tower.aut_images = tuple(ordered)
     tower.aut_table = tuple(table)
-    tower._aut_maps = tuple(_aut_map(image) for image in ordered)
+    tower._aut_maps = tuple(maps)
     return tower
 
 
 def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
+    if minpoly.degree == 2:
+        # a monic quadratic has a root exactly when its discriminant is a
+        # square; sqrt_or_none decides that over Q and quadratic levels
+        p, q = minpoly.coeff(1), minpoly.coeff(0)
+        disc = p * p - base.from_rational(4) * q
+        if sqrt_or_none(disc) is not None:
+            raise DegenerateError(
+                "minimal polynomial is reducible over Q" if base.is_rationals
+                else "quadratic minimal polynomial has a root in the base")
+        return
     if base.is_rationals:
         from .polynomials import FACTOR_DEGREE_CAP
         if minpoly.degree <= FACTOR_DEGREE_CAP:
             if not is_irreducible_over_Q(minpoly):
                 raise DegenerateError("minimal polynomial is reducible over Q")
-        return
-    if minpoly.degree == 2:
-        p, q = minpoly.coeff(1), minpoly.coeff(0)
-        disc = p * p - base.from_rational(4) * q
-        if sqrt_or_none(disc) is not None:
-            raise DegenerateError(
-                "quadratic minimal polynomial has a root in the base")
     # Higher degrees over extensions: trusted input.
 
 
 def quadratic_field(d, name: Optional[str] = None) -> FieldTower:
-    """Q(sqrt(d)) for a squarefree integer d not in {0, 1}, with Gal = Z/2."""
+    """Q(sqrt(d)) for a squarefree integer d not in {0, 1} with |d| at most
+    QUADRATIC_RADICAND_CAP, with Gal = Z/2."""
     d = Fraction(d)
     if d.denominator != 1 or d in (0, 1):
         raise DegenerateError("quadratic_field takes an integer not in {0,1}")
     n = int(d)
+    if abs(n) > QUADRATIC_RADICAND_CAP:
+        raise DegenerateError("quadratic_field takes |d| <= %d"
+                              % QUADRATIC_RADICAND_CAP)
     k = 2
     while k * k <= abs(n):
         if n % (k * k) == 0:
@@ -792,24 +814,15 @@ def gaussian_rationals() -> FieldTower:
 
 def cyclotomic_field(n: int, name: Optional[str] = None) -> FieldTower:
     """Q(zeta_n) for 3 <= n <= 12, automorphisms zeta -> zeta^k discovered."""
-    from math import gcd
-
-    from .polynomials import cyclotomic_coeffs
-
     if not 3 <= n <= 12:
         raise DegenerateError("cyclotomic_field supports 3 <= n <= 12")
     if name is None:
         name = "z%d" % n
     Q = rationals()
     minpoly = Polynomial.from_rationals(Q, cyclotomic_coeffs(n))
-    if minpoly.degree < 2:
-        raise DegenerateError("cyclotomic degree too small")
-    tower = FieldTower(Q, minpoly, name)
-    gen = tower.generator()
-    images = []
-    for k in range(1, n):
-        if gcd(k, n) == 1:
-            images.append((gen ** k).coords)
+    # zeta^k as coordinates: t^k reduced modulo the minimal polynomial
+    images = [(Polynomial.one(Q).shift(k) % minpoly).coeffs
+              for k in range(1, n) if gcd(k, n) == 1]
     return field_extend(Q, minpoly, name, images)
 
 

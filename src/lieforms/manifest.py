@@ -23,7 +23,7 @@ serializing a parsed manifest reproduces canonical input byte for byte.
 import json
 import re
 
-from .errors import ManifestError
+from .errors import DegenerateError, ManifestError
 from .fields import (
     FieldTower,
     cyclotomic_field,
@@ -34,11 +34,14 @@ from .fields import (
     quadratic_field,
     rationals,
 )
-from .polynomials import Polynomial
+from .polynomials import QUADRATIC_RADICAND_CAP, Polynomial
 from .liealg import LieAlgebra
 
 _BUILTIN_SQRT = re.compile(r"Q\(sqrt(-?\d+)\)")
 _BUILTIN_ZETA = re.compile(r"Q\(zeta(\d+)\)")
+
+# No builtin accepts a numeral with more digits than the quadratic cap has.
+_SPEC_DIGITS = len(str(QUADRATIC_RADICAND_CAP))
 
 
 def builtin_field(spec: str):
@@ -50,11 +53,23 @@ def builtin_field(spec: str):
         return gaussian_rationals()
     m = _BUILTIN_SQRT.fullmatch(spec)
     if m is not None:
-        return quadratic_field(int(m.group(1)))
+        return quadratic_field(_spec_int(m.group(1), spec))
     m = _BUILTIN_ZETA.fullmatch(spec)
     if m is not None:
-        return cyclotomic_field(int(m.group(1)))
+        return cyclotomic_field(_spec_int(m.group(1), spec))
     return None
+
+
+def _spec_int(numeral: str, spec: str) -> int:
+    """The int a builtin spec's numeral denotes.  Its length is checked
+    first: int() refuses numerals over the interpreter's digit limit, and
+    counts leading zeros towards it."""
+    digits = numeral.lstrip("-").lstrip("0") or "0"
+    if len(digits) > _SPEC_DIGITS:
+        shown = spec if len(spec) <= 40 else spec[:36] + "..."
+        raise DegenerateError("field %r: numeral has more than %d digits"
+                              % (shown, _SPEC_DIGITS))
+    return -int(digits) if numeral.startswith("-") else int(digits)
 
 
 class _AlgebraSpec:

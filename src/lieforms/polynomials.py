@@ -29,6 +29,11 @@ FACTOR_DEGREE_CAP = 12
 # computed.
 LITERAL_EXPONENT_CAP = 256
 
+# Largest |d| that fields.quadratic_field accepts.  Its squarefree test
+# trial-divides up to sqrt|d|, so the cap bounds that work (about 10^5
+# divisions); a larger d is a DegenerateError, raised before it runs.
+QUADRATIC_RADICAND_CAP = 10 ** 10
+
 
 class Polynomial:
     """Dense univariate polynomial, coefficients low to high, over a field."""

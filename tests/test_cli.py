@@ -463,6 +463,80 @@ class TestCommandLine:
         assert rc == 2 and err.startswith("error: line 1:") and message in err
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("spec, message", [
+        ("Q(sqrt2305843009213693951)", "more than 11 digits"),
+        ("Q(sqrt-10000000019)", "<= 10000000000"),
+        ("Q(sqrt" + "7" * 5000 + ")", "more than 11 digits"),
+        ("Q(zeta" + "7" * 5000 + ")", "more than 11 digits"),
+    ])
+    def test_hostile_builtin_field_exits_two_quickly(self, capsys, tmp_path,
+                                                     spec, message):
+        entity = {"name": "a", "field": spec, "dim": 3,
+                  "brackets": [{"i": 1, "j": 2, "k": 3, "coeff": "1"}]}
+        path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
+        for argv in (["check", "a", "--manifest", path],
+                     ["catalog", "heisenberg", "--field", spec]):
+            start = time.perf_counter()
+            rc = cli.main(argv)
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error:") and message in err
+            assert elapsed < 2.0, elapsed
+
+    @pytest.mark.parametrize("name, valid", [
+        ("check", ["a"]), ("conjugate", ["a", "--sigma", "id", "--name", "b"]),
+        ("restrict", ["a", "--to", "Q"]), ("extend", ["a", "--to", "Q(i)"]),
+        ("verify-sumconjugate", ["a", "--over", "Q"]), ("decompose", ["a"]),
+        ("pfaffian", ["a"]), ("invariant-c", ["a"]),
+        ("count-forms", ["a", "--over", "Q"]),
+        ("catalog", ["nintot", "--field", "Q(i)", "--lambda", "1+i",
+                     "--n", "2", "--k", "1", "--j", "0", "--json"]),
+        ("match", ["a", "b", "--manifest", "x", "--manifest", "y"]),
+    ])
+    def test_one_command_parser_parses_like_the_full_parser(self, capsys,
+                                                            name, valid):
+        full, one = cli.build_parser(), cli.build_parser(name)
+        assert one.format_usage() == full.format_usage()
+        assert one.parse_args([name] + valid) == full.parse_args([name] + valid)
+        for argv in ([name, "-h"], [name], [name, "a", "b", "c", "--bogus"],
+                     [name, "a", "--n", "x"]):
+            seen = []
+            for parser in (full, one):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                seen.append((exc.value.code, capsys.readouterr()))
+            assert seen[0] == seen[1]
+
+    def test_main_builds_the_named_command_only(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command)
+                            or build(command))
+        assert run_cli(capsys, "catalog", "heisenberg")[0] == 0
+        for argv in (["-h"], ["chec"], []):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert built == ["catalog", None, None, None]
+
+    def test_main_calls_in_sequence_see_only_their_own_files(self, capsys,
+                                                             tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        one = write_lines(tmp_path, "one.jsonl", serialize_entity(
+            algebra_entity("a", "Q", heisenberg(rationals()))))
+        two = write_lines(tmp_path, "two.jsonl", serialize_entity(
+            algebra_entity("b", "Q", heisenberg(rationals()))))
+        rc, out = run_cli(capsys, "catalog", "heisenberg", "--name", "c")
+        assert rc == 0 and '"name": "c"' in out
+        assert run_cli(capsys, "check", "a", "--manifest", one)[0] == 0
+        # the second call sees two.jsonl only, not the first call's file
+        assert run_cli(capsys, "check", "a", "--manifest", two)[0] == 2
+        assert run_cli(capsys, "check", "b", "--manifest", two)[0] == 0
+        assert run_cli(capsys, "check", "b")[0] == 2
+
     def test_over_long_json_integer_exits_two(self, capsys, tmp_path):
         path = write_lines(tmp_path, "m.jsonl",
                            '{"name": "a", "field": "Q", "dim": 1%s, '

@@ -17,7 +17,6 @@ from lieforms.fields import (
     Automorphism,
     FieldElement,
     FieldTower,
-    _apply_image,
     coords_over,
     cyclotomic_field,
     eval_poly_at,
@@ -39,6 +38,7 @@ from lieforms.fields import (
 )
 from lieforms.polynomials import (
     LITERAL_EXPONENT_CAP,
+    QUADRATIC_RADICAND_CAP,
     Polynomial,
     poly_ext_gcd,
 )
@@ -177,6 +177,32 @@ def test_reducible_minpoly_rejected():
     m = Polynomial.from_rationals(Q, [-1, 0, 1])
     with pytest.raises(DegenerateError):
         field_extend(Q, m, "x", [(0, 1)])
+
+
+def test_quadratic_radicand_cap():
+    # 10^10 - 2 = 2 * 4999999999 is squarefree
+    K = quadratic_field(-(QUADRATIC_RADICAND_CAP - 2))
+    assert K.minpoly.coeff(0) == QUADRATIC_RADICAND_CAP - 2
+    for d in (QUADRATIC_RADICAND_CAP + 1, 2 ** 61 - 1, -(10 ** 5000)):
+        with pytest.raises(DegenerateError, match="<= %d"
+                           % QUADRATIC_RADICAND_CAP):
+            quadratic_field(d)
+
+
+def test_quadratic_irreducibility_by_discriminant():
+    p = 2 ** 61 - 1
+    K = field_extend(Q, Polynomial.from_rationals(Q, [-p, 0, 1]), "b",
+                     [(0, 1), (0, -1)])
+    assert K.generator() ** 2 == K.from_rational(p)
+    # (t - p)(t + 3/2) and (t - 1/p)^2 split over Q
+    for coeffs in ([Fraction(-3 * p, 2), Fraction(3, 2) - p, 1],
+                   [Fraction(1, p * p), Fraction(-2, p), 1]):
+        with pytest.raises(DegenerateError, match="reducible over Q"):
+            field_extend(Q, Polynomial.from_rationals(Q, coeffs), "b",
+                         [(0, 1)])
+    K = field_extend(Q, Polynomial.from_rationals(Q, [Fraction(1, 2), 1, 1]),
+                     "w", [(0, 1), (-1, -1)])
+    assert K.degree == 2
 
 
 def test_two_level_tower():
@@ -449,10 +475,31 @@ def test_automorphism_matrices_match_horner(name):
     sigmas = E.automorphisms()
     for x in samples:
         for sigma in sigmas:
-            assert sigma(x) == _apply_image(x.coords, sigma.image)
+            assert sigma(x) == apply_image(x.coords, sigma.image)
             for tau in sigmas:
                 k = E.aut_table[sigma.index][tau.index]
                 assert sigma(tau(x)) == sigmas[k](x)
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TOWERS))
+def test_tower_hash_covers_the_automorphisms(name):
+    E = FLAT_TOWERS[name]()
+    key = E.structure_key()
+    assert key[3] == tuple((im.num, im.den) for im in E.aut_images)
+    assert hash(E) == hash(key)
+    # the same minimal polynomial with only the identity is another tower
+    F = field_extend(E.base, E.minpoly, E.gen_name, [(0, 1)])
+    assert F != E and hash(F) == hash(F.structure_key())
+
+
+def apply_image(coords, image):
+    """sum of coords[k] * image**k by Horner's rule (coords one level down):
+    the reference value of an automorphism sending the generator to image."""
+    E = image.field
+    acc = E.zero()
+    for c in reversed(coords):
+        acc = acc * image + lift_to(c, E)
+    return acc
 
 
 def assert_canonical(x, ref=None):
