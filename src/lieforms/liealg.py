@@ -179,6 +179,15 @@ class LieAlgebra:
         if v.algebra is not self and v.algebra != self:
             raise OwnerMismatchError("vector belongs to a different algebra")
 
+    def _touching(self) -> dict:
+        """m -> [(i, entry, negate)] over the stored brackets, with
+        [e_i, e_m] = entry, negated when negate is set."""
+        touching: dict = {}
+        for (i, j), entry in self.brackets.items():
+            touching.setdefault(j, []).append((i, entry, False))
+            touching.setdefault(i, []).append((j, entry, True))
+        return touching
+
     # ------------------------------------------------------------ validation
 
     def _validate_jacobi(self) -> None:
@@ -192,11 +201,7 @@ class LieAlgebra:
         to zero; the first failing triple in lexicographic order is raised.
         """
         brackets = self.brackets
-        # m -> [(i, entry, negate)] with [e_i, e_m] = -entry if negate
-        touching: dict = {}
-        for (i, j), entry in brackets.items():
-            touching.setdefault(j, []).append((i, entry, False))
-            touching.setdefault(i, []).append((j, entry, True))
+        touching = self._touching()
         sums: dict = {}
         for (j, k), inner in brackets.items():
             for m, c in inner.items():
@@ -467,32 +472,86 @@ def center_rows(L: LieAlgebra) -> tuple[list, list]:
     return linalg.rref(null, L.field)
 
 
-def is_ideal(L: LieAlgebra, rows) -> bool:
-    """True when span(rows) is an ideal of L."""
+def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
+    """acc -= f * row over sparse {index: coeff} dicts, leaving out index
+    skip and dropping the entries that cancel."""
+    for k, v in row.items():
+        if k == skip:
+            continue
+        cur = acc.get(k)
+        nv = -(f * v) if cur is None else cur - f * v
+        if nv.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
+
+
+def _echelon(L: LieAlgebra, rows) -> tuple[list, list]:
+    """The reduced echelon basis of span(rows) as sparse rows, and its
+    pivot columns."""
     red, pivots = linalg.rref([list(r) for r in rows], L.field)
-    basis = linalg.identity_matrix(L.field, L.dim)
-    for e in basis:
-        for w in red:
-            v = L.bracket_coords(e, w)
-            if linalg.express_in_rows(red, pivots, v, L.field) is None:
+    return [_support(r) for r in red], pivots
+
+
+def _span_coords(v: dict, rows: list, pivots: list) -> Optional[dict]:
+    """The nonzero coordinates {t: c} of a sparse v in reduced echelon rows,
+    or None when v lies outside their span.  The rows vanish at each
+    other's pivots, so c is v's entry at pivot t."""
+    residual = {k: c for k, c in v.items() if not c.is_zero()}
+    coords = {}
+    for t, (row, col) in enumerate(zip(rows, pivots)):
+        c = residual.get(col)
+        if c is not None:
+            coords[t] = c
+            _sub_scaled(residual, c, row)
+    return None if residual else coords
+
+
+def is_ideal(L: LieAlgebra, rows) -> bool:
+    """True when span(rows) is an ideal of L.
+
+    [e_i, w] is expanded for every i at once over the support of each
+    basis row w, through the stored brackets that involve it, and reduced
+    against the sparse echelon rows.
+    """
+    red, pivots = _echelon(L, rows)
+    touching = L._touching()
+    for w in red:
+        images: dict = {}  # i -> [e_i, w]
+        for b, x in w.items():
+            for i, entry, negate in touching.get(b, ()):
+                acc = images.setdefault(i, {})
+                for k, c in entry.items():
+                    t = x * c
+                    prev = acc.get(k)
+                    if negate:
+                        acc[k] = -t if prev is None else prev - t
+                    else:
+                        acc[k] = t if prev is None else prev + t
+        for v in images.values():
+            if _span_coords(v, red, pivots) is None:
                 return False
     return True
 
 
 def restrict_to_span(L: LieAlgebra, rows,
                      labels: Optional[Sequence[str]] = None) -> LieAlgebra:
-    """The induced algebra on a bracket-closed subspace (echelonized rows)."""
-    red, pivots = linalg.rref([list(r) for r in rows], L.field)
+    """The induced algebra on a bracket-closed subspace (echelonized rows).
+
+    Each bracket of two basis rows is expanded over their supports and
+    read off the sparse echelon rows at their pivots.
+    """
+    red, pivots = _echelon(L, rows)
     brackets = {}
     for a in range(len(red)):
         for b in range(a + 1, len(red)):
-            w = L.bracket_coords(red[a], red[b])
-            coords = linalg.express_in_rows(red, pivots, w, L.field)
+            acc: dict = {}
+            L._add_bracket(acc, red[a], red[b])
+            coords = _span_coords(acc, red, pivots)
             if coords is None:
                 raise DegenerateError("span is not closed under the bracket")
-            entry = {k: c for k, c in enumerate(coords) if not c.is_zero()}
-            if entry:
-                brackets[(a, b)] = entry
+            if coords:
+                brackets[(a, b)] = coords
     return LieAlgebra(L.field, len(red), brackets, labels)
 
 

@@ -350,18 +350,6 @@ def _to_int_primitive(a: list[Fraction]):
     return ints, Fraction(sign * g, den)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 # ------------------------------------------------------------ mod-p layer
 
 def _pmod_trim(a, p):
@@ -617,17 +605,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     n = len(f) - 1
     if n == 1:
         return [list(f)]
-    deriv = _trim([k * c for k, c in enumerate(f)][1:])
-    p = 2
-    while True:
-        p = _next_prime(p)
-        if f[-1] % p == 0:
-            continue
-        fp = _pmod_trim(f, p)
-        if len(fp) - 1 != n:
-            continue
-        if len(_pgcd(fp, _pmod_trim(deriv, p), p)) - 1 == 0:
-            break
+    p, fp = _good_prime(f)
     monic_fp = _pmul(fp, [pow(fp[-1], -1, p)], p)
     modular = _berlekamp(monic_fp, p)
     if len(modular) == 1:
@@ -666,6 +644,62 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
         rem_prim, _ = _to_int_primitive([Fraction(c) for c in remaining])
         result.append(rem_prim)
     return result
+
+
+def _good_prime(f: list[int]):
+    """The first prime p dividing neither lc(f) nor the discriminant of
+    the squarefree integer polynomial f, and f modulo p: f keeps its
+    degree and stays squarefree modulo p."""
+    n = len(f) - 1
+    deriv = _trim([k * c for k, c in enumerate(f)][1:])
+    p = 2
+    while True:
+        p = _next_prime(p)
+        if f[-1] % p == 0:
+            continue
+        fp = _pmod_trim(f, p)
+        if len(fp) - 1 != n:
+            continue
+        if len(_pgcd(fp, _pmod_trim(deriv, p), p)) - 1 == 0:
+            return p, fp
+
+
+def _eval_mod(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _integer_roots(f: list[int]) -> list[Fraction]:
+    """The rational roots of a squarefree integer polynomial f of degree
+    >= 1, found without enumerating the divisors of its coefficients.
+
+    Modulo a good prime p (see _good_prime) every rational root s reduces
+    to a simple root of f, and s is p-adic since its denominator divides
+    lc(f).  Each root modulo p is lifted by Newton's iteration to a
+    modulus m of at least twice the coefficient bound, which exceeds
+    2|lc(f) s|, so lc(f) s is the symmetric residue of lc(f) times the
+    lift.  A candidate is kept only when it is an exact root.
+    """
+    if len(f) == 2:
+        return [Fraction(-f[0], f[1])]
+    p, fp = _good_prime(f)
+    deriv = [k * c for k, c in enumerate(f)][1:]
+    bound = 2 * _factor_bound(f)
+    roots = []
+    for r in range(p):
+        if _eval_mod(fp, r, p):
+            continue
+        m = p
+        while m < bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(deriv, r, m), -1, m)
+                 ) % m
+        cand = Fraction(_sym(f[-1] * r, m), f[-1])
+        if _feval(f, cand) == 0:
+            roots.append(cand)
+    return roots
 
 
 def _next_prime(p: int) -> int:
@@ -747,7 +781,7 @@ def _factor_squarefree(a: list[Fraction]) -> list[list[Fraction]]:
     """Factor a monic squarefree rational polynomial; returns monic factors."""
     out = []
     work = list(a)
-    for r in rational_roots_list(work):
+    for r in _integer_roots(_to_int_primitive(work)[0]):
         work = _fdivmod(work, [-r, Fraction(1)])[0]
         out.append([-r, Fraction(1)])
     deg = len(work) - 1
@@ -764,7 +798,9 @@ def _factor_squarefree(a: list[Fraction]) -> list[list[Fraction]]:
 
 
 def rational_roots_list(cs: list[Fraction]) -> list[Fraction]:
-    """Distinct rational roots of a coefficient list (internal helper)."""
+    """Distinct rational roots of a coefficient list, ascending (internal
+    helper): 0 when the constant vanishes, then the rational roots of the
+    squarefree part."""
     roots = []
     work = _trim(list(cs))
     if not work or len(work) - 1 < 1:
@@ -774,14 +810,8 @@ def rational_roots_list(cs: list[Fraction]) -> list[Fraction]:
         while work and work[0] == 0:
             work = work[1:]
     if len(work) - 1 >= 1:
-        ints, _ = _to_int_primitive(work)
-        seen = set(roots)
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand not in seen and _feval(work, cand) == 0:
-                        roots.append(cand)
-                        seen.add(cand)
+        work = _fdivmod(work, _fgcd(work, _fderiv(work)))[0]
+        roots.extend(_integer_roots(_to_int_primitive(work)[0]))
     return sorted(roots)
 
 

@@ -483,6 +483,31 @@ class TestCommandLine:
             assert rc == 2 and err.startswith("error:") and message in err
             assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("minpoly, rc, message", [
+        # t^3 - (2^61 - 1): irreducible, proved without a divisor scan
+        (["-2305843009213693951", "0", "0", "1"], 0, ""),
+        # (t - (2^61 - 1)) (t^2 + 1)
+        (["-2305843009213693951", "1", "-2305843009213693951", "1"], 2,
+         "minimal polynomial is reducible over Q"),
+    ], ids=["irreducible", "reducible"])
+    def test_cubic_field_with_large_constant_loads_quickly(
+            self, capsys, tmp_path, minpoly, rc, message):
+        field = {"name": "K", "base": "Q", "gen": "t", "minpoly": minpoly,
+                 "automorphisms": [["0", "1", "0"]]}
+        path = write_lines(tmp_path, "k.jsonl", json.dumps(field))
+        start = time.perf_counter()
+        code = cli.main(["catalog", "heisenberg", "--field", "K",
+                         "--manifest", path])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == rc
+        if rc == 0:
+            assert json.loads(captured.out)["field"] == "K"
+        else:
+            assert captured.err.startswith("error:")
+            assert message in captured.err
+        assert elapsed < 2.0, elapsed
+
     @pytest.mark.parametrize("name, valid", [
         ("check", ["a"]), ("conjugate", ["a", "--sigma", "id", "--name", "b"]),
         ("restrict", ["a", "--to", "Q"]), ("extend", ["a", "--to", "Q(i)"]),

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieforms import decompose as decompose_module
 from lieforms import linalg
 from lieforms.errors import (
     DegenerateError,
@@ -39,14 +40,20 @@ from lieforms.catalog import (
     heisenberg,
     nintot_family,
     r3_lambda,
+    r3_lambda_plus_abelian,
 )
 from lieforms.decompose import (
     CERTIFIED,
     HEURISTIC,
     AssocAlgebra,
     _block_centroid,
+    _certify_local,
+    _dense,
+    _derived_echelon,
     _lifted_idempotent,
     _nilpotent_span,
+    _sparse,
+    _square_zero,
     centroid,
     centroid_basis,
     count_forms,
@@ -544,6 +551,178 @@ class TestNilpotentSpan:
         assert product_chain_nilpotent([N], Q) is False
 
 
+def sl2_dual_numbers(field):
+    """sl2 (x) Q[t]/(t^2) on h, e, f, th, te, tf: [x, ty] = [tx, y] =
+    t[x, y] and t^2 = 0.  It is perfect, so [L, L] = L, and its centroid
+    is Q[t]/(t^2), whose radical t does not kill [L, L]."""
+    brackets = {}
+    for (i, j), comps in sl2(field).brackets.items():
+        brackets[(i, j)] = comps
+        brackets[(i, j + 3)] = {k + 3: c for k, c in comps.items()}
+        brackets[(j, i + 3)] = {k + 3: -c for k, c in comps.items()}
+    return LieAlgebra(field, 6, brackets)
+
+
+def certify_local_calls(monkeypatch, L):
+    """Decompose L, recording the arguments of every _certify_local call
+    with the piece replaced by its [L, L]: (field, n, sparse centroid
+    basis, radical vectors, echelon basis of [L, L], detail)."""
+    calls = []
+    original = decompose_module._certify_local
+
+    def recording(field, n, mats, null, owner, detail):
+        calls.append((field, n, mats, null, _derived_echelon(owner), detail))
+        return original(field, n, mats, null, owner, detail)
+
+    monkeypatch.setattr(decompose_module, "_certify_local", recording)
+    return decompose_indecomposable(L), calls
+
+
+def radical_matrices(field, n, mats, null):
+    """Dense radical elements, summed entry by entry from the sparse basis
+    at each nullspace vector."""
+    out = []
+    for v in null:
+        M = [[field.zero()] * n for _ in range(n)]
+        for t, c in v.items():
+            for r, row in mats[t].items():
+                for k, x in row.items():
+                    M[r][k] = M[r][k] + c * x
+        out.append(M)
+    return out
+
+
+def radical_proof_cases():
+    """Every catalog family and sums of them over Q and Q(i), in the
+    catalog basis, reversed, and under a seeded invertible basis change
+    that is not unitriangular.  The flag says whether some piece has a
+    nilpotent, non-scalar centroid and so reaches _certify_local."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        two = field.from_rational(2)
+        algebras = [
+            ("h3", heisenberg(field), True),
+            ("g_lambda", g_lambda(field, lam), True),
+            ("r3+g1+ab1", direct_sum(r3_lambda(field, lam),
+                                     g1_alpha(field, two),
+                                     abelian(field, 1)), False),
+            ("r3+ab1+h3", direct_sum(r3_lambda_plus_abelian(field, lam),
+                                     heisenberg(field)), True),
+            ("h3+h3", direct_sum(heisenberg(field), heisenberg(field)),
+             True),
+            ("g1+ab2+h3", direct_sum(g1_alpha(field, two), abelian(field, 2),
+                                     heisenberg(field)), True),
+        ]
+        if fname == "Q(i)":
+            algebras.append(("g_lambda+h3", direct_sum(g_lambda(field, lam),
+                                                       heisenberg(field)),
+                             True))
+            algebras.append(("nintot(2,1)", nintot_family(field, lam, 2, 1),
+                             True))
+        else:
+            algebras.append(("restricted h3", restrict_scalars(
+                heisenberg(Qi), Q).algebra, True))
+        for seed, (name, L, reaches) in enumerate(algebras):
+            out.append(("%s/%s" % (fname, name), L, reaches))
+            if L.dim > 13:
+                continue
+            out.append(("%s/%s*reversed" % (fname, name),
+                        change_basis(L, reversal(L.dim)), reaches))
+            out.append(("%s/%s*P%d" % (fname, name, seed),
+                        change_basis(L, invertible(field, L.dim, seed,
+                                                   L.dim)), reaches))
+    return out
+
+
+RADICAL_PROOF_CASES = radical_proof_cases()
+
+
+class TestSquareZeroRadical:
+    """_certify_local proves the radical R nilpotent by checking that it
+    kills [L, L] and maps L into [L, L], so that R^2 = 0; the image chain
+    of _nilpotent_span is the fallback."""
+
+    @pytest.mark.parametrize("name, L, reaches", RADICAL_PROOF_CASES,
+                             ids=[c[0] for c in RADICAL_PROOF_CASES])
+    def test_agrees_with_the_image_chain(self, monkeypatch, name, L,
+                                         reaches):
+        d, calls = certify_local_calls(monkeypatch, L)
+        assert d.verified and d.all_certified
+        assert bool(calls) == reaches
+        for field, n, mats, null, derived, _detail in calls:
+            rad = radical_matrices(field, n, mats, null)
+            assert _square_zero(mats, null, derived) is True
+            assert _nilpotent_span(field, rad) is True
+            zero = [[field.zero()] * n for _ in range(n)]
+            for A in rad:
+                for B in rad:
+                    assert mat_equal(linalg.mat_mul(A, B, field), zero)
+
+    @pytest.mark.parametrize("field", [rationals(), gaussian_rationals()],
+                             ids=["Q", "Q(i)"])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_perfect_algebra_falls_back_to_the_image_chain(
+            self, monkeypatch, field, seed):
+        L = sl2_dual_numbers(field)
+        if seed is not None:
+            L = change_basis(L, invertible(field, 6, seed, 6))
+        d, calls = certify_local_calls(monkeypatch, L)
+        assert len(d) == 1 and d.certificates == (CERTIFIED,)
+        assert d.summands[0].detail == \
+            "centroid is local: nilpotent radical of codimension one"
+        assert len(calls) == 1
+        field, n, mats, null, derived, _detail = calls[0]
+        assert len(mats) == 2 and len(null) == 1
+        assert len(derived) == 6  # [L, L] = L
+        assert _square_zero(mats, null, derived) is False
+        assert _nilpotent_span(field, radical_matrices(field, n, mats,
+                                                       null)) is True
+
+    @pytest.mark.parametrize("entries, square_zero", [
+        ({(2, 0): 1, (2, 1): 3}, True),   # L -> Z, kills Z
+        ({(1, 0): 1}, False),             # kills Z, but X -> Y leaves [L, L]
+        ({(2, 2): 1}, False),             # Z -> Z stays in [L, L], kills no Z
+        ({(2, 0): 1, (2, 2): -2}, False),
+        ({}, True),
+    ], ids=["both", "kills-only", "into-only", "into-only-mixed", "zero"])
+    def test_each_half_is_checked(self, entries, square_zero):
+        Q = rationals()
+        L = heisenberg(Q)  # [X, Y] = Z, so [L, L] = span(Z)
+        M = {}
+        for (r, c), x in entries.items():
+            M.setdefault(r, {})[c] = Q.from_rational(x)
+        derived = _derived_echelon(L)
+        assert _square_zero([M], [{0: Q.one()}], derived) is square_zero
+
+    def test_certify_local_needs_one_of_the_proofs(self):
+        # X -> Z is square-zero; Z -> Z is idempotent, so neither the
+        # square-zero check nor the image chain proves it nilpotent
+        Q = rationals()
+        o = Q.one()
+        detail = "centroid is local: nilpotent radical of codimension one"
+        for mats, owner, cert in (
+                ([{2: {0: o}}], heisenberg(Q), CERTIFIED),
+                ([{2: {0: o}}], None, CERTIFIED),
+                ([{2: {2: o}}], heisenberg(Q), HEURISTIC),
+                ([{2: {2: o}}], None, HEURISTIC)):
+            got, _ = _certify_local(Q, 3, mats, [{0: o}], owner, detail)
+            assert got == cert
+
+    def test_the_check_is_linear_in_the_basis(self):
+        # each basis matrix maps X -> Y, outside [L, L]; their difference
+        # maps X -> Z and passes
+        Q = rationals()
+        o = Q.one()
+        mats = [{1: {0: o}, 2: {0: o}}, {1: {0: o}}]
+        derived = _derived_echelon(heisenberg(Q))
+        assert _square_zero(mats, [{0: o, 1: -o}], derived) is True
+        assert _square_zero(mats, [{0: o}], derived) is False
+        assert _square_zero(mats, [{0: o, 1: -o}, {1: o}], derived) is False
+        assert _square_zero(mats, [], derived) is True
+
+
 class TestMinpolyAndRoots:
     def test_minpoly_examples(self):
         Q = rationals()
@@ -650,7 +829,8 @@ class TestLiftIdempotent:
         e0 = [[a - b for a, b in zip(ri, rx)]
               for ri, rx in zip(linalg.identity_matrix(field, 6), x)]
         assert not mat_equal(linalg.mat_mul(e0, e0, field), e0)
-        e = _lifted_idempotent((S, T), x, field)
+        e = _dense(_lifted_idempotent((S, T), _sparse(x, field), 6, field),
+                   6, field)
         assert mat_equal(linalg.mat_mul(e, e, field), e)
         assert in_centroid(L, e)
         # the lift is the second block projection

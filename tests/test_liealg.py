@@ -225,6 +225,133 @@ def test_restrict_to_span():
         restrict_to_span(L, bad)
 
 
+def dense_is_ideal(L, rows):
+    """Reference: [e_i, w] in dense coordinates for every basis vector e_i
+    and echelon row w, each tested by express_in_rows."""
+    red, pivots = linalg.rref([list(r) for r in rows], L.field)
+    basis = linalg.identity_matrix(L.field, L.dim)
+    for e in basis:
+        for w in red:
+            v = L.bracket_coords(e, w)
+            if linalg.express_in_rows(red, pivots, v, L.field) is None:
+                return False
+    return True
+
+
+def dense_restrict_to_span(L, rows, labels=None):
+    """Reference: dense brackets of the echelon rows, expressed in them."""
+    red, pivots = linalg.rref([list(r) for r in rows], L.field)
+    brackets = {}
+    for a in range(len(red)):
+        for b in range(a + 1, len(red)):
+            w = L.bracket_coords(red[a], red[b])
+            coords = linalg.express_in_rows(red, pivots, w, L.field)
+            if coords is None:
+                raise DegenerateError("span is not closed under the bracket")
+            entry = {k: c for k, c in enumerate(coords) if not c.is_zero()}
+            if entry:
+                brackets[(a, b)] = entry
+    return LieAlgebra(L.field, len(red), brackets, labels)
+
+
+def seeded_invertible(field, n, seed):
+    """A seeded dense invertible matrix with small integer entries, plus a
+    multiple of the generator over an extension."""
+    rng = random.Random(seed)
+    while True:
+        P = [[field.from_rational(rng.randint(-2, 2)) for _ in range(n)]
+             for _ in range(n)]
+        if not field.is_rationals:
+            P[0][n - 1] = P[0][n - 1] + field.generator()
+        if linalg.rank(P, field) == n:
+            return P
+
+
+def span_cases():
+    """(name, L, rows): ideals, subalgebras that are not ideals, spans not
+    closed under the bracket, dependent and empty row lists, over Q and
+    Q(i), in the catalog basis and re-based by a dense P."""
+    out = []
+    for fname, field in (("Q", Q), ("Q(i)", QI)):
+        lam = field.from_rational(3) if field is Q else 1 + QI.generator()
+        blocks = {
+            "h3": (heis(field), []),
+            "sl2": (sl2(field), []),
+            "g_lambda": (g_lambda(field, lam), []),
+            "h3+h3": (direct_sum(heis(field), heis(field)),
+                      [range(3), range(3, 6)]),
+            "r3ab+g1": (direct_sum(r3_lambda_plus_abelian(field, lam),
+                                   g1_alpha(field, 2)),
+                        [range(3), range(3, 4), range(4, 8)]),
+        }
+        for seed, (name, (L, summands)) in enumerate(blocks.items()):
+            n = L.dim
+            P = seeded_invertible(field, n, seed)
+            Pinv = linalg.inverse(P, field)
+            for basis, M, to_coords in (
+                    ("", L, lambda v: v),
+                    ("*P", change_basis(L, P),
+                     lambda v: linalg.mat_vec(Pinv, v, field))):
+                ident = linalg.identity_matrix(field, n)
+                rng = random.Random("%s%s%s" % (fname, name, basis))
+                spans = {
+                    "center": center_rows(M)[0],
+                    "derived": commutator_rows(M)[0],
+                    "whole": ident,
+                    "empty": [],
+                    "line": [to_coords(ident[0])],
+                    "plane": [to_coords(ident[0]), to_coords(ident[1])],
+                    "dependent": [to_coords(ident[1]), to_coords(ident[1]),
+                                  to_coords(ident[n - 1])],
+                }
+                for t, block in enumerate(summands):
+                    spans["summand%d" % t] = [to_coords(ident[k])
+                                              for k in block]
+                for t in range(3):
+                    spans["random%d" % t] = [
+                        [field.from_rational(rng.randint(-1, 1))
+                         for _ in range(n)]
+                        for _ in range(rng.randint(1, n - 1))]
+                for sname, rows in spans.items():
+                    out.append(("%s/%s%s/%s" % (fname, name, basis, sname),
+                                M, rows))
+    return out
+
+
+SPAN_CASES = span_cases()
+
+
+@pytest.mark.parametrize("name, L, rows", SPAN_CASES,
+                         ids=[c[0] for c in SPAN_CASES])
+def test_sparse_span_checks_match_the_dense_references(name, L, rows):
+    assert is_ideal(L, rows) == dense_is_ideal(L, rows)
+    labels = tuple("W%d" % t for t in range(linalg.rank(rows, L.field)))
+    try:
+        want = dense_restrict_to_span(L, rows, labels)
+    except DegenerateError as exc:
+        with pytest.raises(DegenerateError) as info:
+            restrict_to_span(L, rows, labels)
+        assert str(info.value) == str(exc)
+        return
+    got = restrict_to_span(L, rows, labels)
+    assert got.dim == want.dim and got.labels == want.labels
+    assert [(key, list(entry.items())) for key, entry in got.brackets.items()
+            ] == [(key, list(entry.items()))
+                  for key, entry in want.brackets.items()]
+
+
+def test_span_cases_cover_each_kind():
+    kinds = {"ideal": 0, "subalgebra only": 0, "not closed": 0}
+    for _, L, rows in SPAN_CASES:
+        try:
+            dense_restrict_to_span(L, rows)
+        except DegenerateError:
+            kinds["not closed"] += 1
+            continue
+        kinds["ideal" if dense_is_ideal(L, rows) else "subalgebra only"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_vector_owner_checks():
     L1, L2 = heis(), sl2()
     v = L1.vector([1, 0, 0])

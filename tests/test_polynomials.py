@@ -146,3 +146,62 @@ def test_rational_roots_of_zero_polynomial_raises():
     with pytest.raises(DegenerateError):
         rational_roots(Polynomial.zero(Q))
     assert rational_roots(poly(5)) == []
+
+
+def divisor_roots(cs):
+    """Reference rational root test: every +-u/v with u dividing the
+    constant and v the leading coefficient of the integer polynomial,
+    after zero roots are split off."""
+    from math import isqrt, lcm
+
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    roots = set()
+    if cs[0] == 0:
+        roots.add(Fraction(0))
+        while cs[0] == 0:
+            cs = cs[1:]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small]
+
+    for u in divisors(ints[0]):
+        for v in divisors(ints[-1]):
+            for r in (Fraction(u, v), Fraction(-u, v)):
+                if sum(c * r ** k for k, c in enumerate(cs)) == 0:
+                    roots.add(r)
+    return sorted(roots)
+
+
+def test_rational_roots_match_the_divisor_test():
+    import random
+
+    rng = random.Random(20261018)
+    for trial in range(40):
+        p = poly(rng.choice((1, 2, 3, -4)))
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.6:
+                root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                p = p * poly(-root, 1) ** rng.randint(1, 2)
+            else:
+                p = p * poly(rng.randint(1, 5), rng.randint(-2, 2), 1)
+        cs = [c.rational_value() for c in p.coeffs]
+        assert rational_roots(p) == divisor_roots(cs), (trial, cs)
+
+
+def test_rational_roots_above_the_factor_cap_and_of_large_constants():
+    # degree 21: above FACTOR_DEGREE_CAP, still answered
+    p = Polynomial.one(Q)
+    for r in range(-3, 4):
+        p = p * poly(Fraction(-r, 2), 1) * poly(1, 0, 1)
+    assert p.degree == 21
+    assert rational_roots(p) == [Fraction(r, 2) for r in range(-3, 4)]
+    big = 2 ** 61 - 1
+    p = poly(-big, 1) * poly(5, 3) * poly(1, 0, 1)
+    assert rational_roots(p) == [Fraction(-5, 3), Fraction(big)]
+    assert rational_roots(poly(-big, 0, 0, 1)) == []
