@@ -3,15 +3,18 @@
 Direct summands of a Lie algebra correspond to idempotents of its centroid,
 the associative algebra of linear maps M with M[x,y] = [Mx,y] = [x,My] for
 all x and y.  The pipeline here computes the centroid as the commutant of
-ad(L), in a basis adapted to [L, L] (a complement of coordinate vectors,
-then the reduced echelon basis of [L, L]) where the structure constants
-are sparse whatever basis L came in, and maps the result back.  The
-commutant is solved one ad(e_j) at a time: the solution space left by the
-blocks so far is kept as a canonical basis (1 on its own free column, 0 on
-the others), each new block is solved in that basis's coordinates, and
-only the basis vectors its reduced rows name are rewritten.  The answer is
-that canonical basis in L's own coordinates, so it does not depend on the
-basis the system was solved in.  Each piece then takes one
+ad(L), on the table L keeps in a basis adapted to [L, L] (a complement of
+coordinate vectors, then the reduced echelon basis of [L, L]) where the
+structure constants are sparse whatever basis L came in, and maps the
+result back.  The commutant is solved one ad(e_j) at a time: the solution
+space left by the blocks so far is kept as a canonical basis (1 on its own
+free column, 0 on the others), each new block is solved in that basis's
+coordinates, and only the basis vectors its reduced rows name are
+rewritten.  The answer is that canonical basis in L's own coordinates, so
+it does not depend on the basis the system was solved in.  The centroid is
+solved once per decomposition: a summand I = e L of a piece takes the
+corner e C e of the piece's centroid C, restricted to I and put in the same
+canonical basis.  Each piece then takes one
 route through the radical quotient: the trace Gram of the centroid basis
 gives the Jacobson radical R as its nullspace and the small quotient by R
 through its pivot columns; a candidate whose minimal polynomial modulo R
@@ -72,7 +75,9 @@ from .polynomials import (
 from .liealg import (
     LieAlgebra,
     LinearMap,
+    _SparseReducer,
     _sub_scaled,
+    _support,
     fingerprint,
     is_ideal,
     direct_sum,
@@ -108,55 +113,6 @@ def _poly_apply(p: Polynomial, M, v, field):
         acc = linalg.mat_vec(M, acc, field)
         acc = [a + c * x for a, x in zip(acc, v)]
     return acc
-
-
-# --------------------------------------------------------- sparse reduction
-
-
-class _SparseReducer:
-    """Online echelon form over sparse rows keyed by column index."""
-
-    def __init__(self, field: FieldTower):
-        self.field = field
-        self.pivots: dict = {}
-
-    def add(self, row: dict) -> bool:
-        work = {c: v for c, v in row.items() if not v.is_zero()}
-        while work:
-            c = min(work)
-            piv = self.pivots.get(c)
-            if piv is None:
-                inv = work[c].inverse()
-                self.pivots[c] = {k: inv * v for k, v in work.items()}
-                return True
-            _sub_scaled(work, work.pop(c), piv, c)
-        return False
-
-    def reduce_fully(self) -> None:
-        """Eliminate pivot columns from all rows (descending pivot order)."""
-        for c in sorted(self.pivots, reverse=True):
-            row = self.pivots[c]
-            others = [k for k in row if k != c and k in self.pivots]
-            for k in others:
-                f = row.pop(k, None)
-                if f is None or f.is_zero():
-                    continue
-                _sub_scaled(row, f, self.pivots[k], k)
-
-    def nullspace(self, ncols: int) -> list:
-        self.reduce_fully()
-        one = self.field.one()
-        out = []
-        for free in range(ncols):
-            if free in self.pivots:
-                continue
-            vec = {free: one}
-            for c, row in self.pivots.items():
-                coef = row.get(free)
-                if coef is not None and not coef.is_zero():
-                    vec[c] = -coef
-            out.append(vec)
-        return out
 
 
 # ----------------------------------------------------------------- centroid
@@ -252,27 +208,22 @@ def centroid_basis(L: LieAlgebra) -> list:
 
     The centroid does not depend on the basis: written in the basis given
     by the columns of Q, L has centroid Q^-1 C(L) Q.  So the system is
-    solved in a basis adapted to D = [L, L]: e_c for the non-pivot columns
-    c of D's reduced echelon basis, ascending, then D's rows.  Every
-    bracket lands in D, so there it has at most dim D constants, however
-    dense it is in L's basis; the coordinates of a vector of D are its
-    entries at D's pivots.  Each solution M' is mapped back as Q M' Q^-1
-    and the span is put in canonical form: the reduced echelon basis with
-    the flat columns read in reverse, vector t being 1 on its own free
-    column f_t (its last nonzero flat entry, at flat index r*n + c for
-    entry M[r][c]), 0 on every other free column, sorted by f_t.  That is
-    the reduced echelon nullspace basis of the whole system in L's basis,
-    which _block_centroid gives when run on L itself.  When D is a
-    coordinate subspace, L is already adapted and is solved as it stands.
+    solved on L.adapted, L in the basis adapted to D = [L, L] that
+    L.adapted_basis names, where every bracket has at most dim D
+    constants, however dense it is in L's basis.  Each solution M' is
+    mapped back as Q M' Q^-1 and the span is put in canonical form (see
+    _canonical): the reduced echelon nullspace basis of the whole system
+    in L's basis, which _block_centroid gives when run on L itself.  When
+    D is a coordinate subspace, L is already adapted and is solved as it
+    stands.
     """
     n, field = L.dim, L.field
     if n == 0:
         raise DegenerateError("centroid of a zero-dimensional algebra")
-    derived = _derived_echelon(L)
-    if all(len(row) == 1 for row in derived.values()):
+    if L.adapted is None:
         basis = _block_centroid(L)
     else:
-        basis = _adapted_centroid(L, derived)
+        basis = _adapted_centroid(L)
     out = []
     for vec in basis:
         flat = [field.zero()] * (n * n)
@@ -282,69 +233,56 @@ def centroid_basis(L: LieAlgebra) -> list:
     return out
 
 
-def _derived_echelon(L: LieAlgebra) -> dict:
-    """The reduced echelon basis of [L, L]: each pivot column mapped to its
-    sparse row, which is 1 there and 0 at the other pivots."""
-    derived = _SparseReducer(L.field)
-    for comps in L.brackets.values():
-        derived.add(comps)
-    derived.reduce_fully()
-    return derived.pivots
+def _canonical(field, n, flats) -> list:
+    """The canonical basis of the span of n-by-n matrices given as sparse
+    flat vectors (entry M[r][c] at r*n + c): the reduced echelon basis with
+    the flat columns read in reverse, vector t being 1 on its own free
+    column f_t (its last nonzero flat entry), 0 on every other free
+    column, sorted by f_t.  It depends only on the span."""
+    last = n * n - 1
+    red = _SparseReducer(field)
+    for flat in flats:
+        red.add({last - k: v for k, v in flat.items()})
+    red.reduce_fully()
+    return [{last - k: v for k, v in red.pivots[c].items()}
+            for c in sorted(red.pivots, reverse=True)]
 
 
-def _adapted_centroid(L: LieAlgebra, derived: dict) -> list:
-    """The canonical centroid basis of L, as sparse flat vectors, solved in
-    the basis adapted to [L, L]; derived maps each pivot column of [L, L]
-    to its reduced echelon row."""
+def _adapted_centroid(L: LieAlgebra) -> list:
+    """The canonical centroid basis of L, as sparse flat vectors, solved on
+    L.adapted and mapped back through the columns of Q."""
     n, field = L.dim, L.field
     one = field.one()
-    pivots = sorted(derived)
+    derived = L.derived
+    vecs = L.adapted_basis()  # columns of Q, in L's coordinates
     free = [c for c in range(n) if c not in derived]
     p = len(free)
-    # columns of Q, in L's coordinates
-    vecs = [{c: one} for c in free] + [derived[c] for c in pivots]
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            acc: dict = {}
-            L._add_bracket(acc, vecs[a], vecs[b])
-            entry = {}
-            for s, c in enumerate(pivots):
-                v = acc.get(c)
-                if v is not None and not v.is_zero():
-                    entry[p + s] = v
-            if entry:
-                brackets[(a, b)] = entry
-    adapted = LieAlgebra(field, n, brackets)
     # Q^-1 e_j, in the adapted coordinates
     inv_cols = [None] * n
     for t, c in enumerate(free):
         inv_cols[c] = {t: one}
-    for s, c in enumerate(pivots):
+    for s, c in enumerate(sorted(derived)):
         col = {p + s: one}
         for t, f in enumerate(free):
             v = derived[c].get(f)
             if v is not None:
                 col[t] = -v
         inv_cols[c] = col
-    last = n * n - 1
-    canonical = _SparseReducer(field)  # on flat columns read in reverse
-    for vec in _block_centroid(adapted):
+    flats = []
+    for vec in _block_centroid(L.adapted):
         neg_images: dict = {}  # u -> -(Q times column u of M'), L's coords
         for k, v in vec.items():
             _sub_scaled(neg_images.setdefault(k % n, {}), v, vecs[k // n])
-        row: dict = {}
+        flat: dict = {}
         for j in range(n):
             col: dict = {}  # column j of Q M' Q^-1
             for u, y in inv_cols[j].items():
                 if u in neg_images:
                     _sub_scaled(col, y, neg_images[u])
             for r, v in col.items():
-                row[last - (r * n + j)] = v
-        canonical.add(row)
-    canonical.reduce_fully()
-    return [{last - k: v for k, v in canonical.pivots[c].items()}
-            for c in sorted(canonical.pivots, reverse=True)]
+                flat[r * n + j] = v
+        flats.append(flat)
+    return _canonical(field, n, flats)
 
 
 def _block_centroid(L: LieAlgebra) -> list:
@@ -548,8 +486,8 @@ def _square_zero(mats, null, derived) -> bool:
     are linear in M, so each basis matrix gets one sparse defect vector,
     its images of D's echelon rows followed by its columns reduced modulo
     D, and each v must combine the defects to zero.  derived maps each
-    pivot column of D to its reduced echelon row, as _derived_echelon
-    gives it.
+    pivot column of D to its reduced echelon row, as LieAlgebra.derived
+    holds it.
     """
     defects: dict = {}
 
@@ -787,8 +725,7 @@ def _certify_local(field, n, mats, null, owner, detail):
     and maps owner into it; otherwise, and when the matrices come without
     a Lie algebra (owner None), by the chain of its images.
     """
-    if owner is not None and _square_zero(mats, null,
-                                          _derived_echelon(owner)):
+    if owner is not None and _square_zero(mats, null, owner.derived):
         return CERTIFIED, detail
     if _nilpotent_span(field, _radical_matrices(field, n, mats, null)):
         return CERTIFIED, detail
@@ -796,10 +733,10 @@ def _certify_local(field, n, mats, null, owner, detail):
                        "be verified")
 
 
-def _split_or_certify(field, mats, owner):
-    """A nontrivial idempotent of the unital matrix algebra A spanned by
-    mats, found through the radical quotient, or a certificate that the
-    search ended without one.
+def _split_or_certify(field, n, mats, owner):
+    """A nontrivial idempotent of the unital algebra A of n-by-n matrices
+    spanned by the sparse mats, found through the radical quotient, or a
+    certificate that the search ended without one.
 
     The trace Gram G of the basis has the radical R as its nullspace; the
     basis matrices c_j at G's pivot columns span A/R, and the principal
@@ -807,16 +744,13 @@ def _split_or_certify(field, mats, owner):
     of any x in A are G_q^-1 (tr(x c_j))_j.  Each candidate x acts on A/R
     by a q-by-q left multiplication matrix whose minimal polynomial is
     that of x modulo R.  A coprime split of it is lifted to an exact
-    idempotent; an irreducible one of degree q proves A/R a field.  The
-    matrices are worked on as sparse rows.  owner is the Lie algebra whose
-    centroid A is, or None (see _certify_local).
+    idempotent; an irreducible one of degree q proves A/R a field.  owner
+    is the Lie algebra whose centroid A is, or None (see _certify_local).
 
     Returns (e, None, None) with e sparse, or (None, certificate, detail).
     """
     if len(mats) == 1:
         return None, CERTIFIED, "centroid consists of scalars"
-    n = len(mats[0])
-    mats = [_sparse(M, field) for M in mats]
     gram = _trace_gram(field, mats)
     piv, null = _gram_radical(field, gram)
     q = len(piv)
@@ -876,8 +810,10 @@ def find_idempotent(A):
     polynomial modulo the radical is lifted to an exact idempotent.  Every
     returned matrix satisfies e*e = e and is neither 0 nor the identity.
     """
-    e = _split_or_certify(A.field, A.matrices, None)[0]
-    return None if e is None else _dense(e, A.size, A.field)
+    field = A.field
+    mats = [_sparse(M, field) for M in A.matrices]
+    e = _split_or_certify(field, A.size, mats, None)[0]
+    return None if e is None else _dense(e, A.size, field)
 
 
 # ----------------------------------------------------------- decomposition
@@ -944,26 +880,72 @@ def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
     CertifiedIndecomposable when the centroid is proven local (scalars
     only, a quotient of dimension one, or a quotient that is a field, with
     the radical proven nilpotent) and HeuristicIndecomposable otherwise.
-    The returned decomposition always passes verify_decomposition.
+    The centroid is solved once, for L; each piece of a split takes its
+    parent's corner (_corner_centroid).  The returned decomposition always
+    passes verify_decomposition.
     """
-    ident = linalg.identity_matrix(L.field, L.dim)
+    field = L.field
+    one = field.one()
+    ident = linalg.identity_matrix(field, L.dim)
     pending = deque()
-    pending.append((L, [list(r) for r in ident]))
+    pending.append((L, [list(r) for r in ident],
+                    [_sparse(M, field) for M in centroid_basis(L)]))
     finished = []
     while pending:
-        piece, rows = pending.popleft()
-        e, cert, detail = _split_or_certify(piece.field,
-                                            centroid_basis(piece), piece)
+        piece, rows, mats = pending.popleft()
+        n = piece.dim
+        e, cert, detail = _split_or_certify(field, n, mats, piece)
         if e is None:
             finished.append(Summand(piece, _freeze_rows(rows), cert, detail))
             continue
-        img, ker = _split_rows(piece, _dense(e, piece.dim, piece.field))
-        sub_img = restrict_to_span(piece, img)
-        sub_ker = restrict_to_span(piece, ker)
-        pending.append((sub_img, _compose_rows(img, rows, piece.field)))
-        pending.append((sub_ker, _compose_rows(ker, rows, piece.field)))
+        img, ker = _split_rows(piece, _dense(e, n, field))
+        complement = _sp_sum(((one, {d: {d: one} for d in range(n)}),
+                              (-one, e)))
+        for part, proj in ((img, e), (ker, complement)):
+            pending.append((restrict_to_span(piece, part),
+                            _compose_rows(part, rows, field),
+                            _corner_centroid(field, mats, proj, part)))
     return Decomposition(L, tuple(finished),
                          verify_decomposition(L, [s.rows for s in finished]))
+
+
+def _corner_centroid(field, mats, proj, part) -> list:
+    """The centroid of a summand I of a piece L, from the centroid of L.
+
+    L = I + J with [I, J] = 0, and proj, the projection onto I along J,
+    lies in C(L).  Each proj M proj maps I into I and commutes with ad I,
+    and any map in C(I), extended by 0 on J, lies in C(L); so the
+    restrictions to I of proj M proj over the sparse basis mats of C(L)
+    span C(I).  part is I's reduced echelon basis (rows w_t in L's
+    coordinates, as restrict_to_span takes them), so a vector of I has as
+    coordinates its entries at their pivots, and entry (s, t) of a corner
+    is row pivot_s of proj, times M, times w_t.  The span is put in the
+    canonical form of centroid_basis, which is unique: the result is the
+    sparse form of centroid_basis of the piece, matrix for matrix.
+    """
+    rows = [_support(w) for w in part]
+    m = len(rows)
+    head = {}
+    for s, w in enumerate(rows):
+        row = proj.get(min(w))
+        if row is not None:
+            head[s] = row
+    cols: dict = {}  # column c -> {t: w_t[c]}
+    for t, w in enumerate(rows):
+        for c, x in w.items():
+            cols.setdefault(c, {})[t] = x
+    flats = []
+    for M in mats:
+        flats.append({s * m + t: v
+                      for s, row in _sp_mul(_sp_mul(head, M), cols).items()
+                      for t, v in row.items()})
+    out = []
+    for vec in _canonical(field, m, flats):
+        M = {}
+        for k in sorted(vec):
+            M.setdefault(k // m, {})[k % m] = vec[k]
+        out.append(M)
+    return out
 
 
 def _freeze_rows(rows):

@@ -2,9 +2,19 @@
 
 Structure constants are stored sparsely: brackets[(i, j)] maps k to the
 coefficient of e_k in [e_i, e_j], with 0-based i < j and only nonzero
-entries kept.  Reading (j, i) negates.  The Jacobi identity is validated
-eagerly at construction; a violation reports the offending basis triple
-(1-based, to match the external bracket format).
+entries kept.  Reading (j, i) negates.
+
+Each algebra reduces D = [L, L] once at construction, into sparse reduced
+echelon rows (``derived``).  When D is not a coordinate subspace it also
+builds its constants in the basis adapted to D (``adapted_basis``), where
+every bracket has at most dim D constants however dense the caller's
+basis is, and the Jacobi identity is validated on that table: Jacobi is
+trilinear, so it holds in one basis exactly when it holds in every basis.
+A violation is then looked up in the caller's own table, so it always
+reports the offending basis triple of the caller's basis (1-based, to
+match the external bracket format).  The centroid solve and the
+fingerprint read the same adapted table; the fingerprint is computed once
+per algebra.
 """
 
 from __future__ import annotations
@@ -37,10 +47,224 @@ def _support(coords: Sequence[FieldElement]) -> dict:
     return {k: c for k, c in enumerate(coords) if not c.is_zero()}
 
 
-class LieAlgebra:
-    """Immutable-by-convention Lie algebra over one field tower."""
+def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
+    """acc -= f * row over sparse {index: coeff} dicts, leaving out index
+    skip and dropping the entries that cancel."""
+    for k, v in row.items():
+        if k == skip:
+            continue
+        cur = acc.get(k)
+        nv = -(f * v) if cur is None else cur - f * v
+        if nv.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
 
-    __slots__ = ("field", "dim", "brackets", "labels", "meta")
+
+class _SparseReducer:
+    """Online echelon form over sparse rows keyed by column index."""
+
+    def __init__(self, field: FieldTower):
+        self.field = field
+        self.pivots: dict = {}
+
+    def add(self, row: dict) -> bool:
+        work = {c: v for c, v in row.items() if not v.is_zero()}
+        while work:
+            c = min(work)
+            piv = self.pivots.get(c)
+            if piv is None:
+                if len(work) == 1:
+                    self.pivots[c] = {c: self.field.one()}
+                else:
+                    inv = work[c].inverse()
+                    self.pivots[c] = {k: inv * v for k, v in work.items()}
+                return True
+            _sub_scaled(work, work.pop(c), piv, c)
+        return False
+
+    def reduce_fully(self) -> None:
+        """Eliminate pivot columns from all rows (descending pivot order)."""
+        for c in sorted(self.pivots, reverse=True):
+            row = self.pivots[c]
+            others = [k for k in row if k != c and k in self.pivots]
+            for k in others:
+                f = row.pop(k, None)
+                if f is None or f.is_zero():
+                    continue
+                _sub_scaled(row, f, self.pivots[k], k)
+
+    def nullspace(self, ncols: int) -> list:
+        """The reduced echelon nullspace basis, one sparse vector per free
+        column in ascending order, built in one pass over the nonzeros of
+        the pivot rows."""
+        self.reduce_fully()
+        one = self.field.one()
+        out = {free: {free: one} for free in range(ncols)
+               if free not in self.pivots}
+        for c, row in self.pivots.items():
+            for free, coef in row.items():
+                vec = out.get(free)
+                if vec is not None and not coef.is_zero():
+                    vec[c] = -coef
+        return list(out.values())
+
+
+def _add_bracket(brackets: dict, acc: dict, u: dict, v: dict) -> None:
+    """Add [u, v] into acc; u, v and acc are sparse {index: coeff} and
+    brackets is a table of stored constants.
+
+    The coefficient of [e_i, e_j] (i < j) is u_i v_j - u_j v_i, gathered
+    over the support pairs of u and v that have a stored bracket.
+    """
+    coeffs: dict = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            if a == b:
+                continue
+            key = (a, b) if a < b else (b, a)
+            if key not in brackets:
+                continue
+            t = x * y
+            prev = coeffs.get(key)
+            if a < b:
+                coeffs[key] = t if prev is None else prev + t
+            else:
+                coeffs[key] = -t if prev is None else prev - t
+    for key, coeff in coeffs.items():
+        if coeff.is_zero():
+            continue
+        for k, c in brackets[key].items():
+            t = coeff * c
+            prev = acc.get(k)
+            acc[k] = t if prev is None else prev + t
+
+
+def _touching(brackets: dict) -> dict:
+    """m -> [(i, entry, negate)] over the stored brackets, with
+    [e_i, e_m] = entry, negated when negate is set."""
+    touching: dict = {}
+    for (i, j), entry in brackets.items():
+        touching.setdefault(j, []).append((i, entry, False))
+        touching.setdefault(i, []).append((j, entry, True))
+    return touching
+
+
+def _ad_images(touching: dict, w: dict) -> dict:
+    """i -> [e_i, w] for every i at once, expanded over the support of the
+    sparse w through the stored brackets that involve it."""
+    images: dict = {}
+    for b, x in w.items():
+        for i, entry, negate in touching.get(b, ()):
+            acc = images.setdefault(i, {})
+            for k, c in entry.items():
+                t = x * c
+                prev = acc.get(k)
+                if negate:
+                    acc[k] = -t if prev is None else prev - t
+                else:
+                    acc[k] = t if prev is None else prev + t
+    return images
+
+
+def _check_jacobi(brackets: dict) -> None:
+    """Check the Jacobi identity on every triple a table reaches.
+
+    The sum for a triple a < b < c is [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]]
+    + [e_c,[e_a,e_b]].  Its nonzero terms come from a stored (j, k) ->
+    {m: c} and a stored [e_i, e_m] with i not in {j, k}: each adds
+    c*[e_i, e_m] to the triple sorted(i, j, k), negated when j < i < k
+    (the term is then [e_i, [e_k, e_j]]).  Triples no term reaches sum
+    to zero; the first failing triple in lexicographic order is raised.
+    """
+    touching = _touching(brackets)
+    sums: dict = {}
+    for (j, k), inner in brackets.items():
+        for m, c in inner.items():
+            for i, outer, negate in touching.get(m, ()):
+                if i < j:
+                    triple = (i, j, k)
+                elif j < i < k:
+                    triple = (j, i, k)
+                    negate = not negate
+                elif i > k:
+                    triple = (j, k, i)
+                else:
+                    continue
+                acc = sums.get(triple)
+                if acc is None:
+                    acc = sums[triple] = {}
+                for t, d in outer.items():
+                    cd = c * d
+                    cur = acc.get(t)
+                    if cur is None:
+                        acc[t] = -cd if negate else cd
+                    else:
+                        acc[t] = cur - cd if negate else cur + cd
+    failing = [triple for triple, acc in sums.items()
+               if any(not v.is_zero() for v in acc.values())]
+    if failing:
+        triple = min(failing)
+        bad = {m: v for m, v in sums[triple].items() if not v.is_zero()}
+        raise JacobiError(tuple(t + 1 for t in triple), bad)
+
+
+def _derived_rows(field: FieldTower, brackets: dict) -> dict:
+    """The reduced echelon basis of D = [L, L], spanned by the stored
+    brackets: each pivot column mapped to its sparse row, which is 1 there
+    and 0 at the other pivots."""
+    red = _SparseReducer(field)
+    for entry in brackets.values():
+        red.add(entry)
+    red.reduce_fully()
+    return red.pivots
+
+
+def _adapted_table(brackets: dict, derived: dict, basis: list) -> dict:
+    """The constants in the basis given by adapted_basis.
+
+    Every bracket of two vectors lies in D, because the bracket is
+    bilinear, and the coordinates of a vector of D in the echelon rows are
+    its entries at D's pivots.  So the stored brackets are cut down to
+    those entries once, at the positions of D's rows in the basis, and
+    expanded over the supports of each pair of basis vectors; two
+    coordinate vectors read their cut bracket directly.
+    """
+    n = len(basis)
+    p = n - len(derived)
+    pos = {c: p + s for s, c in enumerate(sorted(derived))}
+    cut = {key: {pos[k]: v for k, v in entry.items() if k in pos}
+           for key, entry in brackets.items()}
+    free = [next(iter(vec)) for vec in basis[:p]]
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if b < p:
+                entry = cut.get((free[a], free[b]))
+            else:
+                acc: dict = {}
+                _add_bracket(cut, acc, basis[a], basis[b])
+                entry = {k: v for k, v in acc.items() if not v.is_zero()}
+            if entry:
+                table[(a, b)] = entry
+    return table
+
+
+def _default_labels(dim: int) -> tuple:
+    return tuple("X%d" % (t + 1) for t in range(dim))
+
+
+class LieAlgebra:
+    """Immutable-by-convention Lie algebra over one field tower.
+
+    derived maps each pivot column of the reduced echelon basis of
+    D = [L, L] to its sparse row.  adapted is the same algebra in the basis
+    adapted_basis names, or None when D is a coordinate subspace, so that
+    L is adapted as it stands.
+    """
+
+    __slots__ = ("field", "dim", "brackets", "labels", "meta", "derived",
+                 "adapted", "_fingerprint")
 
     def __init__(self, field: FieldTower, dim: int, brackets,
                  labels: Optional[Sequence[str]] = None,
@@ -66,14 +290,43 @@ class LieAlgebra:
                 clean[(i, j)] = entry
         self.brackets = clean
         if labels is None:
-            labels = tuple("X%d" % (t + 1) for t in range(dim))
+            labels = _default_labels(dim)
         else:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise DegenerateError("label count does not match dimension")
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._validate_jacobi()
+        self._fingerprint = None
+        self.derived = _derived_rows(field, clean)
+        self.adapted = None
+        if all(len(row) == 1 for row in self.derived.values()):
+            _check_jacobi(clean)
+            return
+        table = _adapted_table(clean, self.derived, self.adapted_basis())
+        try:
+            _check_jacobi(table)
+        except JacobiError:
+            # the identity is trilinear, so it fails in the caller's basis
+            # too: report that basis's first failing triple
+            _check_jacobi(clean)
+            raise
+        adapted = LieAlgebra.__new__(LieAlgebra)
+        adapted.field, adapted.dim, adapted.brackets = field, dim, table
+        adapted.labels, adapted.meta = _default_labels(dim), {}
+        one, p = field.one(), dim - len(self.derived)
+        adapted.derived = {k: {k: one} for k in range(p, dim)}
+        adapted.adapted = adapted._fingerprint = None
+        self.adapted = adapted
+
+    def adapted_basis(self) -> list:
+        """The basis adapted to D = [L, L], as sparse vectors in L's
+        coordinates: e_c for each column c that is not a pivot of D's
+        echelon rows, ascending, then those rows by pivot.  In it, every
+        bracket lies in the span of the last dim D vectors."""
+        one, derived = self.field.one(), self.derived
+        return ([{c: one} for c in range(self.dim) if c not in derived]
+                + [derived[c] for c in sorted(derived)])
 
     # ------------------------------------------------------------ basics
 
@@ -90,40 +343,11 @@ class LieAlgebra:
                        v: Sequence[FieldElement]) -> list[FieldElement]:
         """[u, v] in coordinates, expanded over the supports of u and v."""
         acc: dict = {}
-        self._add_bracket(acc, _support(u), _support(v))
+        _add_bracket(self.brackets, acc, _support(u), _support(v))
         out = [self.field.zero()] * self.dim
         for k, c in acc.items():
             out[k] = c
         return out
-
-    def _add_bracket(self, acc: dict, u: dict, v: dict) -> None:
-        """Add [u, v] into acc; u, v and acc are sparse {index: coeff}.
-
-        The coefficient of [e_i, e_j] (i < j) is u_i v_j - u_j v_i, gathered
-        over the support pairs of u and v that have a stored bracket.
-        """
-        brackets = self.brackets
-        coeffs: dict = {}
-        for a, x in u.items():
-            for b, y in v.items():
-                if a == b:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                if key not in brackets:
-                    continue
-                t = x * y
-                prev = coeffs.get(key)
-                if a < b:
-                    coeffs[key] = t if prev is None else prev + t
-                else:
-                    coeffs[key] = -t if prev is None else prev - t
-        for key, coeff in coeffs.items():
-            if coeff.is_zero():
-                continue
-            for k, c in brackets[key].items():
-                t = coeff * c
-                prev = acc.get(k)
-                acc[k] = t if prev is None else prev + t
 
     def bracket(self, u: "Vector", v: "Vector") -> "Vector":
         self._own(u)
@@ -178,59 +402,6 @@ class LieAlgebra:
     def _own(self, v: "Vector") -> None:
         if v.algebra is not self and v.algebra != self:
             raise OwnerMismatchError("vector belongs to a different algebra")
-
-    def _touching(self) -> dict:
-        """m -> [(i, entry, negate)] over the stored brackets, with
-        [e_i, e_m] = entry, negated when negate is set."""
-        touching: dict = {}
-        for (i, j), entry in self.brackets.items():
-            touching.setdefault(j, []).append((i, entry, False))
-            touching.setdefault(i, []).append((j, entry, True))
-        return touching
-
-    # ------------------------------------------------------------ validation
-
-    def _validate_jacobi(self) -> None:
-        """Check the Jacobi identity on every triple the table reaches.
-
-        The sum for a triple a < b < c is [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]]
-        + [e_c,[e_a,e_b]].  Its nonzero terms come from a stored (j, k) ->
-        {m: c} and a stored [e_i, e_m] with i not in {j, k}: each adds
-        c*[e_i, e_m] to the triple sorted(i, j, k), negated when j < i < k
-        (the term is then [e_i, [e_k, e_j]]).  Triples no term reaches sum
-        to zero; the first failing triple in lexicographic order is raised.
-        """
-        brackets = self.brackets
-        touching = self._touching()
-        sums: dict = {}
-        for (j, k), inner in brackets.items():
-            for m, c in inner.items():
-                for i, outer, negate in touching.get(m, ()):
-                    if i < j:
-                        triple = (i, j, k)
-                    elif j < i < k:
-                        triple = (j, i, k)
-                        negate = not negate
-                    elif i > k:
-                        triple = (j, k, i)
-                    else:
-                        continue
-                    acc = sums.get(triple)
-                    if acc is None:
-                        acc = sums[triple] = {}
-                    for t, d in outer.items():
-                        cd = c * d
-                        cur = acc.get(t)
-                        if cur is None:
-                            acc[t] = -cd if negate else cd
-                        else:
-                            acc[t] = cur - cd if negate else cur + cd
-        failing = [triple for triple, acc in sums.items()
-                   if any(not v.is_zero() for v in acc.values())]
-        if failing:
-            triple = min(failing)
-            bad = {m: v for m, v in sums[triple].items() if not v.is_zero()}
-            raise JacobiError(tuple(t + 1 for t in triple), bad)
 
 
 @dataclass(frozen=True)
@@ -324,13 +495,13 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
     phi is the sigma-semilinear map whose column i is phi(e_i); sigma None
     is the identity.  Both sides are expanded over column supports only:
     the left as sum of sigma(c) phi(e_k) over k in [e_i, e_j], the right
-    through target._add_bracket.  Their difference must vanish exactly.
+    through the target's brackets.  Their difference must vanish exactly.
     """
     cols = [_support([row[i] for row in mat]) for i in range(source.dim)]
     for i in range(source.dim):
         for j in range(i + 1, source.dim):
             acc: dict = {}
-            target._add_bracket(acc, cols[i], cols[j])
+            _add_bracket(target.brackets, acc, cols[i], cols[j])
             for k, c in source.bracket_basis(i, j).items():
                 sc = c if sigma is None else sigma(c)
                 for r, x in cols[k].items():
@@ -424,26 +595,18 @@ def change_basis(L: LieAlgebra, P) -> LieAlgebra:
 
 # ------------------------------------------------------------------ spans
 
-def bracket_span(L: LieAlgebra, rows_a, rows_b) -> list:
-    """Coordinate vectors spanning [span(rows_a), span(rows_b)]."""
-    out = []
-    for u in rows_a:
-        for v in rows_b:
-            w = L.bracket_coords(u, v)
-            if any(not c.is_zero() for c in w):
-                out.append(w)
-    return out
-
-
 def commutator_rows(L: LieAlgebra) -> tuple[list, list]:
-    """Echelonized basis of [L, L]."""
-    vecs = []
-    for (i, j), comps in sorted(L.brackets.items()):
-        v = [L.field.zero()] * L.dim
-        for k, c in comps.items():
-            v[k] = c
-        vecs.append(v)
-    return linalg.rref(vecs, L.field)
+    """Echelonized basis of [L, L]: the rows reduced at construction,
+    written out densely."""
+    zero = L.field.zero()
+    pivots = sorted(L.derived)
+    rows = []
+    for c in pivots:
+        row = [zero] * L.dim
+        for k, v in L.derived[c].items():
+            row[k] = v
+        rows.append(row)
+    return rows, pivots
 
 
 def center_rows(L: LieAlgebra) -> tuple[list, list]:
@@ -472,23 +635,24 @@ def center_rows(L: LieAlgebra) -> tuple[list, list]:
     return linalg.rref(null, L.field)
 
 
-def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
-    """acc -= f * row over sparse {index: coeff} dicts, leaving out index
-    skip and dropping the entries that cancel."""
-    for k, v in row.items():
-        if k == skip:
-            continue
-        cur = acc.get(k)
-        nv = -(f * v) if cur is None else cur - f * v
-        if nv.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = nv
-
-
 def _echelon(L: LieAlgebra, rows) -> tuple[list, list]:
     """The reduced echelon basis of span(rows) as sparse rows, and its
-    pivot columns."""
+    pivot columns.
+
+    That form is unique, so rows already in it, as rref and the split of a
+    decomposition pass them, are taken as they are: each row nonzero, its
+    first entry a 1 at a pivot right of the row above, and no other row
+    nonzero at that pivot.
+    """
+    sparse = [_support(r) for r in rows]
+    pivots = [min(row, default=None) for row in sparse]
+    one = L.field.one()
+    taken = set(pivots)
+    if (None not in taken
+            and all(a < b for a, b in zip(pivots, pivots[1:]))
+            and all(row[c] == one and len(taken.intersection(row)) == 1
+                    for row, c in zip(sparse, pivots))):
+        return sparse, pivots
     red, pivots = linalg.rref([list(r) for r in rows], L.field)
     return [_support(r) for r in red], pivots
 
@@ -515,20 +679,9 @@ def is_ideal(L: LieAlgebra, rows) -> bool:
     against the sparse echelon rows.
     """
     red, pivots = _echelon(L, rows)
-    touching = L._touching()
+    touching = _touching(L.brackets)
     for w in red:
-        images: dict = {}  # i -> [e_i, w]
-        for b, x in w.items():
-            for i, entry, negate in touching.get(b, ()):
-                acc = images.setdefault(i, {})
-                for k, c in entry.items():
-                    t = x * c
-                    prev = acc.get(k)
-                    if negate:
-                        acc[k] = -t if prev is None else prev - t
-                    else:
-                        acc[k] = t if prev is None else prev + t
-        for v in images.values():
+        for v in _ad_images(touching, w).values():
             if _span_coords(v, red, pivots) is None:
                 return False
     return True
@@ -546,7 +699,7 @@ def restrict_to_span(L: LieAlgebra, rows,
     for a in range(len(red)):
         for b in range(a + 1, len(red)):
             acc: dict = {}
-            L._add_bracket(acc, red[a], red[b])
+            _add_bracket(L.brackets, acc, red[a], red[b])
             coords = _span_coords(acc, red, pivots)
             if coords is None:
                 raise DegenerateError("span is not closed under the bracket")
@@ -572,56 +725,78 @@ class Fingerprint:
 
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
-    field = L.field
-    full = linalg.identity_matrix(field, L.dim)
-    full_red, full_piv = linalg.rref(full, field)
+    """The invariants of L, computed on its first call and kept on L.
 
-    # lower central series
-    lcs = [L.dim]
-    current = (full_red, full_piv)
+    They do not depend on the basis, so they are read from the adapted
+    table when L has one.
+    """
+    if L._fingerprint is None:
+        L._fingerprint = _invariants(L if L.adapted is None else L.adapted)
+    return L._fingerprint
+
+
+def _series(dim: int, derived: dict, step) -> tuple:
+    """The dimensions of a series L, [L, L], ... that ends when a term
+    repeats or vanishes; step maps sparse rows spanning one term to rows
+    spanning the next."""
+    dims = [dim]
+    rows = list(derived.values())
     while True:
-        vecs = bracket_span(L, full_red, current[0])
-        nxt = linalg.rref(vecs, field)
-        d = len(nxt[0])
-        if d == lcs[-1]:
-            lcs.append(d)
-            break
-        lcs.append(d)
-        current = nxt
-        if d == 0:
-            break
-    nilpotency_class = None
-    if lcs[-1] == 0:
-        nilpotency_class = len(lcs) - 1
+        d = len(rows)
+        dims.append(d)
+        if d == dims[-2] or d == 0:
+            return tuple(dims)
+        rows = step(rows)
 
-    # derived series
-    ds = [L.dim]
-    current = (full_red, full_piv)
-    while True:
-        vecs = bracket_span(L, current[0], current[0])
-        nxt = linalg.rref(vecs, field)
-        d = len(nxt[0])
-        if d == ds[-1]:
-            ds.append(d)
-            break
-        ds.append(d)
-        current = nxt
-        if d == 0:
-            break
-    solvable = ds[-1] == 0
 
-    comm = commutator_rows(L)
-    cen = center_rows(L)
+def _invariants(L: LieAlgebra) -> Fingerprint:
+    """The fingerprint on sparse rows: each term of the lower central and
+    derived series is reduced from the brackets of the term before, [e_i, w]
+    through the stored brackets that touch w, [w, w'] over the supports.
+    The center has dimension dim L minus the rank of the (j, k) system of
+    center_rows, taken as the rank of its n columns: the flattened ad(e_i).
+    """
+    field, n = L.field, L.dim
+    touching = _touching(L.brackets)
+
+    def lower(rows):
+        red = _SparseReducer(field)
+        for w in rows:
+            for v in _ad_images(touching, w).values():
+                red.add(v)
+        return list(red.pivots.values())
+
+    def derived(rows):
+        red = _SparseReducer(field)
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                acc: dict = {}
+                _add_bracket(L.brackets, acc, rows[a], rows[b])
+                red.add(acc)
+        return list(red.pivots.values())
+
+    lcs = _series(n, L.derived, lower)
+    ds = _series(n, L.derived, derived)
+    ads: dict = {}  # i -> ad(e_i), with [e_i, e_j] at k read from j*n + k
+    for (i, j), comps in L.brackets.items():
+        for k, c in comps.items():
+            ads.setdefault(i, {})[j * n + k] = c
+            ads.setdefault(j, {})[i * n + k] = -c
+    center = _SparseReducer(field)
+    for row in ads.values():
+        center.add(row)
+    nilpotency_class = len(lcs) - 1 if lcs[-1] == 0 else None
+    comm = len(L.derived)
     two_step = None
     if nilpotency_class is not None and nilpotency_class <= 2:
-        two_step = (L.dim - len(comm[0]), len(comm[0]))
+        two_step = (n - comm, comm)
     return Fingerprint(
-        dim=L.dim,
-        lower_central=tuple(lcs),
-        derived=tuple(ds),
-        center_dim=len(cen[0]),
-        commutator_dim=len(comm[0]),
+        dim=n,
+        lower_central=lcs,
+        derived=ds,
+        center_dim=n - len(center.pivots),
+        commutator_dim=comm,
         nilpotency_class=nilpotency_class,
-        solvable=solvable,
+        solvable=ds[-1] == 0,
         two_step=two_step,
     )

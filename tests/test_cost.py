@@ -1,0 +1,67 @@
+"""Deterministic cost guards: field multiplications per call.
+
+Wall-clock time on a shared host drifts by up to 2x, so these tests pin a
+count that repeats exactly instead.  The input is nintot(1+i, 2, 1) over
+Q(i) (dim 20) re-based by a seeded unitriangular P with one superdiagonal
+band from {-2, -1, 1, 2}: P^-1 is full upper triangular, so the re-based
+constants are dense.  Each ceiling is 1.2 times the count measured when it
+was set (2,366 for change_basis, 22,322 for decompose_indecomposable and
+485 for fingerprint), below the counts before the [L, L]-adapted
+presentation was kept on the algebra (26,845, 37,847 and 10,169).
+"""
+
+import random
+
+import pytest
+
+from lieforms.catalog import nintot_family
+from lieforms.decompose import decompose_indecomposable
+from lieforms.fields import FieldElement, gaussian_rationals
+from lieforms.liealg import change_basis, fingerprint
+
+CEILINGS = {
+    "change_basis": 2839,
+    "decompose_indecomposable": 26786,
+    "fingerprint": 582,
+}
+
+
+def band_unitriangular(n, seed):
+    rng = random.Random(seed)
+    return [[1 if c == r else (rng.choice((-2, -1, 1, 2)) if c == r + 1
+                               else 0)
+             for c in range(n)] for r in range(n)]
+
+
+@pytest.fixture
+def multiplications(monkeypatch):
+    """A counter of FieldElement.__mul__ calls; reset it with cell[0] = 0."""
+    cell = [0]
+    mul = FieldElement.__mul__
+
+    def counting(self, other):
+        cell[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    return cell
+
+
+def test_rebased_nintot_stays_under_its_ceilings(multiplications):
+    Qi = gaussian_rationals()
+    L = nintot_family(Qi, Qi.one() + Qi.generator(), 2, 1)
+    P = band_unitriangular(L.dim, 1)
+    counts = {}
+    multiplications[0] = 0
+    PL = change_basis(L, P)
+    counts["change_basis"] = multiplications[0]
+    multiplications[0] = 0
+    fp = fingerprint(PL)
+    counts["fingerprint"] = multiplications[0]
+    multiplications[0] = 0
+    d = decompose_indecomposable(PL)
+    counts["decompose_indecomposable"] = multiplications[0]
+    assert fp.two_step == (16, 4)
+    assert len(d) == 2 and d.verified and d.all_certified
+    for name, ceiling in CEILINGS.items():
+        assert counts[name] <= ceiling, (name, counts[name], ceiling)

@@ -24,6 +24,7 @@ from lieforms.fields import (
 from lieforms.polynomials import Polynomial, poly_ext_gcd
 from lieforms.liealg import (
     LieAlgebra,
+    _SparseReducer,
     change_basis,
     commutator_rows,
     direct_sum,
@@ -47,9 +48,9 @@ from lieforms.decompose import (
     HEURISTIC,
     AssocAlgebra,
     _block_centroid,
+    _centroid_rows,
     _certify_local,
     _dense,
-    _derived_echelon,
     _lifted_idempotent,
     _nilpotent_span,
     _sparse,
@@ -571,7 +572,7 @@ def certify_local_calls(monkeypatch, L):
     original = decompose_module._certify_local
 
     def recording(field, n, mats, null, owner, detail):
-        calls.append((field, n, mats, null, _derived_echelon(owner), detail))
+        calls.append((field, n, mats, null, owner.derived, detail))
         return original(field, n, mats, null, owner, detail)
 
     monkeypatch.setattr(decompose_module, "_certify_local", recording)
@@ -693,7 +694,7 @@ class TestSquareZeroRadical:
         M = {}
         for (r, c), x in entries.items():
             M.setdefault(r, {})[c] = Q.from_rational(x)
-        derived = _derived_echelon(L)
+        derived = L.derived
         assert _square_zero([M], [{0: Q.one()}], derived) is square_zero
 
     def test_certify_local_needs_one_of_the_proofs(self):
@@ -716,7 +717,7 @@ class TestSquareZeroRadical:
         Q = rationals()
         o = Q.one()
         mats = [{1: {0: o}, 2: {0: o}}, {1: {0: o}}]
-        derived = _derived_echelon(heisenberg(Q))
+        derived = heisenberg(Q).derived
         assert _square_zero(mats, [{0: o, 1: -o}], derived) is True
         assert _square_zero(mats, [{0: o}], derived) is False
         assert _square_zero(mats, [{0: o, 1: -o}, {1: o}], derived) is False
@@ -1181,3 +1182,156 @@ class TestCountForms:
         L = restrict_scalars(r3_lambda(T, T.generator()), E).algebra
         with pytest.raises(UncertifiedDecompositionError):
             count_forms(L, K2)
+
+
+# ------------------------------------------------- corner centroids
+
+
+def corner_cases():
+    """Sums with 2 and 3 summands and indecomposables, over Q and Q(i), in
+    the catalog basis, reversed, and under seeded invertible basis changes
+    that are not unitriangular (sparser ones for the 20-dim nintot)."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        two = field.from_rational(2)
+        algebras = [
+            ("h3+h3", direct_sum(heisenberg(field), heisenberg(field))),
+            ("r3+g1+ab1", direct_sum(r3_lambda(field, lam),
+                                     g1_alpha(field, two),
+                                     abelian(field, 1))),
+            ("r3+r3inv", direct_sum(r3_lambda(field, lam),
+                                    r3_lambda(field, lam.inverse()))),
+            ("g_lambda", g_lambda(field, lam)),
+        ]
+        if field is Qi:
+            algebras.append(("nintot(2,1)", nintot_family(field, lam, 2, 1)))
+        for seed, (name, L) in enumerate(algebras):
+            n = L.dim
+            fill = n if n <= 10 else 4
+            out.append(("%s/%s" % (fname, name), L))
+            out.append(("%s/%s*reversed" % (fname, name),
+                        change_basis(L, reversal(n))))
+            out.append(("%s/%s*P%d" % (fname, name, seed),
+                        change_basis(L, invertible(field, n, seed, fill))))
+    return out
+
+
+CORNER_CASES = corner_cases()
+
+
+class TestCornerCentroid:
+    """Each piece of a split takes the corner e C(L) e of its parent's
+    centroid, in canonical form; it must be centroid_basis of the piece,
+    the same matrices in the same order, and the centroid is solved once
+    per decomposition."""
+
+    @pytest.mark.parametrize("name, L", CORNER_CASES,
+                             ids=[name for name, _ in CORNER_CASES])
+    def test_every_piece_gets_its_own_centroid(self, monkeypatch, name, L):
+        pieces = []
+        solves = []
+        split = decompose_module._split_or_certify
+        solve = decompose_module.centroid_basis
+
+        def recording_split(field, n, mats, owner):
+            pieces.append((n, mats, owner))
+            return split(field, n, mats, owner)
+
+        def counting_solve(piece):
+            solves.append(piece)
+            return solve(piece)
+
+        monkeypatch.setattr(decompose_module, "_split_or_certify",
+                            recording_split)
+        monkeypatch.setattr(decompose_module, "centroid_basis",
+                            counting_solve)
+        d = decompose_indecomposable(L)
+        monkeypatch.undo()
+        assert d.verified and d.all_certified
+        assert solves == [L]
+        assert len(pieces) == 2 * len(d) - 1
+        for n, mats, owner in pieces:
+            want = centroid_basis(owner)
+            assert len(mats) == len(want)
+            for M, R in zip(mats, want):
+                assert mat_equal(_dense(M, n, owner.field), R)
+
+    def test_cases_split_into_three(self):
+        assert any(len(decompose_indecomposable(L)) == 3
+                   for name, L in CORNER_CASES if "*P" in name)
+
+
+# ------------------------------------------------- sparse nullspace
+
+
+def pivot_scan_nullspace(red, ncols):
+    """The nullspace as _SparseReducer built it before the column index:
+    each free column scans every pivot row."""
+    red.reduce_fully()
+    one = red.field.one()
+    out = []
+    for free in range(ncols):
+        if free in red.pivots:
+            continue
+        vec = {free: one}
+        for c, row in red.pivots.items():
+            coef = row.get(free)
+            if coef is not None and not coef.is_zero():
+                vec[c] = -coef
+        out.append(vec)
+    return out
+
+
+def nullspace_systems():
+    """Block 0 of the centroid system of each catalog family over Q and
+    Q(i), in the catalog basis and re-based, and seeded sparse systems."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        two = field.from_rational(2)
+        for name, L in (("h3", heisenberg(field)),
+                        ("ab3", abelian(field, 3)),
+                        ("g_lambda", g_lambda(field, lam)),
+                        ("r3", r3_lambda(field, lam)),
+                        ("r3ab1", r3_lambda_plus_abelian(field, lam)),
+                        ("g1", g1_alpha(field, two)),
+                        ("sl2", sl2(field))):
+            n = L.dim
+            out.append(("%s/%s/block0" % (fname, name),
+                        list(_centroid_rows(L, 0)), n * n))
+            PL = change_basis(L, invertible(field, n, 1, n))
+            out.append(("%s/%s*P1/block0" % (fname, name),
+                        list(_centroid_rows(PL, 0)), n * n))
+        rng = random.Random(fname)
+        for t in range(6):
+            ncols = rng.randint(1, 30)
+            rows = []
+            for _ in range(rng.randint(0, ncols + 3)):
+                row = {}
+                for _ in range(rng.randint(1, 4)):
+                    c = rng.randrange(ncols)
+                    row[c] = field.from_rational(rng.randint(-3, 3))
+                rows.append(row)
+            out.append(("%s/random%d" % (fname, t), rows, ncols))
+    return out
+
+
+NULLSPACE_SYSTEMS = nullspace_systems()
+
+
+@pytest.mark.parametrize("name, rows, ncols", NULLSPACE_SYSTEMS,
+                         ids=[c[0] for c in NULLSPACE_SYSTEMS])
+def test_nullspace_matches_the_pivot_scan(name, rows, ncols):
+    field = next((v.field for row in rows for v in row.values()),
+                 rationals())
+    fast, slow = _SparseReducer(field), _SparseReducer(field)
+    for row in rows:
+        fast.add(row)
+        slow.add(row)
+    got = fast.nullspace(ncols)
+    want = pivot_scan_nullspace(slow, ncols)
+    assert [list(v.items()) for v in got] == \
+        [list(v.items()) for v in want]

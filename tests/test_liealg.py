@@ -10,10 +10,14 @@ from lieforms.errors import (
     SingularMatrixError,
 )
 from lieforms import linalg
+from lieforms import liealg as liealg_module
 from lieforms.catalog import (
     abelian,
     g1_alpha,
     g_lambda,
+    heisenberg,
+    nintot_family,
+    r3_lambda,
     r3_lambda_plus_abelian,
 )
 from lieforms.descent import conjugate, verify_sumconjugate
@@ -21,6 +25,8 @@ from lieforms.fields import field_extend, gaussian_rationals, rationals
 from lieforms.liealg import (
     LieAlgebra,
     LinearMap,
+    _echelon,
+    _support,
     change_basis,
     center_rows,
     commutator_rows,
@@ -594,6 +600,16 @@ def jacobi_tables():
                 P = unitriangular(field, n, rng)
                 P[n - 1][0] = field.one()
                 out.append(("%s/%s*P" % (fname, name), change_basis(L, P)))
+    # dense constants whose [L, L] is not a coordinate subspace, so that
+    # the constructor checks the adapted table first: P has one seeded
+    # superdiagonal band and a corner entry, and P^-1 is dense
+    L = nintot_family(QI, QI.one() + QI.generator(), 2, 1)
+    n = L.dim
+    rng = random.Random(6)
+    P = [[1 if c == r else rng.choice((-2, -1, 1, 2)) if c == r + 1 else 0
+          for c in range(n)] for r in range(n)]
+    P[n - 1][0] = 1
+    out.append(("Q(i)/nintot(2,1)*P", change_basis(L, P)))
     return out
 
 
@@ -633,3 +649,224 @@ def test_jacobi_check_matches_brute_force_on_planted_errors(name, L):
             only_reversed += not straight and bool(rev)
     if not name.endswith("*P"):
         assert only_reversed, "no planted error carried only by reversed pairs"
+
+
+def test_planted_tables_include_an_adapted_check():
+    assert any(L.adapted is not None for _, L in JACOBI_TABLES)
+
+
+# ------------------------------------------------ adapted presentation
+
+def presentation_cases():
+    """Catalog algebras and sums of them over Q and Q(i), in the catalog
+    basis, reversed, and re-based by a seeded dense invertible P."""
+    out = []
+    for fname, field in (("Q", Q), ("Q(i)", QI)):
+        lam = field.from_rational(3) if field is Q else 1 + QI.generator()
+        two = field.from_rational(2)
+        algebras = [
+            ("h3", heis(field)),
+            ("sl2", sl2(field)),
+            ("ab3", abelian(field, 3)),
+            ("g_lambda", g_lambda(field, lam)),
+            ("r3", r3_lambda(field, lam)),
+            ("r3ab", r3_lambda_plus_abelian(field, lam)),
+            ("g1", g1_alpha(field, two)),
+            ("h3+h3", direct_sum(heis(field), heis(field))),
+            ("sl2+h3", direct_sum(sl2(field), heis(field))),
+            ("r3+g1+ab1", direct_sum(r3_lambda(field, lam),
+                                     g1_alpha(field, two),
+                                     abelian(field, 1))),
+        ]
+        if field is QI:
+            algebras.append(("g_lambda+h3", direct_sum(g_lambda(field, lam),
+                                                       heis(field))))
+            algebras.append(("nintot(2,1)", nintot_family(field, lam, 2, 1)))
+        for seed, (name, L) in enumerate(algebras):
+            n = L.dim
+            out.append(("%s/%s" % (fname, name), L, "catalog"))
+            if n > 10:
+                continue
+            rev = [[1 if r + c == n - 1 else 0 for c in range(n)]
+                   for r in range(n)]
+            out.append(("%s/%s*reversed" % (fname, name),
+                        change_basis(L, rev), "reversed"))
+            out.append(("%s/%s*P" % (fname, name),
+                        change_basis(L, seeded_invertible(field, n, seed)),
+                        "dense"))
+    return out
+
+
+PRESENTATION_CASES = presentation_cases()
+
+
+def dense_commutator(L):
+    """The rref of every stored bracket as a dense vector."""
+    vecs = []
+    for _key, comps in sorted(L.brackets.items()):
+        v = [L.field.zero()] * L.dim
+        for k, c in comps.items():
+            v[k] = c
+        vecs.append(v)
+    return linalg.rref(vecs, L.field)
+
+
+@pytest.mark.parametrize("name, L, kind", PRESENTATION_CASES,
+                         ids=[c[0] for c in PRESENTATION_CASES])
+def test_adapted_table_is_the_algebra_in_the_basis_it_names(name, L, kind):
+    """derived is the rref of [L, L]; the stored table, when there is one,
+    is change_basis(L, Q) for the Q whose columns adapted_basis gives, and
+    its own [L, L] is the span of the last dim D coordinate vectors."""
+    field, n = L.field, L.dim
+    rows, pivots = dense_commutator(L)
+    assert sorted(L.derived) == pivots
+    assert [L.derived[c] for c in pivots] == [_support(r) for r in rows]
+    assert commutator_rows(L) == (rows, pivots)
+    if kind == "catalog":
+        assert all(len(row) == 1 for row in L.derived.values())
+        assert L.adapted is None
+        return
+    if L.adapted is None:
+        assert all(len(row) == 1 for row in L.derived.values())
+        return
+    basis = L.adapted_basis()
+    P = [[vec.get(r, field.zero()) for vec in basis] for r in range(n)]
+    assert L.adapted.brackets == change_basis(L, P).brackets
+    d = len(L.derived)
+    assert L.adapted.derived == {k: {k: field.one()}
+                                 for k in range(n - d, n)}
+    assert L.adapted.adapted is None
+    assert all(k >= n - d for entry in L.adapted.brackets.values()
+               for k in entry)
+
+
+def test_dense_presentations_store_a_table():
+    kinds = {}
+    for _name, L, kind in PRESENTATION_CASES:
+        if L.adapted is not None:
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("dense", 0) >= 15
+    assert "catalog" not in kinds
+
+
+# ------------------------------------------------ fingerprint
+
+def dense_fingerprint(L):
+    """The fingerprint from dense spans, as it was computed before it moved
+    onto sparse rows: every series term is the rref of the brackets of
+    every pair of rows from the terms before; the center comes from
+    dense_center_reference and [L, L] from dense_commutator."""
+    field = L.field
+    full = linalg.identity_matrix(field, L.dim)
+
+    def span(rows_a, rows_b):
+        vecs = []
+        for u in rows_a:
+            for v in rows_b:
+                w = L.bracket_coords(u, v)
+                if any(not c.is_zero() for c in w):
+                    vecs.append(w)
+        return linalg.rref(vecs, field)[0]
+
+    def series(step):
+        dims = [L.dim]
+        current = full
+        while True:
+            nxt = step(current)
+            d = len(nxt)
+            if d == dims[-1]:
+                dims.append(d)
+                break
+            dims.append(d)
+            current = nxt
+            if d == 0:
+                break
+        return tuple(dims)
+
+    lcs = series(lambda rows: span(full, rows))
+    ds = series(lambda rows: span(rows, rows))
+    comm = len(dense_commutator(L)[0])
+    nilpotency_class = len(lcs) - 1 if lcs[-1] == 0 else None
+    two_step = None
+    if nilpotency_class is not None and nilpotency_class <= 2:
+        two_step = (L.dim - comm, comm)
+    return liealg_module.Fingerprint(
+        dim=L.dim, lower_central=lcs, derived=ds,
+        center_dim=len(dense_center_reference(L)[0]), commutator_dim=comm,
+        nilpotency_class=nilpotency_class, solvable=ds[-1] == 0,
+        two_step=two_step)
+
+
+FINGERPRINT_CASES = PRESENTATION_CASES + [
+    ("Q/ab0", LieAlgebra(Q, 0, {}), "catalog"),
+    ("Q(i)/ab1", abelian(QI, 1), "catalog"),
+    ("Q(i)/h3 restricted", heisenberg(QI), "catalog"),
+]
+
+
+@pytest.mark.parametrize("name, L, kind", FINGERPRINT_CASES,
+                         ids=[c[0] for c in FINGERPRINT_CASES])
+def test_fingerprint_matches_the_dense_reference(name, L, kind):
+    assert fingerprint(L) == dense_fingerprint(L)
+
+
+def test_fingerprint_is_computed_once(monkeypatch):
+    L = change_basis(g_lambda(QI, 1 + QI.generator()),
+                     seeded_invertible(QI, 10, 3))
+    assert L.adapted is not None
+    first = fingerprint(L)
+
+    def fail(_):
+        raise AssertionError("fingerprint recomputed")
+
+    monkeypatch.setattr(liealg_module, "_invariants", fail)
+    assert fingerprint(L) is first
+
+
+def test_copies_do_not_carry_a_stale_fingerprint():
+    L = direct_sum(heis(QI), abelian(QI, 1))
+    fp = fingerprint(L)
+    named = L.with_meta(name="h3+ab1")
+    assert named._fingerprint is None
+    assert fingerprint(named) == fp
+    M = change_basis(L, seeded_invertible(QI, 4, 1))
+    assert M._fingerprint is None
+    assert fingerprint(M) == dense_fingerprint(M) == fp
+    other = direct_sum(sl2(QI), abelian(QI, 1))
+    assert fingerprint(other) == dense_fingerprint(other) != fp
+
+
+# ------------------------------------------------ reduced rows
+
+def test_echelon_takes_reduced_rows_as_they_are(monkeypatch):
+    """On every span case, _echelon gives rref's rows and pivots; rows that
+    rref already reduced are returned without another rref."""
+    rref = linalg.rref
+    reduced = []
+    for _name, L, rows in SPAN_CASES:
+        red, pivots = rref([list(r) for r in rows], L.field)
+        assert _echelon(L, rows) == ([_support(r) for r in red], pivots)
+        reduced.append((L, red, pivots))
+
+    def fail(rows, field):
+        raise AssertionError("reduced rows were reduced again")
+
+    monkeypatch.setattr(linalg, "rref", fail)
+    for L, red, pivots in reduced:
+        assert _echelon(L, red) == ([_support(r) for r in red], pivots)
+    monkeypatch.setattr(linalg, "rref", rref)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0, 1]],                  # pivot entry not 1
+    [[0, 1, 0], [1, 0, 0]],       # pivots out of order
+    [[1, 1, 0], [0, 1, 0]],       # entry above a later pivot
+    [[1, 0, 0], [0, 0, 0]],       # a zero row
+    [[1, 0, 0], [1, 0, 0]],       # a repeated pivot
+    [[0, 0, 0]],
+], ids=["scaled", "order", "above", "zero-row", "repeat", "zero"])
+def test_echelon_reduces_rows_that_are_not_reduced(rows):
+    L = heis()
+    rows = [[Q.from_rational(c) for c in r] for r in rows]
+    red, pivots = linalg.rref(rows, Q)
+    assert _echelon(L, rows) == ([_support(r) for r in red], pivots)
