@@ -14,7 +14,9 @@ rewritten.  The answer is that canonical basis in L's own coordinates, so
 it does not depend on the basis the system was solved in.  The centroid is
 solved once per decomposition: a summand I = e L of a piece takes the
 corner e C e of the piece's centroid C, restricted to I and put in the same
-canonical basis.  Each piece then takes one
+canonical basis.  A decomposition runs on the adapted table too, centroid,
+splits and pieces alike, and maps each summand's basis back to L's
+coordinates once at the end.  Each piece then takes one
 route through the radical quotient: the trace Gram of the centroid basis
 gives the Jacobson radical R as its nullspace and the small quotient by R
 through its pivot columns; a candidate whose minimal polynomial modulo R
@@ -822,7 +824,12 @@ def find_idempotent(A):
 @dataclass(frozen=True)
 class Summand:
     """One indecomposable piece: the induced algebra, its basis rows in the
-    owner's coordinates, and the indecomposability certificate."""
+    owner's coordinates, and the indecomposability certificate.
+
+    The algebra's constants are those of the rows: [r_a, r_b] in the owner
+    is the sum of c_ab^k r_k, with c read from algebra.  The rows need not
+    be in echelon form.
+    """
 
     algebra: LieAlgebra
     rows: tuple
@@ -881,32 +888,64 @@ def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
     only, a quotient of dimension one, or a quotient that is a field, with
     the radical proven nilpotent) and HeuristicIndecomposable otherwise.
     The centroid is solved once, for L; each piece of a split takes its
-    parent's corner (_corner_centroid).  The returned decomposition always
-    passes verify_decomposition.
+    parent's corner (_corner_centroid).
+
+    The route runs on L.adapted when L has one, where the constants are
+    sparse however dense L's are, and each summand's rows are mapped back
+    to L's coordinates once, through the columns of L.adapted_basis().  A
+    single summand is L itself with identity rows; otherwise each summand's
+    algebra is the route's piece, whose constants are those of the
+    reported rows: [r_a, r_b] = sum of c_ab^k r_k in L.  The returned
+    decomposition always passes verify_decomposition on L's own constants.
     """
+    route = L if L.adapted is None else L.adapted
+    found = _split_queue(route)
     field = L.field
+    if len(found) == 1:
+        summands = (Summand(L, _freeze_rows(linalg.identity_matrix(
+            field, L.dim)), found[0].certificate, found[0].detail),)
+    elif route is L:
+        summands = tuple(found)
+    else:
+        vecs = L.adapted_basis()
+        summands = tuple(Summand(s.algebra, _freeze_rows(
+            _dense_rows([_combine(_support(r), vecs) for r in s.rows],
+                        L.dim, field)), s.certificate, s.detail)
+            for s in found)
+    return Decomposition(L, summands,
+                         verify_decomposition(L, [s.rows for s in summands]))
+
+
+def _split_queue(A: LieAlgebra) -> list:
+    """The summands of A, with rows in A's coordinates.
+
+    The centroid is solved once, for A.  Each pending piece is split along
+    an idempotent of its centroid or certified, and the two summands of a
+    split take their parent's corner (_corner_centroid).  Each piece
+    carries its basis as sparse rows in A's coordinates.
+    """
+    field, n = A.field, A.dim
     one = field.one()
-    ident = linalg.identity_matrix(field, L.dim)
     pending = deque()
-    pending.append((L, [list(r) for r in ident],
-                    [_sparse(M, field) for M in centroid_basis(L)]))
+    pending.append((A, [{d: one} for d in range(n)],
+                    [_sparse(M, field) for M in centroid_basis(A)]))
     finished = []
     while pending:
         piece, rows, mats = pending.popleft()
-        n = piece.dim
-        e, cert, detail = _split_or_certify(field, n, mats, piece)
+        m = piece.dim
+        e, cert, detail = _split_or_certify(field, m, mats, piece)
         if e is None:
-            finished.append(Summand(piece, _freeze_rows(rows), cert, detail))
+            finished.append(Summand(piece, _freeze_rows(
+                _dense_rows(rows, n, field)), cert, detail))
             continue
-        img, ker = _split_rows(piece, _dense(e, n, field))
-        complement = _sp_sum(((one, {d: {d: one} for d in range(n)}),
+        img, ker = _split_rows(piece, _dense(e, m, field))
+        complement = _sp_sum(((one, {d: {d: one} for d in range(m)}),
                               (-one, e)))
         for part, proj in ((img, e), (ker, complement)):
             pending.append((restrict_to_span(piece, part),
-                            _compose_rows(part, rows, field),
+                            [_combine(_support(w), rows) for w in part],
                             _corner_centroid(field, mats, proj, part)))
-    return Decomposition(L, tuple(finished),
-                         verify_decomposition(L, [s.rows for s in finished]))
+    return finished
 
 
 def _corner_centroid(field, mats, proj, part) -> list:
@@ -968,16 +1007,22 @@ def _split_rows(piece: LieAlgebra, e):
     return img, ker
 
 
-def _compose_rows(local_rows, ambient_rows, field):
-    """Rewrite rows given in piece coordinates into owner coordinates."""
+def _combine(coeffs: dict, vecs: list) -> dict:
+    """The sparse sum of c * vecs[t] over the entries t: c of coeffs."""
+    out: dict = {}
+    for t, c in coeffs.items():
+        _sub_scaled(out, -c, vecs[t])
+    return out
+
+
+def _dense_rows(rows, n: int, field) -> list:
+    zero = field.zero()
     out = []
-    for lr in local_rows:
-        acc = [field.zero()] * len(ambient_rows[0])
-        for t, c in enumerate(lr):
-            if c.is_zero():
-                continue
-            acc = [a + c * b for a, b in zip(acc, ambient_rows[t])]
-        out.append(acc)
+    for row in rows:
+        dense = [zero] * n
+        for k, c in row.items():
+            dense[k] = c
+        out.append(dense)
     return out
 
 

@@ -609,32 +609,6 @@ def commutator_rows(L: LieAlgebra) -> tuple[list, list]:
     return rows, pivots
 
 
-def center_rows(L: LieAlgebra) -> tuple[list, list]:
-    """Echelonized basis of the center.
-
-    x is central when sum_i x_i c_ij^k = 0 for every (j, k).  A stored
-    bracket (i, j) -> {k: c} gives +c for x_i in equation (j, k) and -c for
-    x_j in equation (i, k); no other entry of the system is nonzero.
-    """
-    sparse: dict = {}
-    for (i, j), comps in L.brackets.items():
-        for k, c in comps.items():
-            sparse.setdefault((j, k), {})[i] = c
-            sparse.setdefault((i, k), {})[j] = -c
-    zero = L.field.zero()
-    eqs = []
-    for key in sorted(sparse):
-        row = [zero] * L.dim
-        for i, c in sparse[key].items():
-            row[i] = c
-        eqs.append(row)
-    if not eqs:
-        basis = linalg.identity_matrix(L.field, L.dim)
-        return linalg.rref(basis, L.field)
-    null = linalg.nullspace(eqs, L.field)
-    return linalg.rref(null, L.field)
-
-
 def _echelon(L: LieAlgebra, rows) -> tuple[list, list]:
     """The reduced echelon basis of span(rows) as sparse rows, and its
     pivot columns.
@@ -753,8 +727,9 @@ def _invariants(L: LieAlgebra) -> Fingerprint:
     """The fingerprint on sparse rows: each term of the lower central and
     derived series is reduced from the brackets of the term before, [e_i, w]
     through the stored brackets that touch w, [w, w'] over the supports.
-    The center has dimension dim L minus the rank of the (j, k) system of
-    center_rows, taken as the rank of its n columns: the flattened ad(e_i).
+    The center is the x with sum_i x_i c_ij^k = 0 for every (j, k), so it
+    has dimension dim L minus the rank of that system, taken as the rank of
+    its n columns: the flattened ad(e_i).
     """
     field, n = L.field, L.dim
     touching = _touching(L.brackets)

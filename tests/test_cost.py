@@ -1,13 +1,17 @@
 """Deterministic cost guards: field multiplications per call.
 
 Wall-clock time on a shared host drifts by up to 2x, so these tests pin a
-count that repeats exactly instead.  The input is nintot(1+i, 2, 1) over
-Q(i) (dim 20) re-based by a seeded unitriangular P with one superdiagonal
-band from {-2, -1, 1, 2}: P^-1 is full upper triangular, so the re-based
-constants are dense.  Each ceiling is 1.2 times the count measured when it
-was set (2,366 for change_basis, 22,322 for decompose_indecomposable and
-485 for fingerprint), below the counts before the [L, L]-adapted
-presentation was kept on the algebra (26,845, 37,847 and 10,169).
+count that repeats exactly instead.  The band case is nintot(1+i, 2, 1)
+over Q(i) (dim 20) re-based by a seeded unitriangular P with one
+superdiagonal band from {-2, -1, 1, 2}: P^-1 is full upper triangular, so
+the re-based constants are dense.  The full case is nintot(1+2i, 2, 1)
+re-based by a seeded unitriangular P with every entry above the diagonal
+from {-2, -1, 1, 2}.  Each ceiling is 1.2 times the count measured when it
+was set: 2,366 for change_basis and 485 for fingerprint, below the counts
+before the [L, L]-adapted presentation was kept on the algebra (26,845 and
+10,169); 9,959 and 213,131 for decompose_indecomposable, which splits on
+the adapted table, against 22,322 and 506,863 when it split in the
+caller's basis.
 """
 
 import random
@@ -21,15 +25,22 @@ from lieforms.liealg import change_basis, fingerprint
 
 CEILINGS = {
     "change_basis": 2839,
-    "decompose_indecomposable": 26786,
+    "decompose_indecomposable": 11950,
     "fingerprint": 582,
 }
+FULL_DECOMPOSE_CEILING = 255757
 
 
 def band_unitriangular(n, seed):
     rng = random.Random(seed)
     return [[1 if c == r else (rng.choice((-2, -1, 1, 2)) if c == r + 1
                                else 0)
+             for c in range(n)] for r in range(n)]
+
+
+def full_unitriangular(n, seed):
+    rng = random.Random(seed)
+    return [[1 if c == r else (rng.choice((-2, -1, 1, 2)) if c > r else 0)
              for c in range(n)] for r in range(n)]
 
 
@@ -65,3 +76,15 @@ def test_rebased_nintot_stays_under_its_ceilings(multiplications):
     assert len(d) == 2 and d.verified and d.all_certified
     for name, ceiling in CEILINGS.items():
         assert counts[name] <= ceiling, (name, counts[name], ceiling)
+
+
+def test_dense_rebased_nintot_decomposes_under_its_ceiling(multiplications):
+    Qi = gaussian_rationals()
+    L = nintot_family(Qi, Qi.one() + Qi.from_rational(2) * Qi.generator(),
+                      2, 1)
+    PL = change_basis(L, full_unitriangular(L.dim, 1))
+    multiplications[0] = 0
+    d = decompose_indecomposable(PL)
+    count = multiplications[0]
+    assert len(d) == 2 and d.verified and d.all_certified
+    assert count <= FULL_DECOMPOSE_CEILING, (count, FULL_DECOMPOSE_CEILING)

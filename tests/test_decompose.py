@@ -1,7 +1,10 @@
 """Tests for centroid computation, idempotent splitting, certificates,
 isomorphism verdicts, Krull-Schmidt matching, and form counting."""
 
+import importlib.util
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +37,7 @@ from lieforms.liealg import (
     verify_morphism,
 )
 from lieforms.descent import conjugate, restrict_scalars
+from lieforms.manifest import load_manifest
 from lieforms.catalog import (
     abelian,
     g1_alpha,
@@ -1250,7 +1254,7 @@ class TestCornerCentroid:
         d = decompose_indecomposable(L)
         monkeypatch.undo()
         assert d.verified and d.all_certified
-        assert solves == [L]
+        assert solves == [L.adapted if L.adapted is not None else L]
         assert len(pieces) == 2 * len(d) - 1
         for n, mats, owner in pieces:
             want = centroid_basis(owner)
@@ -1261,6 +1265,120 @@ class TestCornerCentroid:
     def test_cases_split_into_three(self):
         assert any(len(decompose_indecomposable(L)) == 3
                    for name, L in CORNER_CASES if "*P" in name)
+
+
+def load_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dense_rebasing_cases():
+    """Dense re-basings that are not triangular, over Q and Q(i): every
+    entry of the factors of P is drawn, except for the 20-dim nintot, whose
+    factors get 2n drawn entries (465 constants against 18)."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        algebras = [
+            ("h3+h3", direct_sum(heisenberg(field), heisenberg(field))),
+            ("r3+g1+ab1", direct_sum(r3_lambda(field, lam),
+                                     g1_alpha(field, field.from_rational(2)),
+                                     abelian(field, 1))),
+            ("g_lambda", g_lambda(field, lam)),
+        ]
+        if field is Qi:
+            algebras.append(("nintot(2,1)", nintot_family(field, lam, 2, 1)))
+        for seed, (name, L) in enumerate(algebras):
+            n = L.dim
+            fill = n * n if n <= 10 else 2 * n
+            out.append(("%s/%s*dense%d" % (fname, name, seed),
+                        change_basis(L, invertible(field, n, seed, fill))))
+    return out
+
+
+DENSE_REBASING_CASES = dense_rebasing_cases()
+
+
+def ideal_key(rows, field):
+    red, _ = linalg.rref([list(r) for r in rows], field)
+    return tuple(tuple(red_row) for red_row in red)
+
+
+def center_span(L):
+    """Rows spanning the centre: the x with [x, e_j] = 0 for every j."""
+    n = L.dim
+    return linalg.nullspace([[L.structure_constant(i, j, k)
+                              for i in range(n)]
+                             for j in range(n) for k in range(n)], L.field)
+
+
+class TestAdaptedRoute:
+    """decompose_indecomposable splits L on L.adapted and maps the summands
+    back; it must agree with the split queue run on L itself, and report
+    each summand's constants in the rows it reports.
+
+    The indecomposable ideals need not be unique: a central automorphism
+    x -> x + phi(x), with phi mapping L into its centre Z and [L, L] to 0,
+    takes one decomposition to another, and moves an ideal I but not
+    I + Z.  So the summands are compared by I + Z, with dims and labels;
+    on the benchmark's re-basings the ideals are also equal as they stand.
+    """
+
+    def summands(self, found, field, extra):
+        return Counter((ideal_key(list(s.rows) + extra, field),
+                        s.algebra.dim, s.certificate, s.detail)
+                       for s in found)
+
+    def check(self, PL, exact=False):
+        d = decompose_indecomposable(PL)
+        own = decompose_module._split_queue(PL)
+        field = PL.field
+        assert len(d) == len(own)
+        center = center_span(PL)
+        assert self.summands(d.summands, field, center) == \
+            self.summands(own, field, center)
+        if exact:
+            assert self.summands(d.summands, field, []) == \
+                self.summands(own, field, [])
+        assert d.verified == verify_decomposition(PL, [s.rows for s in own])
+        assert d.verified
+        zero = field.zero()
+        for s in d.summands:
+            m = s.algebra.dim
+            assert len(s.rows) == m
+            for a in range(m):
+                for b in range(a + 1, m):
+                    want = [zero] * PL.dim
+                    for k, c in s.algebra.bracket_basis(a, b).items():
+                        want = [x + c * y for x, y in zip(want, s.rows[k])]
+                    assert PL.bracket_coords(s.rows[a], s.rows[b]) == want
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_rebased_manifests(self, seed, tmp_path):
+        load_workloads().build("rebased", seed, str(tmp_path))
+        names = sorted(f for f in os.listdir(tmp_path)
+                       if f.startswith("rebased_"))
+        assert len(names) == 7
+        for name in names:
+            PL = load_manifest(os.path.join(tmp_path, name)).algebra("PL")
+            assert PL.adapted is not None
+            self.check(PL, exact=True)
+
+    @pytest.mark.parametrize("name, PL", DENSE_REBASING_CASES,
+                             ids=[name for name, _ in DENSE_REBASING_CASES])
+    def test_dense_rebasings(self, name, PL):
+        assert PL.adapted is not None
+        self.check(PL)
+
+    def test_three_summands_are_mapped_back(self):
+        assert [len(decompose_indecomposable(PL))
+                for name, PL in DENSE_REBASING_CASES
+                if "r3+g1+ab1" in name] == [3, 3]
 
 
 # ------------------------------------------------- sparse nullspace

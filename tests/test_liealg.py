@@ -28,7 +28,6 @@ from lieforms.liealg import (
     _echelon,
     _support,
     change_basis,
-    center_rows,
     commutator_rows,
     direct_sum,
     fingerprint,
@@ -156,7 +155,7 @@ def test_center_and_commutator_rows():
     L = heis()
     comm, _ = commutator_rows(L)
     assert len(comm) == 1 and comm[0][2] == Q.one()
-    cen, _ = center_rows(L)
+    cen, _ = dense_center_reference(L)
     assert len(cen) == 1 and cen[0][2] == Q.one()
 
 
@@ -231,6 +230,20 @@ def test_restrict_to_span():
         restrict_to_span(L, bad)
 
 
+def dense_center_reference(L):
+    """The center from all n^2 equations sum_i x_i c_ij^k = 0, one
+    structure constant at a time."""
+    eqs = []
+    for j in range(L.dim):
+        for k in range(L.dim):
+            row = [L.structure_constant(i, j, k) for i in range(L.dim)]
+            if any(not c.is_zero() for c in row):
+                eqs.append(row)
+    if not eqs:
+        return linalg.rref(linalg.identity_matrix(L.field, L.dim), L.field)
+    return linalg.rref(linalg.nullspace(eqs, L.field), L.field)
+
+
 def dense_is_ideal(L, rows):
     """Reference: [e_i, w] in dense coordinates for every basis vector e_i
     and echelon row w, each tested by express_in_rows."""
@@ -301,7 +314,7 @@ def span_cases():
                 ident = linalg.identity_matrix(field, n)
                 rng = random.Random("%s%s%s" % (fname, name, basis))
                 spans = {
-                    "center": center_rows(M)[0],
+                    "center": dense_center_reference(M)[0],
                     "derived": commutator_rows(M)[0],
                     "whole": ident,
                     "empty": [],
@@ -490,22 +503,8 @@ def test_verify_morphism_on_rebased_dense_constants(name):
         assert not verify_morphism(M, L, bad), (r, c)
 
 
-def dense_center_reference(L):
-    """The center from all n^2 equations sum_i x_i c_ij^k = 0, one
-    structure constant at a time."""
-    eqs = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            row = [L.structure_constant(i, j, k) for i in range(L.dim)]
-            if any(not c.is_zero() for c in row):
-                eqs.append(row)
-    if not eqs:
-        return linalg.rref(linalg.identity_matrix(L.field, L.dim), L.field)
-    return linalg.rref(linalg.nullspace(eqs, L.field), L.field)
-
-
 @pytest.mark.parametrize("field_name", ["Q", "Q(i)", "Q(i)(sqrt2)"])
-def test_center_rows_matches_dense_reference(field_name):
+def test_center_dim_matches_dense_reference(field_name):
     field = {"Q": lambda: Q, "Q(i)": lambda: QI, "Q(i)(sqrt2)": tower}[
         field_name]()
     rng = random.Random(31)
@@ -519,9 +518,9 @@ def test_center_rows_matches_dense_reference(field_name):
                for L in catalog if 0 < L.dim <= 6]
     dims = []
     for L in catalog + rebased:
-        rows, pivots = center_rows(L)
-        assert (rows, pivots) == dense_center_reference(L)
-        dims.append(len(rows))
+        dim = len(dense_center_reference(L)[0])
+        assert fingerprint(L).center_dim == dim
+        dims.append(dim)
     assert dims[:len(catalog)] == [1, 0, 3, 0, 2, 1, 0, 2, 2]
 
 
