@@ -47,6 +47,7 @@ from math import comb
 from typing import Callable, Optional
 
 from . import linalg
+from .linalg import _SparseReducer, _sub_scaled
 from .errors import (
     DegenerateError,
     DegreeTooLargeError,
@@ -77,8 +78,6 @@ from .polynomials import (
 from .liealg import (
     LieAlgebra,
     LinearMap,
-    _SparseReducer,
-    _sub_scaled,
     _support,
     fingerprint,
     is_ideal,

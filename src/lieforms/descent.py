@@ -90,12 +90,11 @@ def restrict_scalars(L: LieAlgebra, F: FieldTower) -> Restriction:
     d = relative_degree(E, F)
     scalars = tuple(power_basis_over(E, F))
     n = L.dim
+    products = [[es * et for et in scalars] for es in scalars]
     brackets = {}
     for (i, j), comps in L.brackets.items():
-        for s in range(d):
-            es = scalars[s]
-            for t in range(d):
-                prod = es * scalars[t]
+        for s, row in enumerate(products):
+            for t, prod in enumerate(row):
                 entry: dict = {}
                 for k, c in comps.items():
                     flat = coords_over(prod * c, F)

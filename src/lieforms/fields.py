@@ -47,6 +47,7 @@ from .polynomials import (
     LITERAL_EXPONENT_CAP,
     QUADRATIC_RADICAND_CAP,
     Polynomial,
+    _is_cyclotomic,
     cyclotomic_coeffs,
     is_irreducible_over_Q,
 )
@@ -779,9 +780,11 @@ def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
         return
     if base.is_rationals:
         from .polynomials import FACTOR_DEGREE_CAP
-        if minpoly.degree <= FACTOR_DEGREE_CAP:
-            if not is_irreducible_over_Q(minpoly):
-                raise DegenerateError("minimal polynomial is reducible over Q")
+        # every cyclotomic polynomial is irreducible over Q (Gauss)
+        if (minpoly.degree <= FACTOR_DEGREE_CAP
+                and not _is_cyclotomic(minpoly)
+                and not is_irreducible_over_Q(minpoly)):
+            raise DegenerateError("minimal polynomial is reducible over Q")
     # Higher degrees over extensions: trusted input.
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
+from .linalg import _SparseReducer, _sub_scaled
 from .errors import (
     DegenerateError,
     JacobiError,
@@ -45,69 +46,6 @@ def _coerce(field: FieldTower, value) -> FieldElement:
 def _support(coords: Sequence[FieldElement]) -> dict:
     """The nonzero entries of a coordinate vector as {index: coeff}."""
     return {k: c for k, c in enumerate(coords) if not c.is_zero()}
-
-
-def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
-    """acc -= f * row over sparse {index: coeff} dicts, leaving out index
-    skip and dropping the entries that cancel."""
-    for k, v in row.items():
-        if k == skip:
-            continue
-        cur = acc.get(k)
-        nv = -(f * v) if cur is None else cur - f * v
-        if nv.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = nv
-
-
-class _SparseReducer:
-    """Online echelon form over sparse rows keyed by column index."""
-
-    def __init__(self, field: FieldTower):
-        self.field = field
-        self.pivots: dict = {}
-
-    def add(self, row: dict) -> bool:
-        work = {c: v for c, v in row.items() if not v.is_zero()}
-        while work:
-            c = min(work)
-            piv = self.pivots.get(c)
-            if piv is None:
-                if len(work) == 1:
-                    self.pivots[c] = {c: self.field.one()}
-                else:
-                    inv = work[c].inverse()
-                    self.pivots[c] = {k: inv * v for k, v in work.items()}
-                return True
-            _sub_scaled(work, work.pop(c), piv, c)
-        return False
-
-    def reduce_fully(self) -> None:
-        """Eliminate pivot columns from all rows (descending pivot order)."""
-        for c in sorted(self.pivots, reverse=True):
-            row = self.pivots[c]
-            others = [k for k in row if k != c and k in self.pivots]
-            for k in others:
-                f = row.pop(k, None)
-                if f is None or f.is_zero():
-                    continue
-                _sub_scaled(row, f, self.pivots[k], k)
-
-    def nullspace(self, ncols: int) -> list:
-        """The reduced echelon nullspace basis, one sparse vector per free
-        column in ascending order, built in one pass over the nonzeros of
-        the pivot rows."""
-        self.reduce_fully()
-        one = self.field.one()
-        out = {free: {free: one} for free in range(ncols)
-               if free not in self.pivots}
-        for c, row in self.pivots.items():
-            for free, coef in row.items():
-                vec = out.get(free)
-                if vec is not None and not coef.is_zero():
-                    vec[c] = -coef
-        return list(out.values())
 
 
 def _add_bracket(brackets: dict, acc: dict, u: dict, v: dict) -> None:
@@ -493,23 +431,48 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
     """phi([e_i, e_j]) == [phi e_i, phi e_j] for every pair i < j.
 
     phi is the sigma-semilinear map whose column i is phi(e_i); sigma None
-    is the identity.  Both sides are expanded over column supports only:
-    the left as sum of sigma(c) phi(e_k) over k in [e_i, e_j], the right
-    through the target's brackets.  Their difference must vanish exactly.
+    is the identity.  The right side is the sum of (phi_ri phi_sj - phi_si
+    phi_rj) [f_r, f_s] over the target's stored brackets, expanded over the
+    nonzeros of rows r and s of phi; the left is the sum of sigma(c) phi(e_k)
+    over the source's stored [e_i, e_j].  Only pairs that either side
+    reaches can differ, and there the difference must vanish exactly.
     """
-    cols = [_support([row[i] for row in mat]) for i in range(source.dim)]
-    for i in range(source.dim):
-        for j in range(i + 1, source.dim):
-            acc: dict = {}
-            _add_bracket(target.brackets, acc, cols[i], cols[j])
-            for k, c in source.bracket_basis(i, j).items():
-                sc = c if sigma is None else sigma(c)
-                for r, x in cols[k].items():
-                    t = sc * x
-                    prev = acc.get(r)
-                    acc[r] = -t if prev is None else prev - t
-            if any(not c.is_zero() for c in acc.values()):
-                return False
+    rows = [_support(row) for row in mat]
+    cols: list = [{} for _ in range(source.dim)]
+    for r, row in enumerate(rows):
+        for k, x in row.items():
+            cols[k][r] = x
+    coeffs: dict = {}  # (i, j) -> {(r, s): coefficient of [f_r, f_s]}
+    for key in target.brackets:
+        r, s = key
+        for i, x in rows[r].items():
+            for j, y in rows[s].items():
+                if i == j:
+                    continue
+                t = x * y
+                per = coeffs.setdefault((i, j) if i < j else (j, i), {})
+                prev = per.get(key)
+                if i < j:
+                    per[key] = t if prev is None else prev + t
+                else:
+                    per[key] = -t if prev is None else prev - t
+    for pair in coeffs.keys() | source.brackets.keys():
+        acc: dict = {}
+        for key, coeff in coeffs.get(pair, {}).items():
+            if coeff.is_zero():
+                continue
+            for k, c in target.brackets[key].items():
+                t = coeff * c
+                prev = acc.get(k)
+                acc[k] = t if prev is None else prev + t
+        for k, c in source.brackets.get(pair, {}).items():
+            sc = c if sigma is None else sigma(c)
+            for r, x in cols[k].items():
+                t = sc * x
+                prev = acc.get(r)
+                acc[r] = -t if prev is None else prev - t
+        if any(not c.is_zero() for c in acc.values()):
+            return False
     return True
 
 

@@ -6,12 +6,75 @@ Gaussian with division, driven by supports: a row update touches only the
 columns where the pivot row is nonzero, and products skip zero entries.
 Pivots are chosen as the first nonzero entry scanning columns left to
 right and rows top down, ties to the lowest row index, so every result is
-deterministic.
+deterministic.  _SparseReducer keeps sparse {column: value} rows echelonized.
 """
 
 from __future__ import annotations
 
 from .errors import SingularMatrixError
+
+
+def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
+    """acc -= f * row over sparse {index: coeff} dicts, leaving out index
+    skip and dropping the entries that cancel."""
+    for k, v in row.items():
+        if k == skip:
+            continue
+        cur = acc.get(k)
+        nv = -(f * v) if cur is None else cur - f * v
+        if nv.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
+
+
+class _SparseReducer:
+    """Online echelon form over sparse rows keyed by column index."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots: dict = {}
+
+    def add(self, row: dict) -> bool:
+        work = {c: v for c, v in row.items() if not v.is_zero()}
+        while work:
+            c = min(work)
+            piv = self.pivots.get(c)
+            if piv is None:
+                if len(work) == 1:
+                    self.pivots[c] = {c: self.field.one()}
+                else:
+                    inv = work[c].inverse()
+                    self.pivots[c] = {k: inv * v for k, v in work.items()}
+                return True
+            _sub_scaled(work, work.pop(c), piv, c)
+        return False
+
+    def reduce_fully(self) -> None:
+        """Eliminate pivot columns from all rows (descending pivot order)."""
+        for c in sorted(self.pivots, reverse=True):
+            row = self.pivots[c]
+            others = [k for k in row if k != c and k in self.pivots]
+            for k in others:
+                f = row.pop(k, None)
+                if f is None or f.is_zero():
+                    continue
+                _sub_scaled(row, f, self.pivots[k], k)
+
+    def nullspace(self, ncols: int) -> list:
+        """The reduced echelon nullspace basis, one sparse vector per free
+        column in ascending order, built in one pass over the nonzeros of
+        the pivot rows."""
+        self.reduce_fully()
+        one = self.field.one()
+        out = {free: {free: one} for free in range(ncols)
+               if free not in self.pivots}
+        for c, row in self.pivots.items():
+            for free, coef in row.items():
+                vec = out.get(free)
+                if vec is not None and not coef.is_zero():
+                    vec[c] = -coef
+        return list(out.values())
 
 
 def identity_matrix(field, n: int):
@@ -94,7 +157,9 @@ def rref(rows, field):
 
 
 def rank(rows, field) -> int:
-    return len(rref(rows, field)[0])
+    """The rank of a list of rows, by forward elimination of their nonzeros."""
+    red = _SparseReducer(field)
+    return sum(red.add(dict(enumerate(row))) for row in rows)
 
 
 def solve(A, b, field):

@@ -275,17 +275,6 @@ def _fneg(a):
     return [-c for c in a]
 
 
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 def _fdivmod(a, b):
     if not b:
         raise ZeroDivisionError
@@ -824,20 +813,62 @@ def is_irreducible_over_Q(p: Polynomial) -> bool:
         factors[0][0].degree == p.degree
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def cyclotomic_coeffs(n: int) -> list[int]:
-    """Integer coefficients of the n-th cyclotomic polynomial."""
+    """Integer coefficients of the n-th cyclotomic polynomial.
+
+    Phi_n is the product over d | n of (t^d - 1)^mu(n/d); for n > 1 the
+    exponents sum to 0, so it is the product of (1 - t^d)^mu(n/d) as a power
+    series to degree phi(n).  A factor 1 - t^d subtracts the series shifted
+    by d; dividing by it adds the shifted series back, lowest degree first.
+    """
     if n < 1:
         raise DegenerateError("cyclotomic index must be >= 1")
-    poly = [Fraction(-1), Fraction(1)]  # t - 1 = Phi_1
     if n == 1:
         return [-1, 1]
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _fmul(den, [Fraction(c) for c in cyclotomic_coeffs(d)])
-    q, r = _fdivmod(num, den)
-    if r:
-        raise DegenerateError("cyclotomic division was not exact")
-    return [int(c) for c in q]
+    primes, deg = _prime_factors(n), _totient(n)
+    series = [1] + [0] * deg
+    for mask in range(1 << len(primes)):  # the squarefree n/d
+        d, mu = n, 1
+        for b, p in enumerate(primes):
+            if mask >> b & 1:
+                d, mu = d // p, -mu
+        if mu == 1:
+            for k in range(deg, d - 1, -1):
+                series[k] -= series[k - d]
+        else:
+            for k in range(d, deg + 1):
+                series[k] += series[k - d]
+    return series
+
+
+def _is_cyclotomic(p: Polynomial) -> bool:
+    """True when a rational polynomial is Phi_n for some n >= 2.
+
+    Such a Phi_n is integral and palindromic with constant term 1, which
+    rules most polynomials out at once; the rest are compared with Phi_n
+    for each n with phi(n) = deg, all at most 2 deg^2 as phi(n) >= sqrt(n/2).
+    """
+    cs = _frac_coeffs(p)
+    if any(c.denominator != 1 for c in cs) or cs[0] != 1 or cs != cs[::-1]:
+        return False
+    deg = p.degree
+    return any(cyclotomic_coeffs(n) == cs
+               for n in range(deg + 1, 2 * deg ** 2 + 1) if _totient(n) == deg)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from lieforms import cli
+from lieforms import cli, fields
 from lieforms.errors import JacobiError, ManifestError
 from lieforms.fields import (
     cyclotomic_field,
@@ -507,6 +507,34 @@ class TestCommandLine:
             assert captured.err.startswith("error:")
             assert message in captured.err
         assert elapsed < 2.0, elapsed
+
+    @pytest.mark.parametrize("minpoly, rc, factored", [
+        (["1", "0", "-1", "0", "1"], 0, False),        # Phi_12
+        (["1", "0", "0", "0", "1"], 0, False),         # Phi_8
+        (["1", "-1", "0", "1", "-1", "1", "0", "-1", "1"], 0, False),  # Phi_15
+        (["1", "0", "1", "0", "1"], 2, True),          # Phi_3 Phi_6
+        (["2", "0", "0", "0", "1"], 0, True),          # irreducible, no Phi_n
+    ], ids=["phi12", "phi8", "phi15", "phi3phi6", "t4+2"])
+    def test_cyclotomic_manifest_fields_are_proved_without_factoring(
+            self, capsys, tmp_path, monkeypatch, minpoly, rc, factored):
+        calls = []
+        factor = fields.is_irreducible_over_Q
+        monkeypatch.setattr(fields, "is_irreducible_over_Q",
+                            lambda p: calls.append(p) or factor(p))
+        identity = ["0", "1"] + ["0"] * (len(minpoly) - 3)
+        field = {"name": "K", "base": "Q", "gen": "t", "minpoly": minpoly,
+                 "automorphisms": [identity]}
+        path = write_lines(tmp_path, "k.jsonl", json.dumps(field))
+        code = cli.main(["catalog", "heisenberg", "--field", "K",
+                         "--manifest", path])
+        captured = capsys.readouterr()
+        assert code == rc
+        if rc == 0:
+            assert json.loads(captured.out)["field"] == "K"
+        else:
+            assert captured.err.startswith("error:")
+            assert "minimal polynomial is reducible over Q" in captured.err
+        assert len(calls) == factored
 
     @pytest.mark.parametrize("name, valid", [
         ("check", ["a"]), ("conjugate", ["a", "--sigma", "id", "--name", "b"]),

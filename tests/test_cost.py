@@ -12,16 +12,29 @@ before the [L, L]-adapted presentation was kept on the algebra (26,845 and
 10,169); 9,959 and 213,131 for decompose_indecomposable, which splits on
 the adapted table, against 22,322 and 506,863 when it split in the
 caller's basis.
+
+The sum-conjugate case is g_lambda over Q(zeta8), lambda = 1 + zeta8, and
+its map L_Q (x) Q(zeta8) -> sum of conjugates (dim 40).  is_bijective
+eliminates the map's nonzeros forward only: 230 multiplications and 1,770
+is_zero calls, against 422 and 2,793 through rref.  The morphism check
+expands from the 36 stored brackets of the target: 576 look-ups in its
+table, against 12,816 when it probed every pair of source basis vectors.
 """
 
 import random
 
 import pytest
 
-from lieforms.catalog import nintot_family
+from lieforms.catalog import g_lambda, nintot_family
 from lieforms.decompose import decompose_indecomposable
-from lieforms.fields import FieldElement, gaussian_rationals
-from lieforms.liealg import change_basis, fingerprint
+from lieforms.descent import verify_sumconjugate
+from lieforms.fields import (
+    FieldElement,
+    cyclotomic_field,
+    gaussian_rationals,
+    rationals,
+)
+from lieforms.liealg import change_basis, fingerprint, verify_morphism
 
 CEILINGS = {
     "change_basis": 2839,
@@ -29,6 +42,11 @@ CEILINGS = {
     "fingerprint": 582,
 }
 FULL_DECOMPOSE_CEILING = 255757
+SUMCONJUGATE_CEILINGS = {
+    "is_bijective.mul": 276,
+    "is_bijective.is_zero": 2124,
+    "morphism.lookups": 691,
+}
 
 
 def band_unitriangular(n, seed):
@@ -88,3 +106,42 @@ def test_dense_rebased_nintot_decomposes_under_its_ceiling(multiplications):
     count = multiplications[0]
     assert len(d) == 2 and d.verified and d.all_certified
     assert count <= FULL_DECOMPOSE_CEILING, (count, FULL_DECOMPOSE_CEILING)
+
+
+class CountingTable(dict):
+    """A bracket table that counts its look-ups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return dict.__getitem__(self, key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return dict.__contains__(self, key)
+
+    def get(self, *args):
+        self.lookups += 1
+        return dict.get(self, *args)
+
+
+def test_sumconjugate_checks_stay_under_their_ceilings(monkeypatch):
+    E = cyclotomic_field(8)
+    m = verify_sumconjugate(g_lambda(E, E.one() + E.generator()),
+                            rationals()).map
+    counts = {}
+    for op in ("__mul__", "is_zero"):
+        def counting(*args, _op=op, _orig=getattr(FieldElement, op)):
+            counts[_op] += 1
+            return _orig(*args)
+        monkeypatch.setattr(FieldElement, op, counting)
+        counts[op] = 0
+    assert m.is_bijective()
+    found = {"is_bijective.mul": counts["__mul__"],
+             "is_bijective.is_zero": counts["is_zero"]}
+    m.target.brackets = table = CountingTable(m.target.brackets)
+    assert verify_morphism(m.source, m.target, m.matrix)
+    found["morphism.lookups"] = table.lookups
+    for name, ceiling in SUMCONJUGATE_CEILINGS.items():
+        assert found[name] <= ceiling, (name, found[name], ceiling)

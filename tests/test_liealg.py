@@ -20,8 +20,16 @@ from lieforms.catalog import (
     r3_lambda,
     r3_lambda_plus_abelian,
 )
-from lieforms.descent import conjugate, verify_sumconjugate
-from lieforms.fields import field_extend, gaussian_rationals, rationals
+from lieforms.decompose import isomorphism_verdict
+from lieforms.descent import conjugate, conjugation_map, verify_sumconjugate
+from lieforms.fields import (
+    cyclotomic_field,
+    field_extend,
+    galois_group,
+    gaussian_rationals,
+    quadratic_field,
+    rationals,
+)
 from lieforms.liealg import (
     LieAlgebra,
     LinearMap,
@@ -476,6 +484,160 @@ def test_altered_sumconjugate_map_is_not_a_morphism():
             changed += 1
     assert changed == 40
     assert verify_morphism(src, tgt, rows)
+
+
+def all_pairs_holds(source, target, sigma, mat):
+    """The morphism check as it was before it expanded over the stored
+    brackets: every pair i < j, with the right side gathered over the
+    support pairs of columns i and j in the target's table."""
+    cols = [_support([row[i] for row in mat]) for i in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            acc = {}
+            liealg_module._add_bracket(target.brackets, acc, cols[i], cols[j])
+            for k, c in source.bracket_basis(i, j).items():
+                sc = c if sigma is None else sigma(c)
+                for r, x in cols[k].items():
+                    t = sc * x
+                    prev = acc.get(r)
+                    acc[r] = -t if prev is None else prev - t
+            if any(not c.is_zero() for c in acc.values()):
+                return False
+    return True
+
+
+def block_matrix(field, rows, cols, blocks):
+    """A rows x cols matrix with identity blocks at (row, col, size)."""
+    zero, one = field.zero(), field.one()
+    mat = [[zero] * cols for _ in range(rows)]
+    for r0, c0, size in blocks:
+        for t in range(size):
+            mat[r0 + t][c0 + t] = one
+    return mat
+
+
+def morphism_cases():
+    """(name, source, target, sigma, matrix) for maps that are morphisms:
+    sum-conjugate maps, sigma-conjugations, oracle certificates, seeded
+    changes of basis, and maps with zero rows or zero columns."""
+    rng = random.Random(41)
+    out = []
+    for fname, E, F in (("Q(i)", QI, Q), ("Q(sqrt2)", quadratic_field(2), Q),
+                        ("Q(zeta8)", cyclotomic_field(8), Q),
+                        ("Q(i)(sqrt2)", tower(), QI)):
+        lam = E.one() + E.generator()
+        algebras = [("h3", heis(E)), ("r3", r3_lambda(E, lam)),
+                    ("g_lambda", g_lambda(E, lam))]
+        if E.minpoly.degree == 2:
+            algebras.append(("nintot", nintot_family(E, lam, 2, 1)))
+        for label, L in algebras:
+            m = verify_sumconjugate(L, F).map
+            out.append(("%s/%s/sumconjugate" % (fname, label), m.source,
+                        m.target, None, [list(r) for r in m.matrix]))
+            for sigma in galois_group(E, F).elements[1:]:
+                c = conjugation_map(L, sigma)
+                out.append(("%s/%s/conjugation" % (fname, label), c.source,
+                            c.target, sigma, [list(r) for r in c.matrix]))
+    for fname, field in (("Q", Q), ("Q(i)", QI)):
+        lam = field.from_rational(3) if field is Q else 2 + QI.generator()
+        one = field.one()
+        g1_permuted = LieAlgebra(field, 4, {(0, 1): {1: lam}, (0, 2): {2: one},
+                                            (0, 3): {3: one}})
+        for label, A, B in (
+                ("r3", r3_lambda(field, lam), r3_lambda(field, 1 / lam)),
+                ("g1", g1_alpha(field, lam), g1_permuted)):
+            verdict = isomorphism_verdict(A, B)
+            assert verdict.status == "confirmed"
+            out.append(("%s/%s/certificate" % (fname, label), A, B, None,
+                        [list(r) for r in verdict.certificate]))
+        for label, L in (("h3+h3", direct_sum(heis(field), heis(field))),
+                         ("sl2", sl2(field)),
+                         ("g_lambda", g_lambda(field, lam)),
+                         ("r3+ab1", r3_lambda_plus_abelian(field, lam))):
+            P = seeded_invertible(field, L.dim, rng.randrange(1000))
+            out.append(("%s/%s/change_of_basis" % (fname, label),
+                        change_basis(L, P), L, None, P))
+        A, B = g_lambda(field, lam), heis(field)
+        S = direct_sum(A, B)
+        out.append(("%s/zero_map" % fname, A, A, None,
+                    block_matrix(field, A.dim, A.dim, [])))
+        out.append(("%s/projection" % fname, S, A, None,
+                    block_matrix(field, A.dim, S.dim, [(0, 0, A.dim)])))
+        out.append(("%s/inclusion" % fname, B, S, None,
+                    block_matrix(field, S.dim, B.dim, [(A.dim, 0, B.dim)])))
+    return out
+
+
+MORPHISM_CASES = morphism_cases()
+
+
+@pytest.mark.parametrize("name, source, target, sigma, mat", MORPHISM_CASES,
+                         ids=[case[0] for case in MORPHISM_CASES])
+def test_morphism_check_matches_the_all_pairs_reference(name, source, target,
+                                                        sigma, mat):
+    check = liealg_module._semilinear_holds
+    assert check(source, target, sigma, mat)
+    assert all_pairs_holds(source, target, sigma, mat)
+    field = target.field
+    rng = random.Random(name)
+    # perturb one entry at a time, in a seeded order, until four perturbed
+    # maps are no morphisms; both checks must agree on every one
+    positions = [(r, c) for r in range(len(mat)) for c in range(len(mat[0]))]
+    rng.shuffle(positions)
+    refuted = 0
+    for r, c in positions:
+        bad = [list(row) for row in mat]
+        bad[r][c] = bad[r][c] + random_element(field, rng, nonzero=True)
+        expected = all_pairs_holds(source, target, sigma, bad)
+        assert check(source, target, sigma, bad) == expected, (r, c)
+        refuted += not expected
+        if refuted == 4:
+            break
+    zero = field.zero()
+    r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+    zero_row = [[zero] * len(row) if k == r else row
+                for k, row in enumerate(mat)]
+    zero_column = [[zero if t == c else x for t, x in enumerate(row)]
+                   for row in mat]
+    for cut in (zero_row, zero_column):
+        assert (check(source, target, sigma, cut)
+                == all_pairs_holds(source, target, sigma, cut))
+    assert refuted == 4, name
+
+
+def test_morphism_cases_cover_each_kind():
+    kinds = [case[0].rsplit("/", 1)[1] for case in MORPHISM_CASES]
+    assert kinds.count("sumconjugate") == 15
+    assert kinds.count("conjugation") == 21
+    for kind in ("certificate", "change_of_basis", "zero_map", "projection",
+                 "inclusion"):
+        assert kind in kinds
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Q(i)", "Q(i)(sqrt2)"])
+def test_rank_matches_rref(field_name):
+    field = {"Q": lambda: Q, "Q(i)": lambda: QI, "Q(i)(sqrt2)": tower}[
+        field_name]()
+    rng = random.Random(53)
+    zero = field.zero()
+
+    def matrix(rows, cols, density):
+        return [[random_element(field, rng, nonzero=True)
+                 if rng.random() < density else zero for _ in range(cols)]
+                for _ in range(rows)]
+
+    singular = matrix(7, 7, 1.0)
+    c = random_element(field, rng, nonzero=True)
+    singular[4] = [2 * a - c * b for a, b in zip(singular[0], singular[2])]
+    cases = {"dense": matrix(8, 8, 1.0), "sparse": matrix(24, 24, 0.1),
+             "singular": singular, "zero": matrix(5, 6, 0.0),
+             "wide": matrix(4, 11, 0.5), "tall": matrix(11, 4, 0.5),
+             "empty": []}
+    ranks = {}
+    for name, rows in cases.items():
+        ranks[name] = linalg.rank(rows, field)
+        assert ranks[name] == len(linalg.rref(rows, field)[0]), name
+    assert ranks["singular"] < 7 and ranks["zero"] == ranks["empty"] == 0
 
 
 def unitriangular(field, n, rng):

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from lieforms import fields, polynomials
 from lieforms.errors import DegenerateError, DegreeTooLargeError
-from lieforms.fields import rationals
+from lieforms.fields import cyclotomic_field, rationals
 from lieforms.polynomials import (
     Polynomial,
+    _is_cyclotomic,
     cyclotomic_coeffs,
     factor_over_Q,
     is_irreducible_over_Q,
@@ -116,6 +118,75 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_coeffs(4) == [1, 0, 1]
     assert cyclotomic_coeffs(6) == [1, -1, 1]
     assert cyclotomic_coeffs(12) == [1, 0, -1, 0, 1]
+
+
+def divide_exactly(num, den):
+    """num / den for Fraction lists (low to high), with no remainder."""
+    rem = list(num)
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = rem[k + len(den) - 1] / den[-1]
+        for t, d in enumerate(den):
+            rem[k + t] -= c * d
+    assert not any(rem)
+    return q
+
+
+def fraction_cyclotomic(n, known):
+    """Phi_n as t^n - 1 divided by Phi_d for every proper divisor d, in
+    Fraction arithmetic; known maps each d < n to Phi_d."""
+    out = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            out = divide_exactly(out, known[d])
+    return out
+
+
+def test_cyclotomic_coeffs_match_the_fraction_reference():
+    known = {}
+    for n in range(1, 106):
+        known[n] = fraction_cyclotomic(n, known)
+        assert all(c.denominator == 1 for c in known[n])
+        assert cyclotomic_coeffs(n) == [int(c) for c in known[n]], n
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}
+    assert all(set(cyclotomic_coeffs(n)) <= {-1, 0, 1} for n in range(1, 105))
+    assert min(cyclotomic_coeffs(105)) == -2
+
+
+def test_cyclotomic_recognition():
+    for n in range(2, 40):
+        phi = cyclotomic_coeffs(n)
+        if len(phi) - 1 <= 12:
+            assert _is_cyclotomic(poly(*phi)), n
+    # Phi_3 Phi_6, t^4 + 2 and t^4 + 4 t^2 + 1 are palindromic or close to
+    # it, but no Phi_n
+    for cs in ([1, 0, 1, 0, 1], [2, 0, 0, 0, 1], [1, 0, 4, 0, 1]):
+        assert not _is_cyclotomic(poly(*cs)), cs
+
+
+def test_cyclotomic_recognition_rejects_without_comparing(monkeypatch):
+    def fail(n):
+        raise AssertionError("compared with Phi_%d" % n)
+
+    monkeypatch.setattr(polynomials, "cyclotomic_coeffs", fail)
+    for cs in ([Fraction(1, 2), 0, 0, 0, 1],   # not integral
+               [-1, 0, 0, 0, 1],               # constant term -1
+               [1, 1, 0, 0, 1]):               # not palindromic
+        assert not _is_cyclotomic(poly(*cs)), cs
+
+
+def test_cyclotomic_fields_match_the_factoring_route(monkeypatch):
+    proved = {n: cyclotomic_field(n) for n in range(3, 13)}
+    calls = []
+    monkeypatch.setattr(fields, "_is_cyclotomic",
+                        lambda p: calls.append(p) and False)
+    for n, field in proved.items():
+        factored = cyclotomic_field(n)
+        assert factored.aut_images == field.aut_images, n
+        assert factored.aut_table == field.aut_table, n
+        assert factored.structure_key() == field.structure_key(), n
+    # the quadratic ones (n = 3, 4, 6) are proved by their discriminant
+    assert len(calls) == 7
 
 
 def test_random_factor_refactor_roundtrip():
