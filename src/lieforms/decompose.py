@@ -78,15 +78,18 @@ from .polynomials import (
 from .liealg import (
     LieAlgebra,
     LinearMap,
-    _support,
+    _restricted,
+    _spans_ideal,
     fingerprint,
-    is_ideal,
     direct_sum,
-    restrict_to_span,
     verify_morphism,
 )
 from .descent import conjugate_orbit
-from .catalog import r3_iso_certificate, r3_iso_criterion
+from .catalog import (
+    diagonal_ad_spectrum,
+    r3_iso_certificate,
+    r3_iso_criterion,
+)
 from .pfaffian import invariant_c_of, refute_isomorphism_by_c
 
 DEFAULT_SEED = 20260823
@@ -103,10 +106,6 @@ def _flatten(M):
     return [c for row in M for c in row]
 
 
-def _mat_from_flat(flat, n):
-    return [list(flat[r * n:(r + 1) * n]) for r in range(n)]
-
-
 def _poly_apply(p: Polynomial, M, v, field):
     """The vector p(M) v without forming p(M)."""
     acc = [field.zero()] * len(v)
@@ -121,7 +120,8 @@ def _poly_apply(p: Polynomial, M, v, field):
 
 class AssocAlgebra:
     """A unital associative algebra of n-by-n matrices with membership
-    tests through the row-reduced span of the flattened basis.
+    tests through the reduced echelon rows of the flattened basis, kept
+    sparse.
 
     Product closure is verified on construction: exhaustively for small
     bases, on a seeded random sample of pairs beyond the size cap
@@ -141,8 +141,8 @@ class AssocAlgebra:
         self.matrices = tuple(tuple(tuple(row) for row in M)
                               for M in matrices)
         self.size = len(self.matrices[0])
-        flat = [_flatten(M) for M in self.matrices]
-        self.rows, self.pivots = linalg.rref(flat, field)
+        self.rows, self.pivots = linalg.echelon(
+            [linalg.sparse(_flatten(M)) for M in self.matrices], field)
         if len(self.rows) != len(self.matrices):
             raise DegenerateError("basis matrices are linearly dependent")
         if not self.contains(linalg.identity_matrix(field, self.size)):
@@ -159,8 +159,10 @@ class AssocAlgebra:
 
     def coords_of(self, M):
         """Coordinates in the reduced row span, or None outside it."""
-        return linalg.express_in_rows(self.rows, self.pivots,
-                                      _flatten(M), self.field)
+        coords = linalg.express(linalg.sparse(_flatten(M)), self.rows,
+                                self.pivots)
+        return (None if coords is None
+                else linalg.dense(coords, len(self.rows), self.field))
 
     def _verify_closure(self, seed: int) -> None:
         m = self.dim
@@ -218,20 +220,26 @@ def centroid_basis(L: LieAlgebra) -> list:
     D is a coordinate subspace, L is already adapted and is solved as it
     stands.
     """
-    n, field = L.dim, L.field
-    if n == 0:
+    return [_dense(M, L.dim, L.field) for M in _sparse_centroid(L)]
+
+
+def _sparse_centroid(L: LieAlgebra) -> list:
+    """centroid_basis as sparse matrices."""
+    if L.dim == 0:
         raise DegenerateError("centroid of a zero-dimensional algebra")
     if L.adapted is None:
         basis = _block_centroid(L)
     else:
         basis = _adapted_centroid(L)
-    out = []
-    for vec in basis:
-        flat = [field.zero()] * (n * n)
-        for c, v in vec.items():
-            flat[c] = v
-        out.append(_mat_from_flat(flat, n))
-    return out
+    return [_unflatten(vec, L.dim) for vec in basis]
+
+
+def _unflatten(vec: dict, n: int) -> dict:
+    """The sparse n-by-n matrix whose entry M[r][c] is vec[r*n + c]."""
+    M: dict = {}
+    for k in sorted(vec):
+        M.setdefault(k // n, {})[k % n] = vec[k]
+    return M
 
 
 def _canonical(field, n, flats) -> list:
@@ -241,12 +249,9 @@ def _canonical(field, n, flats) -> list:
     column f_t (its last nonzero flat entry), 0 on every other free
     column, sorted by f_t.  It depends only on the span."""
     last = n * n - 1
-    red = _SparseReducer(field)
-    for flat in flats:
-        red.add({last - k: v for k, v in flat.items()})
-    red.reduce_fully()
-    return [{last - k: v for k, v in red.pivots[c].items()}
-            for c in sorted(red.pivots, reverse=True)]
+    red, _ = linalg.echelon(({last - k: v for k, v in flat.items()}
+                             for flat in flats), field)
+    return [{last - k: v for k, v in row.items()} for row in reversed(red)]
 
 
 def _adapted_centroid(L: LieAlgebra) -> list:
@@ -348,26 +353,24 @@ def centroid(L: LieAlgebra) -> AssocAlgebra:
 # combinations cost what the supports cost.
 
 
-def _sparse(M, field) -> dict:
+def _sparse(M) -> dict:
     """A dense matrix as sparse rows."""
-    zero = field.zero()
-    out = {}
-    for r, row in enumerate(M):
-        # the shared zero of the tower is skipped without a test
-        entries = {c: x for c, x in enumerate(row)
-                   if x is not zero and not x.is_zero()}
-        if entries:
-            out[r] = entries
-    return out
+    rows = {r: linalg.sparse(row) for r, row in enumerate(M)}
+    return {r: row for r, row in rows.items() if row}
 
 
 def _dense(A: dict, n: int, field) -> list:
-    z = field.zero()
-    out = [[z] * n for _ in range(n)]
+    return [linalg.dense(A.get(r, {}), n, field) for r in range(n)]
+
+
+def _columns(A: dict) -> dict:
+    """The sparse columns {c: {r: A[r][c]}} of a sparse matrix, in
+    ascending order of c."""
+    cols: dict = {}
     for r, row in A.items():
         for c, x in row.items():
-            out[r][c] = x
-    return out
+            cols.setdefault(c, {})[r] = x
+    return dict(sorted(cols.items()))
 
 
 def _sp_sum(terms) -> dict:
@@ -466,7 +469,7 @@ def radical(A) -> list:
     action: elements with trace(a b) = 0 against the whole basis (exact in
     characteristic zero for a faithful unital matrix algebra)."""
     field = A.field
-    mats = [_sparse(M, field) for M in A.matrices]
+    mats = [_sparse(M) for M in A.matrices]
     _, null = _gram_radical(field, _trace_gram(field, mats))
     return _radical_matrices(field, A.size, mats, null)
 
@@ -494,10 +497,7 @@ def _square_zero(mats, null, derived) -> bool:
 
     def defect(t):
         if t not in defects:
-            cols: dict = {}
-            for r, row in mats[t].items():
-                for c, x in row.items():
-                    cols.setdefault(c, {})[r] = x
+            cols = _columns(mats[t])
             out = {}
             for p, drow in derived.items():
                 image: dict = {}
@@ -812,7 +812,7 @@ def find_idempotent(A):
     returned matrix satisfies e*e = e and is neither 0 nor the identity.
     """
     field = A.field
-    mats = [_sparse(M, field) for M in A.matrices]
+    mats = [_sparse(M) for M in A.matrices]
     e = _split_or_certify(field, A.size, mats, None)[0]
     return None if e is None else _dense(e, A.size, field)
 
@@ -863,18 +863,16 @@ def verify_decomposition(L: LieAlgebra, ideal_bases) -> bool:
     and the dimensions add up to dim L (pairwise brackets then vanish since
     [I, J] lies in the zero intersection)."""
     total_rows = []
-    total = 0
     for rows in ideal_bases:
-        red, _ = linalg.rref([list(r) for r in rows], L.field)
-        if len(red) == 0:
+        red, pivots = linalg.echelon([linalg.sparse(r) for r in rows],
+                                     L.field)
+        if not red or not _spans_ideal(L, red, pivots):
             return False
-        if not is_ideal(L, red):
-            return False
-        total += len(red)
         total_rows.extend(red)
-    if total != L.dim:
+    if len(total_rows) != L.dim:
         return False
-    return linalg.rank(total_rows, L.field) == L.dim
+    red = _SparseReducer(L.field)
+    return sum(red.add(w) for w in total_rows) == L.dim
 
 
 def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
@@ -908,8 +906,8 @@ def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
     else:
         vecs = L.adapted_basis()
         summands = tuple(Summand(s.algebra, _freeze_rows(
-            _dense_rows([_combine(_support(r), vecs) for r in s.rows],
-                        L.dim, field)), s.certificate, s.detail)
+            [linalg.dense(_combine(linalg.sparse(r), vecs), L.dim, field)
+             for r in s.rows]), s.certificate, s.detail)
             for s in found)
     return Decomposition(L, summands,
                          verify_decomposition(L, [s.rows for s in summands]))
@@ -927,7 +925,7 @@ def _split_queue(A: LieAlgebra) -> list:
     one = field.one()
     pending = deque()
     pending.append((A, [{d: one} for d in range(n)],
-                    [_sparse(M, field) for M in centroid_basis(A)]))
+                    _sparse_centroid(A)))
     finished = []
     while pending:
         piece, rows, mats = pending.popleft()
@@ -935,14 +933,14 @@ def _split_queue(A: LieAlgebra) -> list:
         e, cert, detail = _split_or_certify(field, m, mats, piece)
         if e is None:
             finished.append(Summand(piece, _freeze_rows(
-                _dense_rows(rows, n, field)), cert, detail))
+                [linalg.dense(w, n, field) for w in rows]), cert, detail))
             continue
-        img, ker = _split_rows(piece, _dense(e, m, field))
         complement = _sp_sum(((one, {d: {d: one} for d in range(m)}),
                               (-one, e)))
-        for part, proj in ((img, e), (ker, complement)):
-            pending.append((restrict_to_span(piece, part),
-                            [_combine(_support(w), rows) for w in part],
+        halves = _split_rows(piece, e, complement)
+        for (part, pivots), proj in zip(halves, (e, complement)):
+            pending.append((_restricted(piece, part, pivots),
+                            [_combine(w, rows) for w in part],
                             _corner_centroid(field, mats, proj, part)))
     return finished
 
@@ -955,55 +953,45 @@ def _corner_centroid(field, mats, proj, part) -> list:
     and any map in C(I), extended by 0 on J, lies in C(L); so the
     restrictions to I of proj M proj over the sparse basis mats of C(L)
     span C(I).  part is I's reduced echelon basis (rows w_t in L's
-    coordinates, as restrict_to_span takes them), so a vector of I has as
+    coordinates, as _restricted takes them), so a vector of I has as
     coordinates its entries at their pivots, and entry (s, t) of a corner
     is row pivot_s of proj, times M, times w_t.  The span is put in the
     canonical form of centroid_basis, which is unique: the result is the
     sparse form of centroid_basis of the piece, matrix for matrix.
     """
-    rows = [_support(w) for w in part]
-    m = len(rows)
+    m = len(part)
     head = {}
-    for s, w in enumerate(rows):
+    for s, w in enumerate(part):
         row = proj.get(min(w))
         if row is not None:
             head[s] = row
-    cols: dict = {}  # column c -> {t: w_t[c]}
-    for t, w in enumerate(rows):
-        for c, x in w.items():
-            cols.setdefault(c, {})[t] = x
+    cols = _columns(dict(enumerate(part)))  # column c -> {t: w_t[c]}
     flats = []
     for M in mats:
         flats.append({s * m + t: v
                       for s, row in _sp_mul(_sp_mul(head, M), cols).items()
                       for t, v in row.items()})
-    out = []
-    for vec in _canonical(field, m, flats):
-        M = {}
-        for k in sorted(vec):
-            M.setdefault(k // m, {})[k % m] = vec[k]
-        out.append(M)
-    return out
+    return [_unflatten(vec, m) for vec in _canonical(field, m, flats)]
 
 
 def _freeze_rows(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def _split_rows(piece: LieAlgebra, e):
-    """Echelonized bases of image and kernel of a verified idempotent."""
-    field = piece.field
-    n = piece.dim
-    cols = [[e[r][j] for r in range(n)] for j in range(n)]
-    img, _ = linalg.rref(cols, field)
-    ker = linalg.nullspace([list(row) for row in e], field)
-    ker, _ = linalg.rref(ker, field)
-    if len(img) + len(ker) != n or not img or not ker:
+def _split_rows(piece: LieAlgebra, e: dict, complement: dict):
+    """The image and the kernel of a verified sparse idempotent e, each as
+    its reduced echelon sparse rows and their pivots.  The kernel of e is
+    the image of complement, 1 - e, and an image is the span of the
+    columns."""
+    halves = [linalg.echelon(_columns(proj).values(), piece.field)
+              for proj in (e, complement)]
+    (img, _), (ker, _) = halves
+    if len(img) + len(ker) != piece.dim or not img or not ker:
         raise DegenerateError("idempotent image/kernel do not split the "
                               "space")
-    if not is_ideal(piece, img) or not is_ideal(piece, ker):
+    if not all(_spans_ideal(piece, *half) for half in halves):
         raise DegenerateError("idempotent split produced a non-ideal")
-    return img, ker
+    return halves
 
 
 def _combine(coeffs: dict, vecs: list) -> dict:
@@ -1011,17 +999,6 @@ def _combine(coeffs: dict, vecs: list) -> dict:
     out: dict = {}
     for t, c in coeffs.items():
         _sub_scaled(out, -c, vecs[t])
-    return out
-
-
-def _dense_rows(rows, n: int, field) -> list:
-    zero = field.zero()
-    out = []
-    for row in rows:
-        dense = [zero] * n
-        for k, c in row.items():
-            dense[k] = c
-        out.append(dense)
     return out
 
 
@@ -1054,15 +1031,11 @@ def _diagonal_family_shape(L: LieAlgebra, dim: int):
     [X1, Xj] = c_j Xj for j = 2..dim."""
     if L.dim != dim:
         return None
-    vals = []
-    for j in range(1, dim):
-        comps = L.brackets.get((0, j))
-        if comps is None or set(comps) != {j}:
-            return None
-        vals.append(comps[j])
-    if len(L.brackets) != dim - 1:
+    try:
+        vals = diagonal_ad_spectrum(L)
+    except WrongShapeError:
         return None
-    return tuple(vals)
+    return vals if len(vals) == dim - 1 else None
 
 
 def _scale_matrix(field, n, index, value):

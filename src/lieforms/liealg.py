@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .linalg import _SparseReducer, _sub_scaled
+from .linalg import _SparseReducer
 from .errors import (
     DegenerateError,
     JacobiError,
@@ -41,11 +41,6 @@ def _coerce(field: FieldTower, value) -> FieldElement:
             return value
         return lift_to(value, field)
     return field.from_rational(Fraction(value))
-
-
-def _support(coords: Sequence[FieldElement]) -> dict:
-    """The nonzero entries of a coordinate vector as {index: coeff}."""
-    return {k: c for k, c in enumerate(coords) if not c.is_zero()}
 
 
 def _add_bracket(brackets: dict, acc: dict, u: dict, v: dict) -> None:
@@ -151,11 +146,8 @@ def _derived_rows(field: FieldTower, brackets: dict) -> dict:
     """The reduced echelon basis of D = [L, L], spanned by the stored
     brackets: each pivot column mapped to its sparse row, which is 1 there
     and 0 at the other pivots."""
-    red = _SparseReducer(field)
-    for entry in brackets.values():
-        red.add(entry)
-    red.reduce_fully()
-    return red.pivots
+    rows, pivots = linalg.echelon(brackets.values(), field)
+    return dict(zip(pivots, rows))
 
 
 def _adapted_table(brackets: dict, derived: dict, basis: list) -> dict:
@@ -281,11 +273,8 @@ class LieAlgebra:
                        v: Sequence[FieldElement]) -> list[FieldElement]:
         """[u, v] in coordinates, expanded over the supports of u and v."""
         acc: dict = {}
-        _add_bracket(self.brackets, acc, _support(u), _support(v))
-        out = [self.field.zero()] * self.dim
-        for k, c in acc.items():
-            out[k] = c
-        return out
+        _add_bracket(self.brackets, acc, linalg.sparse(u), linalg.sparse(v))
+        return linalg.dense(acc, self.dim, self.field)
 
     def bracket(self, u: "Vector", v: "Vector") -> "Vector":
         self._own(u)
@@ -437,7 +426,7 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
     over the source's stored [e_i, e_j].  Only pairs that either side
     reaches can differ, and there the difference must vanish exactly.
     """
-    rows = [_support(row) for row in mat]
+    rows = [linalg.sparse(row) for row in mat]
     cols: list = [{} for _ in range(source.dim)]
     for r, row in enumerate(rows):
         for k, x in row.items():
@@ -548,8 +537,7 @@ def change_basis(L: LieAlgebra, P) -> LieAlgebra:
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
             w = L.bracket_coords(cols[a], cols[b])
-            new = linalg.mat_vec(inv, w, field)
-            entry = {k: c for k, c in enumerate(new) if not c.is_zero()}
+            entry = linalg.sparse(linalg.mat_vec(inv, w, field))
             if entry:
                 brackets[(a, b)] = entry
     return LieAlgebra(field, L.dim, brackets,
@@ -561,83 +549,53 @@ def change_basis(L: LieAlgebra, P) -> LieAlgebra:
 def commutator_rows(L: LieAlgebra) -> tuple[list, list]:
     """Echelonized basis of [L, L]: the rows reduced at construction,
     written out densely."""
-    zero = L.field.zero()
     pivots = sorted(L.derived)
-    rows = []
-    for c in pivots:
-        row = [zero] * L.dim
-        for k, v in L.derived[c].items():
-            row[k] = v
-        rows.append(row)
-    return rows, pivots
+    return [linalg.dense(L.derived[c], L.dim, L.field)
+            for c in pivots], pivots
 
 
 def _echelon(L: LieAlgebra, rows) -> tuple[list, list]:
     """The reduced echelon basis of span(rows) as sparse rows, and its
-    pivot columns.
-
-    That form is unique, so rows already in it, as rref and the split of a
-    decomposition pass them, are taken as they are: each row nonzero, its
-    first entry a 1 at a pivot right of the row above, and no other row
-    nonzero at that pivot.
-    """
-    sparse = [_support(r) for r in rows]
-    pivots = [min(row, default=None) for row in sparse]
-    one = L.field.one()
-    taken = set(pivots)
-    if (None not in taken
-            and all(a < b for a, b in zip(pivots, pivots[1:]))
-            and all(row[c] == one and len(taken.intersection(row)) == 1
-                    for row, c in zip(sparse, pivots))):
-        return sparse, pivots
-    red, pivots = linalg.rref([list(r) for r in rows], L.field)
-    return [_support(r) for r in red], pivots
-
-
-def _span_coords(v: dict, rows: list, pivots: list) -> Optional[dict]:
-    """The nonzero coordinates {t: c} of a sparse v in reduced echelon rows,
-    or None when v lies outside their span.  The rows vanish at each
-    other's pivots, so c is v's entry at pivot t."""
-    residual = {k: c for k, c in v.items() if not c.is_zero()}
-    coords = {}
-    for t, (row, col) in enumerate(zip(rows, pivots)):
-        c = residual.get(col)
-        if c is not None:
-            coords[t] = c
-            _sub_scaled(residual, c, row)
-    return None if residual else coords
+    pivot columns."""
+    return linalg.echelon([linalg.sparse(r) for r in rows], L.field)
 
 
 def is_ideal(L: LieAlgebra, rows) -> bool:
-    """True when span(rows) is an ideal of L.
+    """True when span(rows) is an ideal of L."""
+    return _spans_ideal(L, *_echelon(L, rows))
+
+
+def _spans_ideal(L: LieAlgebra, red: list, pivots: list) -> bool:
+    """True when the span of reduced echelon sparse rows is an ideal of L.
 
     [e_i, w] is expanded for every i at once over the support of each
-    basis row w, through the stored brackets that involve it, and reduced
-    against the sparse echelon rows.
+    row w, through the stored brackets that involve it, and read off the
+    rows at their pivots.
     """
-    red, pivots = _echelon(L, rows)
     touching = _touching(L.brackets)
-    for w in red:
-        for v in _ad_images(touching, w).values():
-            if _span_coords(v, red, pivots) is None:
-                return False
-    return True
+    return all(linalg.express(v, red, pivots) is not None
+               for w in red for v in _ad_images(touching, w).values())
 
 
 def restrict_to_span(L: LieAlgebra, rows,
                      labels: Optional[Sequence[str]] = None) -> LieAlgebra:
-    """The induced algebra on a bracket-closed subspace (echelonized rows).
+    """The induced algebra on a bracket-closed subspace (echelonized rows)."""
+    return _restricted(L, *_echelon(L, rows), labels)
 
-    Each bracket of two basis rows is expanded over their supports and
-    read off the sparse echelon rows at their pivots.
+
+def _restricted(L: LieAlgebra, red: list, pivots: list,
+                labels: Optional[Sequence[str]] = None) -> LieAlgebra:
+    """The induced algebra on the span of reduced echelon sparse rows.
+
+    Each bracket of two rows is expanded over their supports and read off
+    the rows at their pivots.
     """
-    red, pivots = _echelon(L, rows)
     brackets = {}
     for a in range(len(red)):
         for b in range(a + 1, len(red)):
             acc: dict = {}
             _add_bracket(L.brackets, acc, red[a], red[b])
-            coords = _span_coords(acc, red, pivots)
+            coords = linalg.express(acc, red, pivots)
             if coords is None:
                 raise DegenerateError("span is not closed under the bracket")
             if coords:

@@ -1,12 +1,16 @@
 """Exact linear algebra over a field.
 
-Matrices are lists of row lists whose entries come from one field object
-(anything with zero()/one() and exact element arithmetic).  Elimination is
-Gaussian with division, driven by supports: a row update touches only the
-columns where the pivot row is nonzero, and products skip zero entries.
-Pivots are chosen as the first nonzero entry scanning columns left to
-right and rows top down, ties to the lowest row index, so every result is
-deterministic.  _SparseReducer keeps sparse {column: value} rows echelonized.
+Every elimination here but det's runs on _SparseReducer, which keeps rows
+as {column: value} dicts holding nonzero entries only: a row update costs
+the nonzeros of the pivot row, and a row that arrives reduced, 1 at its
+pivot, is kept without a product.  Each new row's pivot is its leftmost
+nonzero column after reduction, so the reducer ends on the reduced row
+echelon form of the span, which is unique: rref, nullspace, solve and
+inverse return the same entries whatever order the rows come in.  Dense
+lists are only the edge, converted by sparse() and dense(): the matrices
+callers pass in and the rows, vectors and inverses they get back.  det
+eliminates densely on its own, as the independent reference the Pfaffian
+tests compare Pf^2 against.
 """
 
 from __future__ import annotations
@@ -36,15 +40,23 @@ class _SparseReducer:
         self.pivots: dict = {}
 
     def add(self, row: dict) -> bool:
+        """Reduce row, whose zero entries are dropped here, against the
+        pivots and keep what is left as a new pivot row, scaled to 1 at
+        its pivot unless it is 1 there already; False when nothing is
+        left."""
         work = {c: v for c, v in row.items() if not v.is_zero()}
+        one = self.field.one()
         while work:
             c = min(work)
             piv = self.pivots.get(c)
             if piv is None:
-                if len(work) == 1:
-                    self.pivots[c] = {c: self.field.one()}
+                lead = work[c]
+                if lead == one:
+                    self.pivots[c] = work
+                elif len(work) == 1:
+                    self.pivots[c] = {c: one}
                 else:
-                    inv = work[c].inverse()
+                    inv = lead.inverse()
                     self.pivots[c] = {k: inv * v for k, v in work.items()}
                 return True
             _sub_scaled(work, work.pop(c), piv, c)
@@ -75,6 +87,30 @@ class _SparseReducer:
                 if vec is not None and not coef.is_zero():
                     vec[c] = -coef
         return list(out.values())
+
+
+def sparse(row) -> dict:
+    """The nonzero entries of a dense row as {column: value}."""
+    return {k: c for k, c in enumerate(row) if not c.is_zero()}
+
+
+def dense(row: dict, n: int, field) -> list:
+    """A sparse row written out as a list of n entries."""
+    out = [field.zero()] * n
+    for k, c in row.items():
+        out[k] = c
+    return out
+
+
+def echelon(rows, field) -> tuple[list, list]:
+    """The reduced row echelon form of the span of sparse rows: its rows,
+    sparse, and their pivot columns, ascending."""
+    red = _SparseReducer(field)
+    for row in rows:
+        red.add(row)
+    red.reduce_fully()
+    pivots = sorted(red.pivots)
+    return [red.pivots[c] for c in pivots], pivots
 
 
 def identity_matrix(field, n: int):
@@ -122,38 +158,10 @@ def rref(rows, field):
 
     Returns (reduced nonzero rows, pivot column indices).
     """
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for row in range(r, len(m)):
-            if not m[row][col].is_zero():
-                sel = row
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        pivot_row = m[r]
-        # rows r and below are zero left of col, so the support starts there
-        support = [c for c in range(col, ncols) if not pivot_row[c].is_zero()]
-        inv = field.one() / pivot_row[col]
-        for c in support:
-            pivot_row[c] = pivot_row[c] * inv
-        for row in range(len(m)):
-            target = m[row]
-            if row != r and not target[col].is_zero():
-                f = target[col]
-                for c in support:
-                    target[c] = target[c] - f * pivot_row[c]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    red, pivots = echelon([dict(enumerate(r)) for r in rows], field)
+    return [dense(r, len(rows[0]), field) for r in red], pivots
 
 
 def rank(rows, field) -> int:
@@ -182,18 +190,10 @@ def nullspace(A, field):
     if not A:
         return []
     ncols = len(A[0])
-    red, pivots = rref(A, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
-        for row, col in zip(red, pivots):
-            v[col] = -row[free]
-        basis.append(v)
-    return basis
+    red = _SparseReducer(field)
+    for row in A:
+        red.add(dict(enumerate(row)))
+    return [dense(v, ncols, field) for v in red.nullspace(ncols)]
 
 
 def inverse(A, field):
@@ -207,6 +207,8 @@ def inverse(A, field):
 
 
 def det(A, field):
+    """The determinant, by dense elimination kept apart from the reducer:
+    the Pfaffian tests compare Pf^2 against it."""
     n = len(A)
     if n == 0:
         return field.one()
@@ -233,18 +235,15 @@ def det(A, field):
     return -acc if sign_flip else acc
 
 
-def express_in_rows(rows, pivots, v, field):
-    """Coordinates of v in a row-reduced basis, or None if outside the span.
-
-    rows/pivots must come from rref; reduced rows make this a direct read.
-    """
-    residual = list(v)
-    coords = []
-    for row, col in zip(rows, pivots):
-        c = residual[col]
-        coords.append(c)
-        if not c.is_zero():
-            residual = [a - c * b for a, b in zip(residual, row)]
-    if any(not c.is_zero() for c in residual):
-        return None
-    return coords
+def express(v: dict, rows: list, pivots: list):
+    """The nonzero coordinates {t: c} of a sparse v in reduced echelon rows,
+    or None when v lies outside their span.  The rows vanish at each
+    other's pivots, so c is v's entry at pivot t."""
+    residual = {k: c for k, c in v.items() if not c.is_zero()}
+    coords = {}
+    for t, (row, col) in enumerate(zip(rows, pivots)):
+        c = residual.get(col)
+        if c is not None:
+            coords[t] = c
+            _sub_scaled(residual, c, row)
+    return None if residual else coords

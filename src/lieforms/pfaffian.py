@@ -32,7 +32,7 @@ from .errors import (
     ZeroScalarError,
 )
 from .fields import FieldElement, FieldTower
-from .liealg import LieAlgebra, commutator_rows
+from .liealg import LieAlgebra, _ad_images, _touching, commutator_rows
 
 
 class MultiPoly:
@@ -267,23 +267,21 @@ class TwoStepData:
 def two_step_type(L: LieAlgebra) -> TwoStepData:
     """Type (p, q) with the standard-vector complement of the commutator.
 
-    Requires 0 < [L, L] and [[L, L], L] = 0; the complement keeps the
-    ambient basis order.
+    Requires 0 < [L, L] and [[L, L], L] = 0, checked on the echelon rows
+    of [L, L] through the stored brackets that touch them; the complement
+    keeps the ambient basis order.
     """
-    w, pivots = commutator_rows(L)
-    q = len(w)
-    if q == 0:
+    if not L.derived:
         raise NotTwoStepError("commutator is zero")
-    zero = L.field.zero()
-    for row in w:
-        for j in range(L.dim):
-            basis = [zero] * L.dim
-            basis[j] = L.field.one()
-            if any(not c.is_zero() for c in L.bracket_coords(row, basis)):
+    touching = _touching(L.brackets)
+    for w in L.derived.values():
+        for image in _ad_images(touching, w).values():
+            if any(not c.is_zero() for c in image.values()):
                 raise NotTwoStepError("commutator is not central")
-    v_idx = tuple(i for i in range(L.dim) if i not in set(pivots))
+    w, pivots = commutator_rows(L)
+    v_idx = tuple(i for i in range(L.dim) if i not in L.derived)
     return TwoStepData(L, v_idx, tuple(tuple(r) for r in w),
-                       tuple(pivots), (len(v_idx), q))
+                       tuple(pivots), (len(v_idx), len(w)))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,18 @@ eliminates the map's nonzeros forward only: 230 multiplications and 1,770
 is_zero calls, against 422 and 2,793 through rref.  The morphism check
 expands from the 36 stored brackets of the target: 576 look-ups in its
 table, against 12,816 when it probed every pair of source basis vectors.
+
+Rows already in reduced echelon form, 1 at their pivots, are kept by the
+reducer as they are: linalg.echelon and rref of 10 such rows of the band
+case take no product and no inverse, against 20 and 10 when rref scaled
+each pivot row again.
 """
 
 import random
 
 import pytest
 
+from lieforms import linalg
 from lieforms.catalog import g_lambda, nintot_family
 from lieforms.decompose import decompose_indecomposable
 from lieforms.descent import verify_sumconjugate
@@ -145,3 +151,22 @@ def test_sumconjugate_checks_stay_under_their_ceilings(monkeypatch):
     found["morphism.lookups"] = table.lookups
     for name, ceiling in SUMCONJUGATE_CEILINGS.items():
         assert found[name] <= ceiling, (name, found[name], ceiling)
+
+
+def test_reduced_rows_take_no_products_or_inverses(monkeypatch):
+    Qi = gaussian_rationals()
+    L = nintot_family(Qi, Qi.one() + Qi.generator(), 2, 1)
+    PL = change_basis(L, band_unitriangular(L.dim, 1))
+    rows = [r for s in decompose_indecomposable(PL).summands for r in s.rows]
+    red, pivots = linalg.rref(rows[:10], Qi)
+    assert len(red) == 10
+    sparse = [linalg.sparse(r) for r in red]
+    counts = {"__mul__": 0, "inverse": 0}
+    for op in counts:
+        def counting(*args, _op=op, _orig=getattr(FieldElement, op)):
+            counts[_op] += 1
+            return _orig(*args)
+        monkeypatch.setattr(FieldElement, op, counting)
+    assert linalg.echelon(sparse, Qi) == (sparse, pivots)
+    assert linalg.rref(red, Qi) == (red, pivots)
+    assert counts == {"__mul__": 0, "inverse": 0}

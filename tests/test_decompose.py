@@ -834,7 +834,7 @@ class TestLiftIdempotent:
         e0 = [[a - b for a, b in zip(ri, rx)]
               for ri, rx in zip(linalg.identity_matrix(field, 6), x)]
         assert not mat_equal(linalg.mat_mul(e0, e0, field), e0)
-        e = _dense(_lifted_idempotent((S, T), _sparse(x, field), 6, field),
+        e = _dense(_lifted_idempotent((S, T), _sparse(x), 6, field),
                    6, field)
         assert mat_equal(linalg.mat_mul(e, e, field), e)
         assert in_centroid(L, e)
@@ -1082,6 +1082,74 @@ class TestIsomorphismVerdict:
             isomorphism_verdict(heisenberg(Q), heisenberg(Qi))
 
 
+def bracket_scan_shape(L, dim):
+    """Reference: the diagonal-family recogniser that scanned the brackets
+    (0, j) for j = 2..dim itself."""
+    if L.dim != dim:
+        return None
+    vals = []
+    for j in range(1, dim):
+        comps = L.brackets.get((0, j))
+        if comps is None or set(comps) != {j}:
+            return None
+        vals.append(comps[j])
+    if len(L.brackets) != dim - 1:
+        return None
+    return tuple(vals)
+
+
+def diagonal_shape_cases():
+    """(name, L): diagonal families of dimension 3 and 4, algebras that
+    are not, and tables that miss the shape by one bracket."""
+    Q, Qi = rationals(), gaussian_rationals()
+    lam = Qi.one() + Qi.generator()
+    one, two = Q.one(), Q.from_rational(2)
+    return [
+        ("r3", r3_lambda(Q, two)),
+        ("r3+ab1", r3_lambda_plus_abelian(Q, two)),
+        ("r3(i)", r3_lambda(Qi, lam)),
+        ("g1", g1_alpha(Q, Fraction(3, 2))),
+        ("g1(i)", g1_alpha(Qi, lam)),
+        ("h3", heisenberg(Q)),
+        ("abelian3", abelian(Q, 3)),
+        ("abelian4", abelian(Q, 4)),
+        ("g_lambda", g_lambda(Qi, lam)),
+        ("r3+ab1 sum", direct_sum(r3_lambda(Q, two), abelian(Q, 1))),
+        ("h3+ab1", direct_sum(heisenberg(Q), abelian(Q, 1))),
+        ("r3+r3", direct_sum(r3_lambda(Q, two), r3_lambda(Q, one))),
+        ("off-diagonal", LieAlgebra(Q, 3, {(0, 1): {1: one, 2: one},
+                                           (0, 2): {2: two}})),
+        ("off-target", LieAlgebra(Q, 3, {(0, 1): {2: one},
+                                         (0, 2): {2: two}})),
+        ("extra bracket", LieAlgebra(Q, 4, {(0, 1): {1: one},
+                                            (0, 2): {2: two},
+                                            (0, 3): {3: Q.from_rational(3)},
+                                            (1, 2): {3: one}})),
+        ("missing (0,2)", LieAlgebra(Q, 3, {(0, 1): {1: one}})),
+        ("missing (0,3)", LieAlgebra(Q, 4, {(0, 1): {1: one},
+                                            (0, 2): {2: two}})),
+        ("not from X1", LieAlgebra(Q, 3, {(1, 2): {2: one}})),
+    ]
+
+
+DIAGONAL_SHAPE_CASES = diagonal_shape_cases()
+
+
+@pytest.mark.parametrize("name, L", DIAGONAL_SHAPE_CASES,
+                         ids=[name for name, _ in DIAGONAL_SHAPE_CASES])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_diagonal_family_shape_matches_the_bracket_scan(name, L, dim):
+    got = decompose_module._diagonal_family_shape(L, dim)
+    assert got == bracket_scan_shape(L, dim)
+
+
+def test_diagonal_shape_cases_cover_both_verdicts():
+    for dim in (3, 4):
+        found = {bracket_scan_shape(L, dim) is None
+                 for _name, L in DIAGONAL_SHAPE_CASES}
+        assert found == {True, False}
+
+
 class TestKrullSchmidtMatch:
     def test_standard_matches_twisted_decomposition(self):
         Q = rationals()
@@ -1237,7 +1305,7 @@ class TestCornerCentroid:
         pieces = []
         solves = []
         split = decompose_module._split_or_certify
-        solve = decompose_module.centroid_basis
+        solve = decompose_module._sparse_centroid
 
         def recording_split(field, n, mats, owner):
             pieces.append((n, mats, owner))
@@ -1249,7 +1317,7 @@ class TestCornerCentroid:
 
         monkeypatch.setattr(decompose_module, "_split_or_certify",
                             recording_split)
-        monkeypatch.setattr(decompose_module, "centroid_basis",
+        monkeypatch.setattr(decompose_module, "_sparse_centroid",
                             counting_solve)
         d = decompose_indecomposable(L)
         monkeypatch.undo()

@@ -18,11 +18,22 @@ from lieforms.errors import (
     WrongShapeError,
     ZeroScalarError,
 )
-from lieforms.catalog import g_lambda
+from lieforms.catalog import (
+    abelian,
+    g_lambda,
+    nintot_family,
+    r3_lambda,
+)
 from lieforms.fields import field_extend, gaussian_rationals, rationals
-from lieforms.liealg import LieAlgebra, direct_sum
+from lieforms.liealg import (
+    LieAlgebra,
+    change_basis,
+    commutator_rows,
+    direct_sum,
+)
 from lieforms.pfaffian import (
     MultiPoly,
+    TwoStepData,
     _lattice,
     classical_S,
     classical_T,
@@ -421,7 +432,85 @@ class TestFormByInterpolation:
             invariant_c_of(odd)
 
 
+def dense_two_step_type(L):
+    """Reference: two_step_type with centrality checked by dense brackets
+    of each commutator row with every basis vector."""
+    w, pivots = commutator_rows(L)
+    q = len(w)
+    if q == 0:
+        raise NotTwoStepError("commutator is zero")
+    zero = L.field.zero()
+    for row in w:
+        for j in range(L.dim):
+            basis = [zero] * L.dim
+            basis[j] = L.field.one()
+            if any(not c.is_zero() for c in L.bracket_coords(row, basis)):
+                raise NotTwoStepError("commutator is not central")
+    v_idx = tuple(i for i in range(L.dim) if i not in set(pivots))
+    return TwoStepData(L, v_idx, tuple(tuple(r) for r in w),
+                       tuple(pivots), (len(v_idx), q))
+
+
+def two_step_cases():
+    """(name, L): two-step algebras and algebras that are not, in their
+    catalog basis and re-based by a seeded invertible matrix."""
+    lam = QI.one() + QI.generator()
+    one = Q.one()
+    two = Q.from_rational(2)
+    sl2 = LieAlgebra(Q, 3, {(0, 1): {1: two}, (0, 2): {2: -two},
+                            (1, 2): {0: one}})
+    base = [
+        ("heis", heis(Q)),
+        ("quartic3", quartic_algebra(Q, 3)),
+        ("g_lambda", g_lambda(QI, lam)),
+        ("nintot", nintot_family(QI, lam, 2, 1)),
+        ("heis+ab1", direct_sum(heis(Q), abelian(Q, 1))),
+        ("abelian", abelian(Q, 3)),
+        ("sl2", sl2),
+        ("r3", r3_lambda(Q, two)),
+        ("heis+r3", direct_sum(heis(Q), r3_lambda(Q, two))),
+    ]
+    out = []
+    for seed, (name, L) in enumerate(base):
+        out.append((name, L))
+        rng = random.Random(seed)
+        while True:
+            P = [[rng.randint(-2, 2) for _ in range(L.dim)]
+                 for _ in range(L.dim)]
+            if linalg.rank([[L.field.from_rational(c) for c in row]
+                            for row in P], L.field) == L.dim:
+                break
+        out.append((name + "*P", change_basis(L, P)))
+    return out
+
+
+TWO_STEP_CASES = two_step_cases()
+
+
 class TestTwoStepType:
+    @pytest.mark.parametrize("name, L", TWO_STEP_CASES,
+                             ids=[name for name, _ in TWO_STEP_CASES])
+    def test_matches_the_dense_reference(self, name, L):
+        try:
+            want = dense_two_step_type(L)
+        except NotTwoStepError as exc:
+            with pytest.raises(NotTwoStepError) as got:
+                two_step_type(L)
+            assert str(got.value) == str(exc)
+            return
+        assert two_step_type(L) == want
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for _name, L in TWO_STEP_CASES:
+            try:
+                dense_two_step_type(L)
+                outcomes.add("two-step")
+            except NotTwoStepError as exc:
+                outcomes.add(str(exc))
+        assert outcomes == {"two-step", "commutator is zero",
+                            "commutator is not central"}
+
     def test_heisenberg_type(self):
         data = two_step_type(heis(Q))
         assert data.type == (2, 1)
