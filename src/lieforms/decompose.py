@@ -64,7 +64,7 @@ from .fields import (
     FieldTower,
     GaloisGroup,
     galois_group,
-    sqrt_or_none,
+    quadratic_roots,
 )
 from .polynomials import (
     FACTOR_DEGREE_CAP,
@@ -73,7 +73,7 @@ from .polynomials import (
     is_irreducible_over_Q,
     poly_ext_gcd,
     poly_gcd,
-    rational_roots_list,
+    rational_roots,
 )
 from .liealg import (
     LieAlgebra,
@@ -134,7 +134,7 @@ class AssocAlgebra:
     __slots__ = ("field", "matrices", "size", "rows", "pivots",
                  "closure_verified")
 
-    def __init__(self, field: FieldTower, matrices, seed: int = DEFAULT_SEED):
+    def __init__(self, field: FieldTower, matrices):
         if not matrices:
             raise DegenerateError("associative algebra needs a basis")
         self.field = field
@@ -148,7 +148,7 @@ class AssocAlgebra:
         if not self.contains(linalg.identity_matrix(field, self.size)):
             raise DegenerateError("associative algebra must contain the "
                                   "identity matrix")
-        self._verify_closure(seed)
+        self._verify_closure()
 
     @property
     def dim(self) -> int:
@@ -164,13 +164,13 @@ class AssocAlgebra:
         return (None if coords is None
                 else linalg.dense(coords, len(self.rows), self.field))
 
-    def _verify_closure(self, seed: int) -> None:
+    def _verify_closure(self) -> None:
         m = self.dim
         if m <= self.CLOSURE_CAP:
             pairs = itertools.product(range(m), repeat=2)
             self.closure_verified = "full"
         else:
-            rng = random.Random(seed)
+            rng = random.Random(DEFAULT_SEED)
             pairs = ((rng.randrange(m), rng.randrange(m))
                      for _ in range(self.CLOSURE_SAMPLE))
             self.closure_verified = "sampled"
@@ -570,18 +570,12 @@ def minpoly_of_matrix(M, field, cap: Optional[int] = None
 
 
 def _cyclic_minpoly(M, v, field, cap: Optional[int]) -> Optional[Polynomial]:
-    n = len(v)
-    krylov = [list(v)]
-    while True:
-        if cap is not None and len(krylov) > cap:
-            return None
-        nxt = linalg.mat_vec(M, krylov[-1], field)
-        k = len(krylov)
-        rows = [[krylov[t][r] for t in range(k)] for r in range(n)]
-        x = linalg.solve(rows, nxt, field)
-        if x is not None:
-            return Polynomial(field, [-c for c in x] + [field.one()])
-        krylov.append(nxt)
+    def iterates(w):
+        while True:
+            yield w
+            w = linalg.mat_vec(M, w, field)
+
+    return linalg.krylov_minpoly(iterates(v), field, cap)
 
 
 def roots_in_field(p: Polynomial) -> list:
@@ -595,17 +589,13 @@ def roots_in_field(p: Polynomial) -> list:
     if p.degree < 1:
         return []
     candidates: list = []
-    if E.is_rationals:
-        fr = [c.rational_value() for c in p.coeffs]
-        candidates = [E.from_rational(r) for r in rational_roots_list(fr)]
-    elif all(c.is_rational() for c in p.coeffs):
-        fr = [c.rational_value() for c in p.coeffs]
-        candidates = [E.from_rational(r) for r in rational_roots_list(fr)]
-        if p.degree <= FACTOR_DEGREE_CAP:
+    if all(c.is_rational() for c in p.coeffs):
+        candidates = [E.from_rational(r) for r in rational_roots(p)]
+        if not E.is_rationals and p.degree <= FACTOR_DEGREE_CAP:
             _, factors = factor_over_Q(p)
             for f, _m in factors:
                 if f.degree == 2:
-                    candidates.extend(_quadratic_roots(f))
+                    candidates.extend(quadratic_roots(f))
     else:
         auts = E.automorphisms()
         if len(auts) > 1:
@@ -619,19 +609,6 @@ def roots_in_field(p: Polynomial) -> list:
         if p.eval(r).is_zero() and not any(r == s for s in out):
             out.append(r)
     return out
-
-
-def _quadratic_roots(f: Polynomial) -> list:
-    """Roots of a monic quadratic in its coefficient field via an exact
-    square root of the discriminant, possibly empty."""
-    E = f.ring
-    b, c = f.coeffs[1], f.coeffs[0]
-    disc = b * b - E.from_rational(4) * c
-    s = sqrt_or_none(disc)
-    if s is None:
-        return []
-    half = E.from_rational(1) / E.from_rational(2)
-    return [(-b + s) * half, (-b - s) * half]
 
 
 def _coprime_split(p: Polynomial):

@@ -668,22 +668,18 @@ def minpoly_of(x: FieldElement, F: FieldTower) -> Polynomial:
     E = x.field
     if not is_level_of(F, E):
         raise NotSubLevelError("%r is not a level of %r" % (F, E))
-    d = relative_degree(E, F)
-    power = E.one()
-    cols = []
-    for k in range(d + 1):
-        vec = coords_over(power, F)
-        if k >= 1:
-            A = [[cols[j][r] for j in range(k)] for r in range(d)]
-            sol = linalg.solve(A, vec, F)
-            if sol is not None:
-                coeffs = [-c for c in sol] + [F.one()]
-                poly = Polynomial(F, coeffs)
-                assert eval_poly_at(poly, x).is_zero()
-                return poly
-        cols.append(vec)
-        power = power * x
-    raise DegenerateError("no linear dependence found (corrupt tower?)")
+
+    def powers():
+        power = E.one()
+        while True:
+            yield coords_over(power, F)
+            power = power * x
+
+    poly = linalg.krylov_minpoly(powers(), F, relative_degree(E, F))
+    if poly is None:
+        raise DegenerateError("no linear dependence found (corrupt tower?)")
+    assert eval_poly_at(poly, x).is_zero()
+    return poly
 
 
 # ---------------------------------------------------------------- constructors
@@ -769,11 +765,9 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
 
 def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
     if minpoly.degree == 2:
-        # a monic quadratic has a root exactly when its discriminant is a
-        # square; sqrt_or_none decides that over Q and quadratic levels
-        p, q = minpoly.coeff(1), minpoly.coeff(0)
-        disc = p * p - base.from_rational(4) * q
-        if sqrt_or_none(disc) is not None:
+        # a monic quadratic is reducible exactly when it has a root, and
+        # quadratic_roots finds them over Q and quadratic levels
+        if quadratic_roots(minpoly):
             raise DegenerateError(
                 "minimal polynomial is reducible over Q" if base.is_rationals
                 else "quadratic minimal polynomial has a root in the base")
@@ -875,6 +869,18 @@ def sqrt_or_none(x: FieldElement) -> Optional[FieldElement]:
         if cand * cand == x:
             return cand
     return None
+
+
+def quadratic_roots(f: Polynomial) -> list:
+    """Roots of a monic quadratic in its coefficient field via an exact
+    square root of the discriminant, possibly empty."""
+    E = f.ring
+    b, c = f.coeff(1), f.coeff(0)
+    s = sqrt_or_none(b * b - E.from_rational(4) * c)
+    if s is None:
+        return []
+    half = E.from_rational(Fraction(1, 2))
+    return [(-b + s) * half, (-b - s) * half]
 
 
 def _rational_sqrt(r: Fraction) -> Optional[Fraction]:

@@ -16,6 +16,7 @@ tests compare Pf^2 against.
 from __future__ import annotations
 
 from .errors import SingularMatrixError
+from .polynomials import Polynomial
 
 
 def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
@@ -183,6 +184,23 @@ def solve(A, b, field):
     for row, col in zip(red, pivots):
         x[col] = row[-1]
     return x
+
+
+def krylov_minpoly(iterates, field, cap=None):
+    """The monic t^k - c_{k-1} t^{k-1} - ... - c_0 for the first iterate v_k
+    (a dense vector) that lies in the span of the iterates before it, as
+    v_k = c_0 v_0 + ... + c_{k-1} v_{k-1}; None when the first cap + 1
+    iterates are linearly independent (cap None: no bound).  The relation
+    is unique, as the iterates before v_k are independent."""
+    seen = []
+    for v in iterates:
+        x = solve(transpose(seen), v, field)
+        if x is not None:
+            return Polynomial(field, [-c for c in x] + [field.one()])
+        if len(seen) == cap:
+            return None
+        seen.append(v)
+    return None
 
 
 def nullspace(A, field):

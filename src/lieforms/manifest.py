@@ -227,7 +227,9 @@ class Manifest:
                 out.append(field_entity(name, self._fields[name],
                                         self._field_bases[name]))
             else:
-                out.append(_algebra_entity_from_spec(self._specs[name]))
+                spec = self._specs[name]
+                out.append(_algebra_entity(name, spec.field_name, spec.dim,
+                                           spec.entries))
         return out
 
 
@@ -243,24 +245,20 @@ def field_entity(name: str, tower: FieldTower, base_name: str) -> dict:
             "minpoly": minpoly, "automorphisms": auts}
 
 
+def _algebra_entity(name: str, field_name: str, dim: int,
+                    entries: dict) -> dict:
+    """Canonical manifest dict from {(i, j, k): coeff} entries, 0-based:
+    1-based brackets sorted by (i, j, k)."""
+    items = [{"i": i + 1, "j": j + 1, "k": k + 1, "coeff": format_element(c)}
+             for (i, j, k), c in sorted(entries.items())]
+    return {"name": name, "field": field_name, "dim": dim, "brackets": items}
+
+
 def algebra_entity(name: str, field_name: str, L: LieAlgebra) -> dict:
     """Canonical manifest dict for an algebra (1-based sorted brackets)."""
-    items = []
-    for (i, j), comps in sorted(L.brackets.items()):
-        for k, c in sorted(comps.items()):
-            items.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                          "coeff": format_element(c)})
-    return {"name": name, "field": field_name, "dim": L.dim,
-            "brackets": items}
-
-
-def _algebra_entity_from_spec(spec: _AlgebraSpec) -> dict:
-    items = []
-    for (i, j, k), c in sorted(spec.entries.items()):
-        items.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                      "coeff": format_element(c)})
-    return {"name": spec.name, "field": spec.field_name, "dim": spec.dim,
-            "brackets": items}
+    entries = {(i, j, k): c for (i, j), comps in L.brackets.items()
+               for k, c in comps.items()}
+    return _algebra_entity(name, field_name, L.dim, entries)
 
 
 def serialize_entity(entity: dict) -> str:

@@ -8,14 +8,17 @@ Two layers live here:
   towers satisfy this, so the same class serves minimal polynomials over Q
   and over any extension level.
 
-* Factorization over Q (squarefree split, rational roots, Berlekamp mod p,
-  Hensel lifting, subset recombination) works on plain integer/Fraction
-  coefficient lists internally and is capped at degree 12.
+* Factorization over Q (Yun's squarefree split, rational roots, Berlekamp
+  mod p, Hensel lifting, subset recombination) takes and returns
+  Polynomials with rational coefficients, in their own ring, and is capped
+  at degree 12.  Only the steps modulo p and the integer lifts below them
+  work on plain integer coefficient lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegenerateError, DegreeTooLargeError
@@ -248,13 +251,15 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 # ================================================================== Q layer
 #
-# Everything below works on plain Fraction/int coefficient lists (low to
-# high).  Public entry points accept Polynomial instances whose coefficients
-# answer rational_value().
+# The public entry points below take Polynomials whose coefficients answer
+# is_rational() and rational_value().  Factoring mod p, Hensel lifting and
+# recombination work on plain integer coefficient lists (low to high).
 
 
-def _frac_coeffs(p: Polynomial) -> list[Fraction]:
-    return [c.rational_value() for c in p.coeffs]
+def _require_rational(p: Polynomial) -> None:
+    """DegenerateError unless every coefficient of p is rational."""
+    for c in p.coeffs:
+        c.rational_value()
 
 
 def _trim(cs: list) -> list:
@@ -263,7 +268,7 @@ def _trim(cs: list) -> list:
     return cs
 
 
-def _fadd(a, b):
+def _iadd(a, b):
     out = list(a) if len(a) >= len(b) else list(b)
     small = b if len(a) >= len(b) else a
     for k, c in enumerate(small):
@@ -271,42 +276,8 @@ def _fadd(a, b):
     return _trim(out)
 
 
-def _fneg(a):
+def _ineg(a):
     return [-c for c in a]
-
-
-def _fdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError
-    rem = [Fraction(c) for c in a]
-    dd = len(b) - 1
-    if len(rem) - 1 < dd:
-        return [], _trim(rem)
-    inv = Fraction(1) / b[-1]
-    quot = [Fraction(0)] * (len(rem) - dd)
-    for top in range(len(rem) - 1, dd - 1, -1):
-        c = rem[top]
-        if not c:
-            continue
-        q = c * inv
-        quot[top - dd] = q
-        for j in range(dd + 1):
-            rem[top - dd + j] -= q * b[j]
-    return _trim(quot), _trim(rem)
-
-
-def _fgcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fdivmod(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def _fderiv(a):
-    return _trim([k * c for k, c in enumerate(a)][1:])
 
 
 def _feval(a, x: Fraction) -> Fraction:
@@ -316,27 +287,38 @@ def _feval(a, x: Fraction) -> Fraction:
     return acc
 
 
-def _to_int_primitive(a: list[Fraction]):
-    """Scale a rational list to a primitive integer list with positive lead.
-
-    Returns (int_coeffs, scalar) with  a == scalar * int_coeffs.
-    """
-    from math import gcd, lcm
-
-    den = 1
-    for c in a:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in a]
+def _primitive(a: list[int]) -> list[int]:
+    """A nonzero integer list divided by its content, with positive lead."""
     g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    g = g or 1
-    ints = [c // g for c in ints]
-    sign = 1
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-        sign = -1
-    return ints, Fraction(sign * g, den)
+    for c in a:
+        g = gcd(g, c)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _int_coeffs(p: Polynomial) -> list[int]:
+    """The primitive integer multiple of a nonzero rational polynomial, with
+    positive lead."""
+    cs = [c.rational_value() for c in p.coeffs]
+    den = lcm(*(c.denominator for c in cs))
+    return _primitive([c.numerator * (den // c.denominator) for c in cs])
+
+
+def _int_divide(a: list[int], b: list[int]):
+    """a // b over Z when b divides a there exactly, else None."""
+    rem = list(a)
+    dd = len(b) - 1
+    quot = [0] * (len(rem) - dd)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        q, r = divmod(rem[top], b[-1])
+        if r:
+            return None
+        quot[top - dd] = q
+        if q:
+            for j in range(dd + 1):
+                rem[top - dd + j] -= q * b[j]
+    return None if any(rem) else quot
 
 
 # ------------------------------------------------------------ mod-p layer
@@ -511,14 +493,14 @@ def _hensel_step(f, g, h, s, t, m):
     def red(a):
         return _trim([c % mm for c in a])
 
-    e = red(_fadd(f, _fneg(_imul(g, h))))
+    e = red(_iadd(f, _ineg(_imul(g, h))))
     q, u = _pdivmod(_imul(t, e), g, mm)
-    gstar = red(_fadd(g, u))
-    hstar = red(_fadd(h, _fadd(_imul(s, e), _imul(h, q))))
-    b = red(_fadd(_fadd(_imul(s, gstar), _imul(t, hstar)), [-1]))
+    gstar = red(_iadd(g, u))
+    hstar = red(_iadd(h, _iadd(_imul(s, e), _imul(h, q))))
+    b = red(_iadd(_iadd(_imul(s, gstar), _imul(t, hstar)), [-1]))
     c, dt = _pdivmod(_imul(t, b), gstar, mm)
-    tstar = red(_fadd(t, _fneg(dt)))
-    sstar = red(_fadd(s, _fneg(_fadd(_imul(s, b), _imul(hstar, c)))))
+    tstar = red(_iadd(t, _ineg(dt)))
+    sstar = red(_iadd(s, _ineg(_iadd(_imul(s, b), _imul(hstar, c)))))
     return gstar, hstar, sstar, tstar
 
 
@@ -539,8 +521,8 @@ def _ext_gcd_mod_p(a, b, p):
     while r1:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
-        u0, u1 = u1, _pmod_trim(_fadd(u0, _fneg(_pmul(q, u1, p))), p)
-        v0, v1 = v1, _pmod_trim(_fadd(v0, _fneg(_pmul(q, v1, p))), p)
+        u0, u1 = u1, _pmod_trim(_iadd(u0, _ineg(_pmul(q, u1, p))), p)
+        v0, v1 = v1, _pmod_trim(_iadd(v0, _ineg(_pmul(q, v1, p))), p)
     inv = pow(r0[-1], -1, p)
     return ([(c * inv) % p for c in r0],
             [(c * inv) % p for c in u0],
@@ -615,23 +597,19 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
             cand = [remaining[-1] % m]
             for idx in combo:
                 cand = _trim([c % m for c in _imul(cand, lifted[idx])])
-            cand = [_sym(c, m) for c in cand]
-            cand_prim, _ = _to_int_primitive([Fraction(c) for c in cand])
-            if not cand_prim:
-                continue
-            q, r = _fdivmod([Fraction(c) for c in remaining],
-                            [Fraction(c) for c in cand_prim])
-            if not r:
-                result.append(cand_prim)
-                remaining = [int(c) for c in q]
+            cand = _primitive([_sym(c, m) for c in cand])
+            # a primitive divisor over Q divides over Z (Gauss's lemma)
+            q = _int_divide(remaining, cand)
+            if q is not None:
+                result.append(cand)
+                remaining = q
                 avail = [i for i in avail if i not in combo]
                 found = True
                 break
         if not found:
             size += 1
     if len(remaining) - 1 > 0:
-        rem_prim, _ = _to_int_primitive([Fraction(c) for c in remaining])
-        result.append(rem_prim)
+        result.append(remaining)
     return result
 
 
@@ -701,12 +679,24 @@ def _next_prime(p: int) -> int:
 
 # ------------------------------------------------------------ public API
 
+def _split_zero_root(p: Polynomial):
+    """(k, q) with p = t**k * q and q(0) != 0, for p nonzero."""
+    k = 0
+    while p.coeffs[k].is_zero():
+        k += 1
+    return k, Polynomial(p.ring, p.coeffs[k:])
+
+
 def rational_roots(p: Polynomial) -> list[Fraction]:
     """Sorted distinct rational roots of a polynomial with rational coords."""
-    cs = _frac_coeffs(p)
-    if not cs:
+    _require_rational(p)
+    if p.is_zero():
         raise DegenerateError("rational_roots of the zero polynomial")
-    return rational_roots_list(cs)
+    shift, f = _split_zero_root(p)
+    roots = [Fraction(0)] if shift else []
+    if f.degree >= 1:
+        roots.extend(_integer_roots(_int_coeffs(squarefree_part(f))))
+    return sorted(roots)
 
 
 def factor_over_Q(p: Polynomial):
@@ -716,92 +706,51 @@ def factor_over_Q(p: Polynomial):
     (monic Polynomial, multiplicity) pairs, and
     p == unit * prod(f**m).  Degrees above 12 raise DegreeTooLargeError.
     """
-    ring = p.ring
-    cs = _frac_coeffs(p)
-    if not cs:
+    _require_rational(p)
+    if p.is_zero():
         raise DegenerateError("cannot factor the zero polynomial")
-    if len(cs) - 1 > FACTOR_DEGREE_CAP:
+    if p.degree > FACTOR_DEGREE_CAP:
         raise DegreeTooLargeError(
             "degree %d exceeds the factorization cap %d"
-            % (len(cs) - 1, FACTOR_DEGREE_CAP))
-    unit = cs[-1]
-    monic = [c / unit for c in cs]
-    factors: dict[tuple, int] = {}
-
-    shift = 0
-    while monic and monic[0] == 0:
-        shift += 1
-        monic = monic[1:]
-    if shift:
-        factors[(Fraction(0), Fraction(1))] = shift
+            % (p.degree, FACTOR_DEGREE_CAP))
+    shift, f = _split_zero_root(p.monic())
+    factors = [(Polynomial.gen(p.ring), shift)] if shift else []
 
     # Yun squarefree decomposition.
-    if len(monic) - 1 >= 1:
-        f = monic
-        df = _fderiv(f)
-        c = _fgcd(f, df)
-        w = _fdivmod(f, c)[0]
-        y = _fdivmod(df, c)[0]
-        z = _fadd(y, _fneg(_fderiv(w)))
-        mult = 0
-        while len(w) - 1 > 0:
-            mult += 1
-            a = _fgcd(w, z)
-            if len(a) - 1 > 0:
-                for piece in _factor_squarefree(a):
-                    key = tuple(piece)
-                    factors[key] = factors.get(key, 0) + mult
-            w = _fdivmod(w, a)[0]
-            y = _fdivmod(z, a)[0]
-            z = _fadd(y, _fneg(_fderiv(w)))
+    df = f.derivative()
+    c = poly_gcd(f, df)
+    w = f // c
+    z = df // c - w.derivative()
+    mult = 0
+    while w.degree > 0:
+        mult += 1
+        a = poly_gcd(w, z)
+        if a.degree > 0:
+            factors.extend((g, mult) for g in _factor_squarefree(a))
+        w = w // a
+        z = z // a - w.derivative()
 
-    out = []
-    for key, mult in factors.items():
-        poly = Polynomial.from_rationals(ring, list(key))
-        out.append((poly, mult))
-    out.sort(key=lambda pair: (pair[0].degree,
-                               [(c.rational_value().numerator,
-                                 c.rational_value().denominator)
-                                for c in pair[0].coeffs]))
-    return unit, out
+    factors.sort(key=lambda pair: (pair[0].degree,
+                                   [(x.rational_value().numerator,
+                                     x.rational_value().denominator)
+                                    for x in pair[0].coeffs]))
+    return p.lc.rational_value(), factors
 
 
-def _factor_squarefree(a: list[Fraction]) -> list[list[Fraction]]:
+def _factor_squarefree(a: Polynomial) -> list[Polynomial]:
     """Factor a monic squarefree rational polynomial; returns monic factors."""
+    ring = a.ring
     out = []
-    work = list(a)
-    for r in _integer_roots(_to_int_primitive(work)[0]):
-        work = _fdivmod(work, [-r, Fraction(1)])[0]
-        out.append([-r, Fraction(1)])
-    deg = len(work) - 1
-    if deg == 1:
-        out.append([c / work[-1] for c in work])
-    elif deg == 2:
-        out.append([c / work[-1] for c in work])
-    elif deg >= 3:
-        ints, _ = _to_int_primitive(work)
-        for piece in _zassenhaus(ints):
-            lead = Fraction(piece[-1])
-            out.append([Fraction(c) / lead for c in piece])
+    for r in _integer_roots(_int_coeffs(a)):
+        lin = Polynomial(ring, [ring.from_rational(-r), ring.one()])
+        a = a // lin
+        out.append(lin)
+    if a.degree >= 3:
+        out.extend(Polynomial.from_rationals(ring, piece).monic()
+                   for piece in _zassenhaus(_int_coeffs(a)))
+    elif a.degree >= 1:
+        out.append(a)
     return out
-
-
-def rational_roots_list(cs: list[Fraction]) -> list[Fraction]:
-    """Distinct rational roots of a coefficient list, ascending (internal
-    helper): 0 when the constant vanishes, then the rational roots of the
-    squarefree part."""
-    roots = []
-    work = _trim(list(cs))
-    if not work or len(work) - 1 < 1:
-        return roots
-    if work[0] == 0:
-        roots.append(Fraction(0))
-        while work and work[0] == 0:
-            work = work[1:]
-    if len(work) - 1 >= 1:
-        work = _fdivmod(work, _fgcd(work, _fderiv(work)))[0]
-        roots.extend(_integer_roots(_to_int_primitive(work)[0]))
-    return sorted(roots)
 
 
 def is_irreducible_over_Q(p: Polynomial) -> bool:
@@ -866,7 +815,7 @@ def _is_cyclotomic(p: Polynomial) -> bool:
     rules most polynomials out at once; the rest are compared with Phi_n
     for each n with phi(n) = deg, all at most 2 deg^2 as phi(n) >= sqrt(n/2).
     """
-    cs = _frac_coeffs(p)
+    cs = [c.rational_value() for c in p.coeffs]
     if any(c.denominator != 1 for c in cs) or cs[0] != 1 or cs != cs[::-1]:
         return False
     deg = p.degree

@@ -86,6 +86,26 @@ def test_minpoly_of_rational_element_is_linear():
     assert [c.rational_value() for c in m.coeffs] == [Fraction(-5, 7), 1]
 
 
+def test_minpoly_of_matches_the_minpoly_of_multiplication():
+    """minpoly_of(x, F) equals the minimal polynomial of the F-linear map
+    y -> x y on E, in the basis power_basis_over(E, F)."""
+    from lieforms import linalg
+    from lieforms.decompose import minpoly_of_matrix
+
+    tower = field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+                         [(0, 1), (0, -1)])
+    rng = random.Random(20260823)
+    for E, F in ((QI, Q), (QR2, Q), (cyclotomic_field(8), Q), (tower, QI)):
+        basis = power_basis_over(E, F)
+        samples = [E.zero(), E.one() * 3, E.generator(), E.generator() + 1]
+        samples += [from_coords_over(E, Q, [
+            Q.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(E.n)]) for _ in range(6)]
+        for x in samples:
+            M = linalg.transpose([coords_over(x * b, F) for b in basis])
+            assert minpoly_of(x, F) == minpoly_of_matrix(M, F), (E, x)
+
+
 def test_conjugation_is_an_automorphism():
     sigma = QI.automorphisms()[1]
     rng = random.Random(7)

@@ -190,33 +190,65 @@ def test_cyclotomic_fields_match_the_factoring_route(monkeypatch):
 
 
 def test_random_factor_refactor_roundtrip():
+    """Factoring rebuilds the polynomial from irreducibles, and the rational
+    routines answer the same whichever ring holds the rational
+    coefficients: Q, Q(i) or Q(zeta_8)."""
     import random
 
+    from lieforms.fields import gaussian_rationals
+
+    rings = (Q, gaussian_rationals(), cyclotomic_field(8))
     rng = random.Random(20260823)
     for _ in range(25):
         pieces = []
         for _count in range(rng.randint(1, 3)):
             deg = rng.randint(1, 3)
             cs = [Fraction(rng.randint(-4, 4)) for _ in range(deg)] + [Fraction(1)]
-            pieces.append(poly(*cs))
-        p = Polynomial.one(Q)
-        for piece in pieces:
-            p = p * piece
-        if p.degree > 9 or p.degree < 1:
-            continue
-        unit, factors = factor_over_Q(p)
-        rebuilt = poly(unit)
-        for f, m in factors:
-            rebuilt = rebuilt * f ** m
-        assert rebuilt == p
-        for f, _ in factors:
-            assert is_irreducible_over_Q(f)
+            pieces.append(cs)
+        answers = []
+        for E in rings:
+            p = Polynomial.one(E)
+            for cs in pieces:
+                p = p * Polynomial.from_rationals(E, cs)
+            if p.degree > 9:
+                break
+            unit, factors = factor_over_Q(p)
+            rebuilt = Polynomial.from_rationals(E, [unit])
+            for f, m in factors:
+                assert f.ring == E
+                rebuilt = rebuilt * f ** m
+            assert rebuilt == p
+            for f, _ in factors:
+                assert is_irreducible_over_Q(f)
+            answers.append((
+                unit,
+                [([c.rational_value() for c in f.coeffs], m)
+                 for f, m in factors],
+                rational_roots(p),
+                is_irreducible_over_Q(p)))
+        assert answers[1:] == answers[:-1]
 
 
 def test_rational_roots_of_zero_polynomial_raises():
     with pytest.raises(DegenerateError):
         rational_roots(Polynomial.zero(Q))
     assert rational_roots(poly(5)) == []
+
+
+def test_rational_routines_reject_irrational_coefficients():
+    from lieforms.fields import gaussian_rationals
+
+    QI = gaussian_rationals()
+    i, one = QI.generator(), QI.one()
+    # i t + i is rational once made monic, so the check must come first
+    for cs in ([i, i], [one, i, one], [i]):
+        p = Polynomial(QI, cs)
+        routines = [factor_over_Q, rational_roots]
+        if p.degree >= 1:
+            routines.append(is_irreducible_over_Q)
+        for routine in routines:
+            with pytest.raises(DegenerateError):
+                routine(p)
 
 
 def divisor_roots(cs):
