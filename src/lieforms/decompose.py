@@ -78,18 +78,15 @@ from .polynomials import (
 from .liealg import (
     LieAlgebra,
     LinearMap,
+    _ad_images,
     _restricted,
     _spans_ideal,
+    _touching,
     fingerprint,
     direct_sum,
     verify_morphism,
 )
 from .descent import conjugate_orbit
-from .catalog import (
-    diagonal_ad_spectrum,
-    r3_iso_certificate,
-    r3_iso_criterion,
-)
 from .pfaffian import invariant_c_of, refute_isomorphism_by_c
 
 DEFAULT_SEED = 20260823
@@ -579,12 +576,8 @@ def _cyclic_minpoly(M, v, field, cap: Optional[int]) -> Optional[Polynomial]:
 
 
 def roots_in_field(p: Polynomial) -> list:
-    """Roots of p lying in its own coefficient field.
-
-    Complete over the rationals and over a single quadratic extension; on
-    deeper towers some roots may go unfound.  Every returned value is
-    verified to be an exact root.
-    """
+    """Roots of p lying in its own coefficient field, each verified to be
+    exact; complete where _finds_every_root says so."""
     E = p.ring
     if p.degree < 1:
         return []
@@ -609,6 +602,16 @@ def roots_in_field(p: Polynomial) -> list:
         if p.eval(r).is_zero() and not any(r == s for s in out):
             out.append(r)
     return out
+
+
+def _finds_every_root(p: Polynomial) -> bool:
+    """True when roots_in_field(p) is complete: over Q, and over a Galois
+    quadratic extension of Q while the norm of p, which any root's minimal
+    polynomial over Q divides, is within the factoring cap."""
+    E = p.ring
+    return E.is_rationals or (E.base.is_rationals and E.minpoly.degree == 2
+                              and E.is_galois()
+                              and 2 * p.degree <= FACTOR_DEGREE_CAP)
 
 
 def _coprime_split(p: Polynomial):
@@ -643,22 +646,15 @@ def _coprime_split(p: Polynomial):
 QUOTIENT_TRIALS = 50
 
 
-def _irreducible_over(field: FieldTower, p: Polynomial) -> Optional[bool]:
-    """True/False when decidable, None when this field is out of reach."""
+def _irreducible_over(field: FieldTower, p: Polynomial) -> bool:
+    """True when p is proven irreducible over its field."""
     if field.is_rationals:
         try:
             return is_irreducible_over_Q(p)
         except DegreeTooLargeError:
-            return None
-    if p.degree > 3:
-        return None
-    if roots_in_field(p):
-        return False
-    # root search is complete on a single quadratic extension, so absence
-    # of roots proves a quadratic or cubic irreducible there
-    if field.base.is_rationals and field.minpoly.degree == 2:
-        return True
-    return None
+            return False
+    # a quadratic or cubic is irreducible exactly when it has no root
+    return p.degree <= 3 and _finds_every_root(p) and not roots_in_field(p)
 
 
 def _quotient_candidates(q: int):
@@ -1003,82 +999,100 @@ def _refuted(reason):
 _UNKNOWN = Verdict("unknown", "no layer decided")
 
 
-def _diagonal_family_shape(L: LieAlgebra, dim: int):
-    """Eigenvalues (c_2, ..., c_dim) when L has exactly the brackets
-    [X1, Xj] = c_j Xj for j = 2..dim."""
-    if L.dim != dim:
+def _almost_abelian_action(L: LieAlgebra):
+    """(f, X) when D = [L, L] is abelian of codimension one, else None: f is
+    the one column that is not a pivot of D's echelon rows d_t, and column
+    t of X is [e_f, d_t] at the pivots, so X is ad e_f on D in the rows."""
+    if fingerprint(L).derived[1:] != (L.dim - 1, 0):
         return None
-    try:
-        vals = diagonal_ad_spectrum(L)
-    except WrongShapeError:
-        return None
-    return vals if len(vals) == dim - 1 else None
+    (f,) = (c for c in range(L.dim) if c not in L.derived)
+    touching, pivots = _touching(L.brackets), sorted(L.derived)
+    cols = [_ad_images(touching, L.derived[c]).get(f, {}) for c in pivots]
+    return f, [[col.get(c, L.field.zero()) for col in cols] for c in pivots]
 
 
-def _scale_matrix(field, n, index, value):
-    m = linalg.identity_matrix(field, n)
-    m[index][index] = value
-    return m
+def _scales(field, X, Y):
+    """The s that X ~ s Y allows, and whether the list is complete, from
+    tr X^k = s^k tr Y^k at the first k where a trace is nonzero.  X is
+    invertible, as [L, L] = X [L, L], so tr X^k is nonzero for some k."""
+    PX, PY = X, Y
+    for k in itertools.count(1):
+        tx, ty = (sum((row[t] for t, row in enumerate(M)), field.zero())
+                  for M in (PX, PY))
+        if tx.is_zero() != ty.is_zero():
+            return [], True
+        if not tx.is_zero() and k == 1:
+            return [tx / ty], True
+        if not tx.is_zero():
+            p = Polynomial.gen(field) ** k - Polynomial(field, [tx / ty])
+            return roots_in_field(p), _finds_every_root(p)
+        PX, PY = linalg.mat_mul(PX, X, field), linalg.mat_mul(PY, Y, field)
 
 
-def _r3_certificate_between(A, B, va, vb):
-    """Certificate matrix for two diagonal dim-3 algebras through the
-    normalized parameter criterion, or None."""
-    field = A.field
-    la = va[1] / va[0]
-    lb = vb[1] / vb[0]
-    if not r3_iso_criterion(la, lb):
-        return None
-    mid = r3_iso_certificate(la, lb)
-    sa = _scale_matrix(field, 3, 0, va[0])
-    sb_inv = _scale_matrix(field, 3, 0, vb[0].inverse())
-    return linalg.mat_mul(sb_inv, linalg.mat_mul(mid, sa, field), field)
+def _intertwiners(field, P, Q) -> list:
+    """A basis of {Z : P Z = Z Q}, with Z[r][c] at flat index r*m + c."""
+    m, zero = len(P), field.zero()
+    red = _SparseReducer(field)
+    for i, j in itertools.product(range(m), repeat=2):
+        row: dict = {}
+        for k in range(m):
+            row[k * m + j] = row.get(k * m + j, zero) + P[i][k]
+            row[i * m + k] = row.get(i * m + k, zero) - Q[k][j]
+        red.add(row)
+    return red.nullspace(m * m)
 
 
-def _g1_normal_form(vals):
-    """(alpha, repeated value, basis order) for a spectrum {r, r, r*alpha};
-    None when no value repeats."""
-    for rep_pos in range(3):
-        others = [t for t in range(3) if t != rep_pos]
-        if vals[others[0]] == vals[others[1]]:
-            rep = vals[others[0]]
-            alpha = vals[rep_pos] / rep
-            return alpha, rep, [others[0], others[1], rep_pos]
-    return None
+def _similarity_verdict(A, B, act_a, act_b) -> Verdict:
+    """The verdict on A and B, given their actions (f, X) and (f', X').
 
-
-def _g1_perm_matrix(field, normal):
-    """Columns send the algebra basis to the normal order with X1 scaled
-    so the repeated eigenvalue becomes 1."""
-    _alpha, rep, order = normal
-    z = field.zero()
-    m = [[z for _ in range(4)] for _ in range(4)]
-    m[0][0] = rep
-    for new_pos, old_pos in enumerate(order):
-        m[1 + new_pos][1 + old_pos] = field.one()
-    return m
-
-
-def _g1_certificate_between(A, B, va, vb):
-    field = A.field
-    na, nb = _g1_normal_form(va), _g1_normal_form(vb)
-    if na is None or nb is None:
-        return None, None
-    if na[0] != nb[0]:
-        return None, "refuted"
-    perm_a = _g1_perm_matrix(field, na)
-    perm_b = _g1_perm_matrix(field, nb)
-    inv_b = linalg.inverse(perm_b, field)
-    return linalg.mat_mul(inv_b, perm_a, field), None
+    An isomorphism maps [A, A] onto [B, B] and e_f to s e_f' plus a vector
+    acting trivially there, so A and B are isomorphic exactly when
+    X ~ s X' for some s; P ~ Q exactly when {Z : P Z = Z Q} has the
+    dimension of (P, P) and of (Q, Q) (Byrnes and Gauger, Linear
+    Multilinear Algebra 5, 1977).  An invertible Z with Z X = s X' Z maps
+    e_f -> s e_f' and d_t -> sum of Z_rt d'_r; as d_t = e_c + d_t[f] e_f,
+    column c of its matrix is that image less d_t[f] s e_f'.
+    """
+    field, n, zero = A.field, A.dim, A.field.zero()
+    (fa, X), (fb, Y) = act_a, act_b
+    own = len(_intertwiners(field, X, X))
+    scales, complete = _scales(field, X, Y)
+    if own != len(_intertwiners(field, Y, Y)):
+        scales, complete = [], True
+    rows_b = [B.derived[c] for c in sorted(B.derived)]
+    for s in scales:
+        Z = _intertwiners(field, [[s * y for y in row] for row in Y], X)
+        if len(Z) != own:
+            continue
+        for y in _quotient_candidates(own):
+            zmat = _unflatten(_combine(dict(enumerate(
+                map(field.from_rational, y))), Z), n - 1)
+            if len(linalg.echelon(zmat.values(), field)[0]) == n - 1:
+                break
+        else:
+            return _UNKNOWN
+        cert = [[zero] * n for _ in range(n)]
+        cert[fb][fa] = s
+        for c, zcol in zip(sorted(A.derived), _columns(zmat).values()):
+            col = _combine(zcol, rows_b)
+            _sub_scaled(col, s, {fb: A.derived[c].get(fa, zero)})
+            for r, v in col.items():
+                cert[r][c] = v
+        if verify_morphism(A, B, cert) and \
+                LinearMap.make(A, B, cert).is_bijective():
+            return _confirmed("ad on [L, L] similar up to scale", cert)
+        return _UNKNOWN
+    return (_refuted("ad on [L, L] not similar up to scale") if complete
+            else _UNKNOWN)
 
 
 def isomorphism_verdict(A: LieAlgebra, B: LieAlgebra) -> Verdict:
-    """Layered exact isomorphism oracle.
-
-    Refutes by dimension, fingerprint, family parameter criteria, and the
-    quartic invariant of type (8,2) two-step algebras; confirms only equal
-    structure constants or family certificates that re-verify as bijective
-    bracket morphisms.  Everything else is unknown.
+    """Layered exact isomorphism oracle: dimension and fingerprint refute,
+    identical structure constants confirm, the almost-abelian similarity
+    of _similarity_verdict decides when [L, L] is abelian of codimension
+    one, and the classical quartic invariants of type (8, 2) two-step
+    algebras refute.  Every confirmation carries a matrix re-verified as a
+    bijective bracket morphism; everything else is unknown.
     """
     if A.field != B.field:
         raise TowerMismatchError("cannot compare algebras over different "
@@ -1090,30 +1104,9 @@ def isomorphism_verdict(A: LieAlgebra, B: LieAlgebra) -> Verdict:
     if A.brackets == B.brackets:
         return _confirmed("identical structure constants",
                           linalg.identity_matrix(A.field, A.dim))
-
-    va = _diagonal_family_shape(A, 3)
-    vb = _diagonal_family_shape(B, 3)
-    if va is not None and vb is not None:
-        cert = _r3_certificate_between(A, B, va, vb)
-        if cert is None:
-            return _refuted("solvable family parameter criterion")
-        if verify_morphism(A, B, cert) and \
-                LinearMap.make(A, B, cert).is_bijective():
-            return _confirmed("solvable family certificate", cert)
-        return _UNKNOWN
-
-    ga = _diagonal_family_shape(A, 4)
-    gb = _diagonal_family_shape(B, 4)
-    if ga is not None and gb is not None:
-        cert, refusal = _g1_certificate_between(A, B, ga, gb)
-        if refusal == "refuted":
-            return _refuted("normalized ad-spectrum criterion")
-        if cert is not None:
-            if verify_morphism(A, B, cert) and \
-                    LinearMap.make(A, B, cert).is_bijective():
-                return _confirmed("diagonal family certificate", cert)
-            return _UNKNOWN
-
+    act_a = _almost_abelian_action(A)
+    if act_a is not None:
+        return _similarity_verdict(A, B, act_a, _almost_abelian_action(B))
     if refute_isomorphism_by_c(A, B):
         return _refuted("quartic invariants differ")
     return _UNKNOWN

@@ -4,7 +4,8 @@ For a two-step algebra with commutator complement V = (V_1, ..., V_p) and
 commutator basis W = (W_1, ..., W_q), the matrix J(z) has entries
 J(z)_{ab} = sum_k z_k * (W_k-coefficient of [V_a, V_b]); its Pfaffian is a
 degree p/2 form in z_1, ..., z_q.  For type (8, 2) that form is a binary
-quartic and S, T, c = S^3/T^2 are its classical invariants.
+quartic; S, T and c = S^3/T^2 read its raw coefficients, and the classical
+forms of S and T, which a substitution only scales, refute isomorphisms.
 
 The form is found by evaluation and interpolation, in time polynomial in
 p for fixed q.  J is evaluated at z = (1, a) for the points a of the
@@ -545,13 +546,17 @@ def invariant_c_of(L: LieAlgebra) -> FieldElement:
 
 
 def refute_isomorphism_by_c(A: LieAlgebra, B: LieAlgebra) -> bool:
-    """True when both are type (8, 2) with T nonzero and distinct c."""
+    """True when both are type (8, 2) and their quartics differ in what a
+    map f -> u f o M keeps: a zero classical T, then a zero classical S,
+    then S^3/T^2 (S scales by u^2 det(M)^4 and T by u^3 det(M)^6)."""
     try:
-        ca = invariant_c_of(A)
-        cb = invariant_c_of(B)
-    except (NotTwoStepError, OddSizeError, WrongShapeError, TVanishesError):
+        forms = quartic_form_of(A), quartic_form_of(B)
+    except (NotTwoStepError, OddSizeError, WrongShapeError):
         return False
-    return ca != cb
+    (sa, ta), (sb, tb) = ((classical_S(f), classical_T(f)) for f in forms)
+    if ta.is_zero() or tb.is_zero():
+        return ta.is_zero() != tb.is_zero() or sa.is_zero() != sb.is_zero()
+    return sa * sa * sa * tb * tb != sb * sb * sb * ta * ta
 
 
 def projective_equivalence_check(f: MultiPoly, g: MultiPoly, matrix,

@@ -155,13 +155,14 @@ class Polynomial:
         dd = len(div) - 1
         if len(rem) - 1 < dd:
             return Polynomial.zero(self.ring), self
-        inv_lc = self.ring.one() / div[-1]
+        one = self.ring.one()
+        inv_lc = None if div[-1] == one else one / div[-1]
         quot = [self.ring.zero()] * (len(rem) - dd)
         for top in range(len(rem) - 1, dd - 1, -1):
             c = rem[top]
             if c.is_zero():
                 continue
-            q = c * inv_lc
+            q = c if inv_lc is None else c * inv_lc
             quot[top - dd] = q
             for j in range(dd + 1):
                 rem[top - dd + j] = rem[top - dd + j] - q * div[j]
@@ -186,7 +187,7 @@ class Polynomial:
         return out
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        if self.is_zero() or self.lc == self.ring.one():
             return self
         inv = self.ring.one() / self.lc
         return self.scale(inv)

@@ -5,10 +5,14 @@ Builds the ``forms``, ``rebased`` and ``descent`` manifests with
 ``lieforms.cli.main`` as ``perfbench/worker.py`` does (saving the entity a
 job with ``save`` reports), and compares each job's SHA-256 of (exit code,
 stdout) with ``tests/data/answers_seed<seed>.json``.  The pinned answers
-include the benchmark's known false g_lambda refutation.  A change that
-alters an answer rewrites the files and says why:
+are those of the benchmark's jobs as they run.  A change that alters an
+answer rewrites the files and says why:
 
     PYTHONPATH=src python tests/test_answers.py
+
+which prints the id of every job whose digest it rewrites, one line each
+as ``seed<seed> <workload> <job id>``, so the rewrite can be checked
+against the jobs the change names.
 """
 
 import contextlib
@@ -91,10 +95,19 @@ if __name__ == "__main__":
     import tempfile
 
     for seed in SEEDS:
+        try:
+            with open(answers_path(seed), encoding="utf-8") as handle:
+                old = json.load(handle)
+        except FileNotFoundError:
+            old = {}
         answers = {}
         for name in workloads.WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
                 answers[name] = workload_answers(name, seed, tmp)
+            pinned = old.get(name, {})
+            for job in sorted(answers[name]):
+                if pinned.get(job) != answers[name][job]:
+                    print("seed%d %s %s" % (seed, name, job))
         with open(answers_path(seed), "w", encoding="utf-8") as handle:
             json.dump(answers, handle, indent=1, sort_keys=True)
             handle.write("\n")

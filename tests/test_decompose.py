@@ -2,6 +2,7 @@
 isomorphism verdicts, Krull-Schmidt matching, and form counting."""
 
 import importlib.util
+import itertools
 import os
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from lieforms import linalg
 from lieforms.errors import (
     DegenerateError,
     NotClosedError,
+    OracleUndecidedError,
     TowerMismatchError,
     UncertifiedDecompositionError,
 )
@@ -41,9 +43,11 @@ from lieforms.manifest import load_manifest
 from lieforms.catalog import (
     abelian,
     g1_alpha,
+    g1_iso_criterion,
     g_lambda,
     heisenberg,
     nintot_family,
+    r3_iso_criterion,
     r3_lambda,
     r3_lambda_plus_abelian,
 )
@@ -782,6 +786,18 @@ class TestMinpolyAndRoots:
         assert len(found) == 2
         assert all(p.eval(r).is_zero() for r in found)
 
+    def test_irreducibility_needs_a_complete_root_search(self):
+        """Q(i) given with the identity as its only automorphism has no
+        norm to search for the roots of (t - i)(t - 2), so the quadratic
+        is not proven irreducible there; the full Q(i) finds a root."""
+        Q = rationals()
+        for images in ([[0, 1]], [[0, 1], [0, -1]]):
+            E = field_extend(Q, Polynomial(Q, [Q.one(), Q.zero(), Q.one()]),
+                             "i", images)
+            p = Polynomial(E, [-E.generator(), E.one()]) * \
+                Polynomial(E, [E.from_rational(-2), E.one()])
+            assert not decompose_module._irreducible_over(E, p)
+
 
 class TestFindIdempotent:
     def test_block_projection_found_and_verified(self):
@@ -1075,6 +1091,19 @@ class TestIsomorphismVerdict:
         v2 = isomorphism_verdict(g_lambda(Qi, i), g_lambda(Qi, -i))
         assert v2.status == "unknown"
 
+    @pytest.mark.parametrize("lam", [3, Fraction(1, 2)])
+    def test_quartic_layer_is_basis_free(self, lam):
+        """g_lambda over Q against a dense unitriangular re-basing of
+        itself: the raw S^3/T^2 differs between the two bases, the
+        classical one does not, so nothing may refute."""
+        Q = rationals()
+        L = g_lambda(Q, Q.from_rational(lam))
+        P = unitriangular(L.dim, 1)
+        for r in range(L.dim - 2):
+            P[r][r + 2] = 1
+        assert isomorphism_verdict(L, change_basis(L, P)).status != \
+            "refuted"
+
     def test_field_mismatch_raises(self):
         Q = rationals()
         Qi = gaussian_rationals()
@@ -1082,20 +1111,13 @@ class TestIsomorphismVerdict:
             isomorphism_verdict(heisenberg(Q), heisenberg(Qi))
 
 
-def bracket_scan_shape(L, dim):
-    """Reference: the diagonal-family recogniser that scanned the brackets
-    (0, j) for j = 2..dim itself."""
-    if L.dim != dim:
-        return None
-    vals = []
-    for j in range(1, dim):
-        comps = L.brackets.get((0, j))
-        if comps is None or set(comps) != {j}:
-            return None
-        vals.append(comps[j])
-    if len(L.brackets) != dim - 1:
-        return None
-    return tuple(vals)
+def almost_abelian_reference(L):
+    """Reference: True when the rows of [L, L] have codimension one and
+    bracket to zero pairwise."""
+    rows, _ = commutator_rows(L)
+    return len(rows) == L.dim - 1 and all(
+        all(c.is_zero() for c in L.bracket_coords(u, v))
+        for u in rows for v in rows)
 
 
 def diagonal_shape_cases():
@@ -1137,17 +1159,89 @@ DIAGONAL_SHAPE_CASES = diagonal_shape_cases()
 
 @pytest.mark.parametrize("name, L", DIAGONAL_SHAPE_CASES,
                          ids=[name for name, _ in DIAGONAL_SHAPE_CASES])
-@pytest.mark.parametrize("dim", [3, 4])
-def test_diagonal_family_shape_matches_the_bracket_scan(name, L, dim):
-    got = decompose_module._diagonal_family_shape(L, dim)
-    assert got == bracket_scan_shape(L, dim)
+@pytest.mark.parametrize("rebase", [False, True],
+                         ids=["catalog", "rebased"])
+def test_almost_abelian_action_matches_the_derived_algebra(name, L, rebase):
+    """The action is found exactly when [L, L] is abelian of codimension
+    one, and it is ad e_f on [L, L] in the coordinates of its echelon
+    rows: [e_f, d_t] = sum of X[r][t] d_r."""
+    if rebase:
+        L = change_basis(L, invertible(L.field, L.dim, 3, 2 * L.dim))
+    action = decompose_module._almost_abelian_action(L)
+    assert (action is not None) == almost_abelian_reference(L)
+    if action is None:
+        return
+    f, X = action
+    rows, pivots = commutator_rows(L)
+    assert f not in pivots
+    e_f = [L.field.from_rational(int(c == f)) for c in range(L.dim)]
+    for t, d in enumerate(rows):
+        expected = [sum((X[r][t] * w[c] for r, w in enumerate(rows)),
+                        L.field.zero()) for c in range(L.dim)]
+        assert L.bracket_coords(e_f, d) == expected
 
 
 def test_diagonal_shape_cases_cover_both_verdicts():
-    for dim in (3, 4):
-        found = {bracket_scan_shape(L, dim) is None
-                 for _name, L in DIAGONAL_SHAPE_CASES}
-        assert found == {True, False}
+    found = {almost_abelian_reference(L) for _name, L in DIAGONAL_SHAPE_CASES}
+    assert found == {True, False}
+
+
+def similarity_fields():
+    Q, Qi = rationals(), gaussian_rationals()
+    T = sqrt2_over_gaussian()
+    i, s = lift_to(Qi.generator(), T), T.generator()
+    return [("Q", Q, []), ("Q(i)", Qi, [Qi.generator(), -Qi.generator(),
+                                        Qi.one() + Qi.generator()]),
+            ("Q(i)(sqrt2)", T, [i, s, s / T.from_rational(2), s + i])]
+
+
+@pytest.mark.parametrize("fname, field, extra", similarity_fields(),
+                         ids=[f for f, _, _ in similarity_fields()])
+def test_similarity_layer_agrees_with_the_family_criteria(fname, field,
+                                                          extra):
+    """r3_lambda and g1_alpha under seeded invertible basis changes: the
+    verdict is the family criterion's, and every confirmation
+    re-verifies.  Over Q(i)(sqrt2) a trace-zero action may be unknown,
+    never the opposite verdict."""
+    params = [field.from_rational(c) for c in (2, Fraction(1, 2), 3, -1,
+                                               -2)] + extra
+    rng = random.Random(17)
+    for family, criterion, shift in ((r3_lambda, r3_iso_criterion, 1),
+                                     (g1_alpha, g1_iso_criterion, 2)):
+        for a, b in itertools.product(params, repeat=2):
+            A = change_basis(family(field, a), invertible(
+                field, shift + 2, rng.randrange(99), 6))
+            B = change_basis(family(field, b), invertible(
+                field, shift + 2, rng.randrange(99), 6))
+            v = isomorphism_verdict(A, B)
+            want = "confirmed" if criterion(a, b) else "refuted"
+            # tr ad x on [L, L] is a multiple of shift + parameter
+            trace_zero = (field.from_rational(shift) + a).is_zero() and \
+                (field.from_rational(shift) + b).is_zero()
+            if fname in ("Q", "Q(i)") or not trace_zero:
+                assert v.status == want, (family.__name__, a, b, v.reason)
+            else:
+                assert v.status in (want, "unknown")
+            if v.status == "confirmed":
+                assert verify_morphism(A, B, v.certificate)
+                assert linalg.rank([list(r) for r in v.certificate],
+                                   field) == A.dim
+
+
+def test_trace_zero_action_beyond_one_quadratic_extension_is_not_refuted():
+    """r3_-1 against itself with its brackets scaled by sqrt2, which lies
+    outside Q(i): tr ad x vanishes, the scale is a root of t^2 - 1/2, and
+    root search over Q(i)(sqrt2) is not complete, so the verdict may be
+    unknown but is never refuted."""
+    T = sqrt2_over_gaussian()
+    c = T.generator()
+    A = r3_lambda(T, -T.one())
+    scaled = LieAlgebra(T, 3, {(0, 1): {1: c}, (0, 2): {2: -c}})
+    for B in (scaled, change_basis(scaled, invertible(T, 3, 5, 6))):
+        v = isomorphism_verdict(A, B)
+        assert v.status in ("confirmed", "unknown")
+        if v.status == "confirmed":
+            assert verify_morphism(A, B, v.certificate)
 
 
 class TestKrullSchmidtMatch:
@@ -1233,6 +1327,23 @@ class TestCountForms:
             assert all(v is not None for v in vals)
             multisets.add(tuple(sorted(map(str, vals))))
         assert len(multisets) == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_band_rebased_doubled_block_has_three_forms(self, seed):
+        """nintot(1+i, 2, 2) under a unitriangular P with seeded entries
+        from {-2, -1, 1, 2} on its two superdiagonals: the count is k + 1
+        = 3 as in the catalog basis, or the oracle says it cannot
+        decide."""
+        Qi, lam = gaussian_lambda()
+        L = nintot_family(Qi, lam, 2, 2)
+        rng = random.Random(seed)
+        P = [[1 if c == r else (rng.choice((-2, -1, 1, 2))
+                                if 0 < c - r <= 2 else 0)
+              for c in range(L.dim)] for r in range(L.dim)]
+        try:
+            assert count_forms(change_basis(L, P), rationals()).count == 3
+        except OracleUndecidedError:
+            pass
 
     def test_heisenberg_is_rigid(self):
         Q = rationals()
