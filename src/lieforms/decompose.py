@@ -22,15 +22,18 @@ gives the Jacobson radical R as its nullspace and the small quotient by R
 through its pivot columns; a candidate whose minimal polynomial modulo R
 splits into coprime factors gives an idempotent modulo R, lifted to an
 exact one, and the piece splits along its image and kernel.  The route
-works on the centroid matrices as sparse rows: the Gram, the products
-behind the quotient's left multiplications, the candidates and the lift.
-A piece without a split is certified when the centroid is proven local
-(scalars, a quotient of dimension one, or a quotient that is a field,
-with R proven nilpotent).  R is proven square-zero when each of its
-elements kills [L, L] and maps L into [L, L], checked against the echelon
-basis of [L, L]: then RR maps L into [L, L] and on to 0.  Such an R lies
-in Hom(L/[L, L], Z(L) ∩ [L, L]), the square-zero ideal of every centroid
-(D. Melville, Comm. Algebra 1992); the radicals of the nilpotent
+works on the centroid matrices as sparse matrices, with linalg's sparse
+kit: the Gram, the products behind the quotient's left multiplications,
+the candidates and the lift.  Roots, splits and irreducibility of the
+minimal polynomials come from fields, whose one rule says what a tower
+level can prove.  A piece without a split is certified when the centroid
+is proven local (scalars, a quotient of dimension one, or a quotient that
+is a field, shown by a minimal polynomial of full degree proved
+irreducible, with R proven nilpotent).  R is proven square-zero when each
+of its elements kills [L, L] and maps L into [L, L], checked against the
+echelon basis of [L, L]: then RR maps L into [L, L] and on to 0.  Such an
+R lies in Hom(L/[L, L], Z(L) ∩ [L, L]), the square-zero ideal of every
+centroid (D. Melville, Comm. Algebra 1992); the radicals of the nilpotent
 catalog algebras all pass.  When the check fails, for instance when L is
 perfect, R is proven nilpotent by the chain of its images.  Everything
 an answer depends on is re-verified exactly; searches that fail produce
@@ -47,10 +50,22 @@ from math import comb
 from typing import Callable, Optional
 
 from . import linalg
-from .linalg import _SparseReducer, _sub_scaled
+from .linalg import (
+    _SparseReducer,
+    _columns,
+    _combine,
+    _dense_matrix,
+    _flat,
+    _poly_at_matrix,
+    _sp_mul,
+    _sp_sum,
+    _sp_trace,
+    _sparse_matrix,
+    _sub_scaled,
+    _unflatten,
+)
 from .errors import (
     DegenerateError,
-    DegreeTooLargeError,
     NotClosedError,
     NotTwoStepError,
     OddSizeError,
@@ -63,17 +78,17 @@ from .errors import (
 from .fields import (
     FieldTower,
     GaloisGroup,
+    _irreducibility,
+    _root_search,
     galois_group,
-    quadratic_roots,
+    roots_in_field,  # noqa: F401  (public from decompose too)
 )
 from .polynomials import (
     FACTOR_DEGREE_CAP,
     Polynomial,
     factor_over_Q,
-    is_irreducible_over_Q,
     poly_ext_gcd,
     poly_gcd,
-    rational_roots,
 )
 from .liealg import (
     LieAlgebra,
@@ -99,10 +114,6 @@ UNKNOWN = "Unknown"
 # ----------------------------------------------------------- matrix helpers
 
 
-def _flatten(M):
-    return [c for row in M for c in row]
-
-
 def _poly_apply(p: Polynomial, M, v, field):
     """The vector p(M) v without forming p(M)."""
     acc = [field.zero()] * len(v)
@@ -116,20 +127,13 @@ def _poly_apply(p: Polynomial, M, v, field):
 
 
 class AssocAlgebra:
-    """A unital associative algebra of n-by-n matrices with membership
-    tests through the reduced echelon rows of the flattened basis, kept
-    sparse.
-
-    Product closure is verified on construction: exhaustively for small
-    bases, on a seeded random sample of pairs beyond the size cap
-    (closure_verified records which).
+    """A unital associative algebra of n-by-n matrices, kept as a sparse
+    basis, with membership tests through the reduced echelon rows of the
+    flattened basis.  Product closure is verified exactly on construction:
+    every product of two basis matrices must lie in the span.
     """
 
-    CLOSURE_CAP = 40
-    CLOSURE_SAMPLE = 200
-
-    __slots__ = ("field", "matrices", "size", "rows", "pivots",
-                 "closure_verified")
+    __slots__ = ("field", "matrices", "size", "basis", "rows", "pivots")
 
     def __init__(self, field: FieldTower, matrices):
         if not matrices:
@@ -137,15 +141,22 @@ class AssocAlgebra:
         self.field = field
         self.matrices = tuple(tuple(tuple(row) for row in M)
                               for M in matrices)
-        self.size = len(self.matrices[0])
+        self.size = n = len(self.matrices[0])
+        self.basis = tuple(_sparse_matrix(M) for M in self.matrices)
         self.rows, self.pivots = linalg.echelon(
-            [linalg.sparse(_flatten(M)) for M in self.matrices], field)
-        if len(self.rows) != len(self.matrices):
+            [_flat(A, n) for A in self.basis], field)
+        if len(self.rows) != len(self.basis):
             raise DegenerateError("basis matrices are linearly dependent")
-        if not self.contains(linalg.identity_matrix(field, self.size)):
+        if not self.contains(linalg.identity_matrix(field, n)):
             raise DegenerateError("associative algebra must contain the "
                                   "identity matrix")
-        self._verify_closure()
+        for (a, A), (b, B) in itertools.product(enumerate(self.basis),
+                                                repeat=2):
+            if linalg.express(_flat(_sp_mul(A, B), n), self.rows,
+                              self.pivots) is None:
+                raise NotClosedError(
+                    "product of basis elements %d and %d leaves the span"
+                    % (a, b))
 
     @property
     def dim(self) -> int:
@@ -156,28 +167,10 @@ class AssocAlgebra:
 
     def coords_of(self, M):
         """Coordinates in the reduced row span, or None outside it."""
-        coords = linalg.express(linalg.sparse(_flatten(M)), self.rows,
-                                self.pivots)
+        coords = linalg.express(_flat(_sparse_matrix(M), self.size),
+                                self.rows, self.pivots)
         return (None if coords is None
                 else linalg.dense(coords, len(self.rows), self.field))
-
-    def _verify_closure(self) -> None:
-        m = self.dim
-        if m <= self.CLOSURE_CAP:
-            pairs = itertools.product(range(m), repeat=2)
-            self.closure_verified = "full"
-        else:
-            rng = random.Random(DEFAULT_SEED)
-            pairs = ((rng.randrange(m), rng.randrange(m))
-                     for _ in range(self.CLOSURE_SAMPLE))
-            self.closure_verified = "sampled"
-        for a, b in pairs:
-            prod = linalg.mat_mul(self.matrices[a], self.matrices[b],
-                                  self.field)
-            if not self.contains(prod):
-                raise NotClosedError(
-                    "product of basis elements %d and %d leaves the span"
-                    % (a, b))
 
 
 def _centroid_rows(L: LieAlgebra, j: int):
@@ -217,7 +210,7 @@ def centroid_basis(L: LieAlgebra) -> list:
     D is a coordinate subspace, L is already adapted and is solved as it
     stands.
     """
-    return [_dense(M, L.dim, L.field) for M in _sparse_centroid(L)]
+    return [_dense_matrix(M, L.dim, L.field) for M in _sparse_centroid(L)]
 
 
 def _sparse_centroid(L: LieAlgebra) -> list:
@@ -229,14 +222,6 @@ def _sparse_centroid(L: LieAlgebra) -> list:
     else:
         basis = _adapted_centroid(L)
     return [_unflatten(vec, L.dim) for vec in basis]
-
-
-def _unflatten(vec: dict, n: int) -> dict:
-    """The sparse n-by-n matrix whose entry M[r][c] is vec[r*n + c]."""
-    M: dict = {}
-    for k in sorted(vec):
-        M.setdefault(k // n, {})[k % n] = vec[k]
-    return M
 
 
 def _canonical(field, n, flats) -> list:
@@ -344,82 +329,6 @@ def centroid(L: LieAlgebra) -> AssocAlgebra:
     return AssocAlgebra(L.field, centroid_basis(L))
 
 
-# ---------------------------------------------------------- sparse matrices
-# The route keeps centroid matrices as {row: {column: coeff}} dicts that
-# hold nonzero entries only and no empty rows, so products, traces and
-# combinations cost what the supports cost.
-
-
-def _sparse(M) -> dict:
-    """A dense matrix as sparse rows."""
-    rows = {r: linalg.sparse(row) for r, row in enumerate(M)}
-    return {r: row for r, row in rows.items() if row}
-
-
-def _dense(A: dict, n: int, field) -> list:
-    return [linalg.dense(A.get(r, {}), n, field) for r in range(n)]
-
-
-def _columns(A: dict) -> dict:
-    """The sparse columns {c: {r: A[r][c]}} of a sparse matrix, in
-    ascending order of c."""
-    cols: dict = {}
-    for r, row in A.items():
-        for c, x in row.items():
-            cols.setdefault(c, {})[r] = x
-    return dict(sorted(cols.items()))
-
-
-def _sp_sum(terms) -> dict:
-    """The sum of c * A over the (c, A) pairs of terms."""
-    out: dict = {}
-    for c, A in terms:
-        if c.is_zero():
-            continue
-        for r, row in A.items():
-            acc = out.setdefault(r, {})
-            _sub_scaled(acc, -c, row)
-            if not acc:
-                del out[r]
-    return out
-
-
-def _sp_mul(A: dict, B: dict) -> dict:
-    out = {}
-    for r, row in A.items():
-        acc: dict = {}
-        for k, x in row.items():
-            for c, y in B.get(k, {}).items():
-                t = x * y
-                prev = acc.get(c)
-                acc[c] = t if prev is None else prev + t
-        acc = {c: v for c, v in acc.items() if not v.is_zero()}
-        if acc:
-            out[r] = acc
-    return out
-
-
-def _sp_trace(field, A: dict, B: dict):
-    """tr(A B), the sum of A[r][c] B[c][r] over A's support."""
-    t = field.zero()
-    for r, row in A.items():
-        for c, x in row.items():
-            y = B.get(c, {}).get(r)
-            if y is not None:
-                t = t + x * y
-    return t
-
-
-def _poly_at_matrix(p: Polynomial, M: dict, n: int, field) -> dict:
-    """A polynomial at a sparse n-by-n matrix, by Horner's rule."""
-    one = field.one()
-    ident = {d: {d: one} for d in range(n)}
-    acc: dict = {}
-    for c in reversed(p.coeffs):
-        acc = _sp_sum(((one, _sp_mul(acc, M)), (c, ident)))
-    return acc
-
-
 # ----------------------------------------------------------------- radical
 
 
@@ -466,16 +375,15 @@ def radical(A) -> list:
     action: elements with trace(a b) = 0 against the whole basis (exact in
     characteristic zero for a faithful unital matrix algebra)."""
     field = A.field
-    mats = [_sparse(M) for M in A.matrices]
-    _, null = _gram_radical(field, _trace_gram(field, mats))
-    return _radical_matrices(field, A.size, mats, null)
+    _, null = _gram_radical(field, _trace_gram(field, A.basis))
+    return _radical_matrices(field, A.size, A.basis, null)
 
 
 def _radical_matrices(field, n, mats, null) -> list:
     """The dense radical elements: for each v of null, the sum of v_t
     mats[t] over the sparse basis mats."""
-    return [_dense(_sp_sum((c, mats[t]) for t, c in v.items()), n, field)
-            for v in null]
+    return [_dense_matrix(_sp_sum((c, mats[t]) for t, c in v.items()), n,
+                          field) for v in null]
 
 
 def _square_zero(mats, null, derived) -> bool:
@@ -544,117 +452,56 @@ def _nilpotent_span(field, mats) -> bool:
 # ----------------------------------------------------------- minimal polys
 
 
-def minpoly_of_matrix(M, field, cap: Optional[int] = None
-                      ) -> Optional[Polynomial]:
-    """Monic minimal polynomial as the lcm of cyclic-vector minimal
-    polynomials over the standard probes; None when a cap on the degree is
-    given and exceeded."""
+def minpoly_of_matrix(M, field) -> Polynomial:
+    """Monic minimal polynomial, the lcm of the minimal polynomials of M on
+    the cyclic subspaces of the standard probes, each found from the
+    probe's Krylov iterates."""
     n = len(M)
     p = Polynomial.one(field)
-    for start in range(n):
-        probe = [field.zero()] * n
-        probe[start] = field.one()
-        if all(c.is_zero() for c in _poly_apply(p, M, probe, field)):
-            continue
-        local = _cyclic_minpoly(M, probe, field, cap)
-        if local is None:
-            return None
-        g = poly_gcd(p, local)
-        p = (p * local) // g
-        if cap is not None and p.degree > cap:
-            return None
-    return p
 
-
-def _cyclic_minpoly(M, v, field, cap: Optional[int]) -> Optional[Polynomial]:
     def iterates(w):
         while True:
             yield w
             w = linalg.mat_vec(M, w, field)
 
-    return linalg.krylov_minpoly(iterates(v), field, cap)
-
-
-def roots_in_field(p: Polynomial) -> list:
-    """Roots of p lying in its own coefficient field, each verified to be
-    exact; complete where _finds_every_root says so."""
-    E = p.ring
-    if p.degree < 1:
-        return []
-    candidates: list = []
-    if all(c.is_rational() for c in p.coeffs):
-        candidates = [E.from_rational(r) for r in rational_roots(p)]
-        if not E.is_rationals and p.degree <= FACTOR_DEGREE_CAP:
-            _, factors = factor_over_Q(p)
-            for f, _m in factors:
-                if f.degree == 2:
-                    candidates.extend(quadratic_roots(f))
-    else:
-        auts = E.automorphisms()
-        if len(auts) > 1:
-            norm = Polynomial.one(E)
-            for sig in auts:
-                norm = norm * Polynomial(E, [sig(c) for c in p.coeffs])
-            if all(c.is_rational() for c in norm.coeffs):
-                candidates = roots_in_field(norm)
-    out = []
-    for r in candidates:
-        if p.eval(r).is_zero() and not any(r == s for s in out):
-            out.append(r)
-    return out
-
-
-def _finds_every_root(p: Polynomial) -> bool:
-    """True when roots_in_field(p) is complete: over Q, and over a Galois
-    quadratic extension of Q while the norm of p, which any root's minimal
-    polynomial over Q divides, is within the factoring cap."""
-    E = p.ring
-    return E.is_rationals or (E.base.is_rationals and E.minpoly.degree == 2
-                              and E.is_galois()
-                              and 2 * p.degree <= FACTOR_DEGREE_CAP)
+    for start in range(n):
+        probe = [field.zero()] * n
+        probe[start] = field.one()
+        if all(c.is_zero() for c in _poly_apply(p, M, probe, field)):
+            continue
+        local = linalg.krylov_minpoly(iterates(probe), field)
+        p = (p * local) // poly_gcd(p, local)
+    return p
 
 
 def _coprime_split(p: Polynomial):
     """A factorization p = S * T into coprime monic factors of positive
-    degree, or None.  Tries field roots first, then rational
-    factorization."""
+    degree, or None: at p's first root in its field, else at its first
+    factor over Q.  Over an extension both come from the one factorization
+    _root_search makes; over Q p is factored only when it has no root."""
     field = p.ring
     p = p.monic()
-    roots = roots_in_field(p)
+    roots, _, factors = _root_search(p)
     if roots:
-        a = roots[0]
-        lin = Polynomial(field, [-a, field.one()])
-        S = Polynomial.one(field)
-        rest = p
+        lin = Polynomial(field, [-roots[0], field.one()])
+        S, rest = Polynomial.one(field), p
         while (rest % lin).is_zero():
             S = S * lin
             rest = rest // lin
-        if rest.degree >= 1:
-            return S, rest
-    if all(c.is_rational() for c in p.coeffs) and \
+        return (S, rest) if rest.degree >= 1 else None
+    if factors is None and field.is_rationals and \
             p.degree <= FACTOR_DEGREE_CAP:
         _, factors = factor_over_Q(p)
-        if len(factors) >= 2:
-            f0, m0 = factors[0]
-            S = f0 ** m0
-            return S, p // S
+    if factors is not None and len(factors) >= 2:
+        f0, m0 = factors[0]
+        S = f0 ** m0
+        return S, p // S
     return None
 
 
 # ------------------------------------------------------- idempotent search
 
 QUOTIENT_TRIALS = 50
-
-
-def _irreducible_over(field: FieldTower, p: Polynomial) -> bool:
-    """True when p is proven irreducible over its field."""
-    if field.is_rationals:
-        try:
-            return is_irreducible_over_Q(p)
-        except DegreeTooLargeError:
-            return False
-    # a quadratic or cubic is irreducible exactly when it has no root
-    return p.degree <= 3 and _finds_every_root(p) and not roots_in_field(p)
 
 
 def _quotient_candidates(q: int):
@@ -767,7 +614,7 @@ def _split_or_certify(field, n, mats, owner):
             e = _lifted_idempotent(split, x, n, field)
             if e is not None:
                 return e, None, None
-        elif p.degree == q and _irreducible_over(field, p):
+        elif p.degree == q and _irreducibility(p) is True:
             return (None,) + _certify_local(
                 field, n, mats, null, owner,
                 "centroid modulo its radical is a field")
@@ -784,10 +631,8 @@ def find_idempotent(A):
     polynomial modulo the radical is lifted to an exact idempotent.  Every
     returned matrix satisfies e*e = e and is neither 0 nor the identity.
     """
-    field = A.field
-    mats = [_sparse(M) for M in A.matrices]
-    e = _split_or_certify(field, A.size, mats, None)[0]
-    return None if e is None else _dense(e, A.size, field)
+    e = _split_or_certify(A.field, A.size, A.basis, None)[0]
+    return None if e is None else _dense_matrix(e, A.size, A.field)
 
 
 # ----------------------------------------------------------- decomposition
@@ -939,11 +784,7 @@ def _corner_centroid(field, mats, proj, part) -> list:
         if row is not None:
             head[s] = row
     cols = _columns(dict(enumerate(part)))  # column c -> {t: w_t[c]}
-    flats = []
-    for M in mats:
-        flats.append({s * m + t: v
-                      for s, row in _sp_mul(_sp_mul(head, M), cols).items()
-                      for t, v in row.items()})
+    flats = [_flat(_sp_mul(_sp_mul(head, M), cols), m) for M in mats]
     return [_unflatten(vec, m) for vec in _canonical(field, m, flats)]
 
 
@@ -965,14 +806,6 @@ def _split_rows(piece: LieAlgebra, e: dict, complement: dict):
     if not all(_spans_ideal(piece, *half) for half in halves):
         raise DegenerateError("idempotent split produced a non-ideal")
     return halves
-
-
-def _combine(coeffs: dict, vecs: list) -> dict:
-    """The sparse sum of c * vecs[t] over the entries t: c of coeffs."""
-    out: dict = {}
-    for t, c in coeffs.items():
-        _sub_scaled(out, -c, vecs[t])
-    return out
 
 
 # ------------------------------------------------------ isomorphism oracle
@@ -1025,7 +858,7 @@ def _scales(field, X, Y):
             return [tx / ty], True
         if not tx.is_zero():
             p = Polynomial.gen(field) ** k - Polynomial(field, [tx / ty])
-            return roots_in_field(p), _finds_every_root(p)
+            return _root_search(p)[:2]
         PX, PY = linalg.mat_mul(PX, X, field), linalg.mat_mul(PY, Y, field)
 
 

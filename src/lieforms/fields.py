@@ -44,12 +44,15 @@ from .errors import (
     TowerMismatchError,
 )
 from .polynomials import (
+    FACTOR_DEGREE_CAP,
     LITERAL_EXPONENT_CAP,
     QUADRATIC_RADICAND_CAP,
     Polynomial,
     _is_cyclotomic,
     cyclotomic_coeffs,
+    factor_over_Q,
     is_irreducible_over_Q,
+    rational_roots,
 )
 
 
@@ -699,9 +702,10 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
     images: one coordinate sequence per relative automorphism (power-basis
     coordinates of the generator image over base).  The identity image must
     be among them; entries are validated as roots and closed under
-    composition.  Irreducibility is checked when the toolkit can (over Q up
-    to the factorization cap, and via discriminant for quadratics over
-    quadratic levels); otherwise it is trusted input.
+    composition.  A minimal polynomial that _irreducibility proves
+    reducible is refused: over Q up to the factorization cap, quadratics
+    over quadratic levels, and cubics over Galois quadratic levels.  One
+    it cannot decide is trusted input.
     """
     if minpoly.ring != base:
         raise TowerMismatchError("minimal polynomial not over the base level")
@@ -764,22 +768,11 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
 
 
 def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
-    if minpoly.degree == 2:
-        # a monic quadratic is reducible exactly when it has a root, and
-        # quadratic_roots finds them over Q and quadratic levels
-        if quadratic_roots(minpoly):
-            raise DegenerateError(
-                "minimal polynomial is reducible over Q" if base.is_rationals
-                else "quadratic minimal polynomial has a root in the base")
-        return
-    if base.is_rationals:
-        from .polynomials import FACTOR_DEGREE_CAP
-        # every cyclotomic polynomial is irreducible over Q (Gauss)
-        if (minpoly.degree <= FACTOR_DEGREE_CAP
-                and not _is_cyclotomic(minpoly)
-                and not is_irreducible_over_Q(minpoly)):
-            raise DegenerateError("minimal polynomial is reducible over Q")
-    # Higher degrees over extensions: trusted input.
+    """Refuse a minimal polynomial that _irreducibility proves reducible."""
+    if _irreducibility(minpoly) is False:
+        raise DegenerateError(
+            "minimal polynomial is reducible over Q" if base.is_rationals
+            else "minimal polynomial has a root in the base")
 
 
 def quadratic_field(d, name: Optional[str] = None) -> FieldTower:
@@ -894,6 +887,83 @@ def _rational_sqrt(r: Fraction) -> Optional[Fraction]:
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
+    return None
+
+
+# ---------------------------------------------------------------- roots
+
+def roots_in_field(p: Polynomial) -> list:
+    """Roots of p lying in its own coefficient field, each verified to be
+    exact; complete where _root_search says so."""
+    return _root_search(p)[0]
+
+
+def _root_search(p: Polynomial) -> tuple:
+    """(roots, complete, factors) for a polynomial p over a tower E.
+
+    Over Q the roots are rational_roots(p).  Over an extension, a rational
+    p within FACTOR_DEGREE_CAP is factored over Q once, into factors (None
+    elsewhere): its rational roots, ascending, then those of its quadratic
+    factors; above the cap its rational roots.  Any other p has its roots
+    among those of its norm, when that is rational.  Only exact roots are
+    kept.  complete says they are all of p's roots in E: over Q, and over a
+    Galois quadratic extension of Q while the norm of p, which any root's
+    minimal polynomial over Q divides, is within the cap.
+    """
+    E = p.ring
+    if p.degree < 1:
+        return [], True, None
+    complete = E.is_rationals or (E.base.is_rationals and E.degree == 2
+                                  and E.is_galois()
+                                  and 2 * p.degree <= FACTOR_DEGREE_CAP)
+    factors, candidates = None, []
+    if all(c.is_rational() for c in p.coeffs):
+        if E.is_rationals or p.degree > FACTOR_DEGREE_CAP:
+            rational = rational_roots(p)
+        else:
+            _, factors = factor_over_Q(p)
+            rational = sorted(-f.coeff(0).rational_value()
+                              for f, _m in factors if f.degree == 1)
+        candidates = [E.from_rational(r) for r in rational]
+        for f, _m in factors or ():
+            if f.degree == 2:
+                candidates.extend(quadratic_roots(f))
+    else:
+        auts = E.automorphisms()
+        if len(auts) > 1:
+            norm = Polynomial.one(E)
+            for sig in auts:
+                norm = norm * Polynomial(E, [sig(c) for c in p.coeffs])
+            if all(c.is_rational() for c in norm.coeffs):
+                candidates = roots_in_field(norm)
+    roots = []
+    for r in candidates:
+        if p.eval(r).is_zero() and not any(r == s for s in roots):
+            roots.append(r)
+    return roots, complete, factors
+
+
+def _irreducibility(p: Polynomial) -> Optional[bool]:
+    """Whether a monic p of degree >= 2 is irreducible over its field:
+    True or False where the toolkit proves it, None where it cannot tell.
+    A quadratic over Q or a quadratic level is decided by whether its
+    discriminant is a square there.  Over Q up to FACTOR_DEGREE_CAP, a
+    cyclotomic Phi_n is irreducible (Gauss) and any other p is factored.
+    A cubic is reducible exactly when it has a root, which decides it where
+    _root_search is complete.
+    """
+    E = p.ring
+    if p.degree == 2 and (E.is_rationals or (E.base.is_rationals
+                                             and E.degree == 2)):
+        return not quadratic_roots(p)
+    if E.is_rationals:
+        if p.degree > FACTOR_DEGREE_CAP:
+            return None
+        return _is_cyclotomic(p) or is_irreducible_over_Q(p)
+    if p.degree <= 3:
+        roots, complete, _ = _root_search(p)
+        if complete:
+            return not roots
     return None
 
 

@@ -427,10 +427,7 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
     reaches can differ, and there the difference must vanish exactly.
     """
     rows = [linalg.sparse(row) for row in mat]
-    cols: list = [{} for _ in range(source.dim)]
-    for r, row in enumerate(rows):
-        for k, x in row.items():
-            cols[k][r] = x
+    cols = linalg._columns(dict(enumerate(rows)))
     coeffs: dict = {}  # (i, j) -> {(r, s): coefficient of [f_r, f_s]}
     for key in target.brackets:
         r, s = key
@@ -456,7 +453,7 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
                 acc[k] = t if prev is None else prev + t
         for k, c in source.brackets.get(pair, {}).items():
             sc = c if sigma is None else sigma(c)
-            for r, x in cols[k].items():
+            for r, x in cols.get(k, {}).items():
                 t = sc * x
                 prev = acc.get(r)
                 acc[r] = -t if prev is None else prev - t

@@ -103,6 +103,103 @@ def dense(row: dict, n: int, field) -> list:
     return out
 
 
+# The private sparse-matrix kit, for matrices that stay sparse between
+# calls: {row: {column: coeff}} dicts that hold nonzero entries only and no
+# empty rows, so products, traces and combinations cost what the supports
+# cost.  A flat vector holds entry M[r][c] of an n-by-n matrix at r*n + c.
+
+
+def _sparse_matrix(M) -> dict:
+    """A dense matrix as a sparse one."""
+    rows = {r: sparse(row) for r, row in enumerate(M)}
+    return {r: row for r, row in rows.items() if row}
+
+
+def _dense_matrix(A: dict, n: int, field) -> list:
+    return [dense(A.get(r, {}), n, field) for r in range(n)]
+
+
+def _flat(A: dict, n: int) -> dict:
+    """The flat vector of a sparse n-by-n matrix."""
+    return {r * n + c: x for r, row in A.items() for c, x in row.items()}
+
+
+def _unflatten(vec: dict, n: int) -> dict:
+    """The sparse n-by-n matrix of a flat vector."""
+    M: dict = {}
+    for k in sorted(vec):
+        M.setdefault(k // n, {})[k % n] = vec[k]
+    return M
+
+
+def _columns(A: dict) -> dict:
+    """The sparse columns {c: {r: A[r][c]}} of a sparse matrix, in
+    ascending order of c."""
+    cols: dict = {}
+    for r, row in A.items():
+        for c, x in row.items():
+            cols.setdefault(c, {})[r] = x
+    return dict(sorted(cols.items()))
+
+
+def _combine(coeffs: dict, vecs: list) -> dict:
+    """The sparse sum of c * vecs[t] over the entries t: c of coeffs."""
+    out: dict = {}
+    for t, c in coeffs.items():
+        _sub_scaled(out, -c, vecs[t])
+    return out
+
+
+def _sp_sum(terms) -> dict:
+    """The sum of c * A over the (c, A) pairs of terms."""
+    out: dict = {}
+    for c, A in terms:
+        if c.is_zero():
+            continue
+        for r, row in A.items():
+            acc = out.setdefault(r, {})
+            _sub_scaled(acc, -c, row)
+            if not acc:
+                del out[r]
+    return out
+
+
+def _sp_mul(A: dict, B: dict) -> dict:
+    out = {}
+    for r, row in A.items():
+        acc: dict = {}
+        for k, x in row.items():
+            for c, y in B.get(k, {}).items():
+                t = x * y
+                prev = acc.get(c)
+                acc[c] = t if prev is None else prev + t
+        acc = {c: v for c, v in acc.items() if not v.is_zero()}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _sp_trace(field, A: dict, B: dict):
+    """tr(A B), the sum of A[r][c] B[c][r] over A's support."""
+    t = field.zero()
+    for r, row in A.items():
+        for c, x in row.items():
+            y = B.get(c, {}).get(r)
+            if y is not None:
+                t = t + x * y
+    return t
+
+
+def _poly_at_matrix(p: Polynomial, M: dict, n: int, field) -> dict:
+    """A polynomial at a sparse n-by-n matrix, by Horner's rule."""
+    one = field.one()
+    ident = {d: {d: one} for d in range(n)}
+    acc: dict = {}
+    for c in reversed(p.coeffs):
+        acc = _sp_sum(((one, _sp_mul(acc, M)), (c, ident)))
+    return acc
+
+
 def echelon(rows, field) -> tuple[list, list]:
     """The reduced row echelon form of the span of sparse rows: its rows,
     sparse, and their pivot columns, ascending."""

@@ -536,6 +536,20 @@ class TestCommandLine:
             assert "minimal polynomial is reducible over Q" in captured.err
         assert len(calls) == factored
 
+    def test_reducible_cubic_over_a_quadratic_level_exits_two(
+            self, capsys, tmp_path):
+        # t^3 + t - 2 has the root 1 in Q(i)
+        field = {"name": "E", "base": "Q(i)", "gen": "t",
+                 "minpoly": ["-2", "1", "0", "1"],
+                 "automorphisms": [["0", "1", "0"]]}
+        path = write_lines(tmp_path, "e.jsonl", json.dumps(field))
+        code = cli.main(["catalog", "g_lambda", "--field", "E", "--lambda",
+                         "t", "--manifest", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "minimal polynomial has a root in the base" in captured.err
+
     @pytest.mark.parametrize("name, valid", [
         ("check", ["a"]), ("conjugate", ["a", "--sigma", "id", "--name", "b"]),
         ("restrict", ["a", "--to", "Q"]), ("extend", ["a", "--to", "Q(i)"]),

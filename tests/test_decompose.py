@@ -20,12 +20,14 @@ from lieforms.errors import (
     UncertifiedDecompositionError,
 )
 from lieforms.fields import (
+    _irreducibility,
     field_extend,
     gaussian_rationals,
     lift_to,
     quadratic_field,
     rationals,
 )
+from lieforms.linalg import _dense_matrix, _sparse_matrix
 from lieforms.polynomials import Polynomial, poly_ext_gcd
 from lieforms.liealg import (
     LieAlgebra,
@@ -58,10 +60,8 @@ from lieforms.decompose import (
     _block_centroid,
     _centroid_rows,
     _certify_local,
-    _dense,
     _lifted_idempotent,
     _nilpotent_span,
-    _sparse,
     _square_zero,
     centroid,
     centroid_basis,
@@ -115,7 +115,6 @@ class TestCentroid:
         Q = rationals()
         C = centroid(heisenberg(Q))
         assert C.dim == 3
-        assert C.closure_verified == "full"
         h = heisenberg(Q)
         for M in C.matrices:
             assert in_centroid(h, M)
@@ -126,6 +125,23 @@ class TestCentroid:
         # a map X -> Y fails the diagonal identity [MX, X] = 0
         assert not C.contains(mat(Q, [[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
         assert not in_centroid(h, mat(Q, [[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+
+    def test_closure_is_checked_on_every_product(self):
+        """I, the 45 strictly upper matrix units of M_10 and E_21 span no
+        algebra: E_12 E_21 = E_11 leaves the span."""
+        Q = rationals()
+
+        def unit(r, c):
+            M = [[Q.zero()] * 10 for _ in range(10)]
+            M[r][c] = Q.one()
+            return M
+
+        mats = ([linalg.identity_matrix(Q, 10)]
+                + [unit(r, c) for r in range(10) for c in range(r + 1, 10)]
+                + [unit(1, 0)])
+        assert len(mats) == 47
+        with pytest.raises(NotClosedError):
+            AssocAlgebra(Q, mats)
 
     def test_solvable_centroid_is_scalars(self):
         Q = rationals()
@@ -750,7 +766,6 @@ class TestMinpolyAndRoots:
         Q = rationals()
         companion = mat(Q, [[0, 0, 0, -1], [1, 0, 0, 0],
                             [0, 1, 0, 0], [0, 0, 1, 0]])
-        assert minpoly_of_matrix(companion, Q, cap=3) is None
         assert minpoly_of_matrix(companion, Q).degree == 4
 
     def test_roots_in_rationals_and_extensions(self):
@@ -788,15 +803,51 @@ class TestMinpolyAndRoots:
 
     def test_irreducibility_needs_a_complete_root_search(self):
         """Q(i) given with the identity as its only automorphism has no
-        norm to search for the roots of (t - i)(t - 2), so the quadratic
-        is not proven irreducible there; the full Q(i) finds a root."""
+        norm to search for the roots of the cubic (t - i)(t^2 - 2), so it
+        is not proven either way there; the full Q(i) finds the root i.
+        The quadratic (t - i)(t - 2) is decided by its discriminant on
+        both."""
         Q = rationals()
-        for images in ([[0, 1]], [[0, 1], [0, -1]]):
+        for images, cubic in (([[0, 1]], None), ([[0, 1], [0, -1]], False)):
             E = field_extend(Q, Polynomial(Q, [Q.one(), Q.zero(), Q.one()]),
                              "i", images)
-            p = Polynomial(E, [-E.generator(), E.one()]) * \
-                Polynomial(E, [E.from_rational(-2), E.one()])
-            assert not decompose_module._irreducible_over(E, p)
+            lin = Polynomial(E, [-E.generator(), E.one()])
+            quadratic = lin * Polynomial(E, [E.from_rational(-2), E.one()])
+            assert _irreducibility(quadratic) is False
+            assert _irreducibility(
+                lin * Polynomial.from_rationals(E, [-2, 0, 1])) is cubic
+
+    def test_roots_come_rational_first_then_quadratic(self):
+        """The rational roots, ascending, then those of the quadratic
+        factors; a split takes the first root."""
+        Qi = gaussian_rationals()
+        i = Qi.generator()
+        p = Polynomial.from_rationals(Qi, [3, -4, 4, -4, 1])
+        assert roots_in_field(p) == [Qi.from_rational(1),
+                                     Qi.from_rational(3), i, -i]
+        S, T = decompose_module._coprime_split(p)
+        assert S == Polynomial.from_rationals(Qi, [-1, 1])
+        assert S * T == p
+
+    @pytest.mark.parametrize("coeffs", [[6, 0, 5, 0, 1], [-2, 2, -1, 1]],
+                             ids=["(t2+2)(t2+3)", "(t-1)(t2+2)"])
+    def test_coprime_split_factors_once(self, monkeypatch, coeffs):
+        from lieforms import fields, polynomials
+
+        calls = Counter()
+        originals = {name: getattr(polynomials, name)
+                     for name in ("factor_over_Q", "rational_roots")}
+        for module in (polynomials, fields, decompose_module):
+            for name, fn in originals.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name,
+                        lambda p, _fn=fn, _name=name:
+                            calls.update([_name]) or _fn(p))
+        p = Polynomial.from_rationals(gaussian_rationals(), coeffs)
+        S, T = decompose_module._coprime_split(p)
+        assert S.degree >= 1 and T.degree >= 1 and S * T == p
+        assert calls == Counter(factor_over_Q=1)
 
 
 class TestFindIdempotent:
@@ -850,8 +901,8 @@ class TestLiftIdempotent:
         e0 = [[a - b for a, b in zip(ri, rx)]
               for ri, rx in zip(linalg.identity_matrix(field, 6), x)]
         assert not mat_equal(linalg.mat_mul(e0, e0, field), e0)
-        e = _dense(_lifted_idempotent((S, T), _sparse(x), 6, field),
-                   6, field)
+        e = _dense_matrix(_lifted_idempotent((S, T), _sparse_matrix(x), 6,
+                                             field), 6, field)
         assert mat_equal(linalg.mat_mul(e, e, field), e)
         assert in_centroid(L, e)
         # the lift is the second block projection
@@ -1439,7 +1490,7 @@ class TestCornerCentroid:
             want = centroid_basis(owner)
             assert len(mats) == len(want)
             for M, R in zip(mats, want):
-                assert mat_equal(_dense(M, n, owner.field), R)
+                assert mat_equal(_dense_matrix(M, n, owner.field), R)
 
     def test_cases_split_into_three(self):
         assert any(len(decompose_indecomposable(L)) == 3

@@ -199,6 +199,18 @@ def test_reducible_minpoly_rejected():
         field_extend(Q, m, "x", [(0, 1)])
 
 
+def test_cubic_over_a_galois_quadratic_level_is_proved_by_its_roots():
+    i, one, two = QI.generator(), QI.one(), QI.from_rational(2)
+    # t^3 + t - 2 has the root 1; t^3 - i t^2 + 2t - 2i = (t - i)(t^2 + 2)
+    # has the root i, which only its norm over Q shows
+    for coeffs in ([-two, one, QI.zero(), one], [-two * i, two, -i, one]):
+        with pytest.raises(DegenerateError, match="root in the base"):
+            field_extend(QI, Polynomial(QI, coeffs), "t", [(0, 1, 0)])
+    K = field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 0, 1]), "t",
+                     [(0, 1, 0)])
+    assert K.degree == 3
+
+
 def test_quadratic_radicand_cap():
     # 10^10 - 2 = 2 * 4999999999 is squarefree
     K = quadratic_field(-(QUADRATIC_RADICAND_CAP - 2))
