@@ -17,7 +17,6 @@ from .errors import (
     IndexRangeError,
     NotGaloisError,
     TowerMismatchError,
-    WrongShapeError,
     ZeroAlphaError,
     ZeroLambdaError,
 )
@@ -185,50 +184,6 @@ def g1_iso_criterion(alpha, beta) -> bool:
     if alpha.field != beta.field:
         raise TowerMismatchError("g1 parameters over different fields")
     return alpha == beta
-
-
-def diagonal_ad_spectrum(L: LieAlgebra) -> tuple:
-    """Eigenvalues of ad_{X1} on the derived subalgebra, read from a
-    diagonal bracket table [X1, Xj] = c_j Xj.
-
-    Raises WrongShapeError unless every bracket has exactly that form.
-    """
-    values = []
-    for (i, j), comps in sorted(L.brackets.items()):
-        if i != 0 or set(comps) != {j}:
-            raise WrongShapeError(
-                "bracket (%d,%d) is not of the diagonal ad form" % (i, j))
-        values.append(comps[j])
-    if not values:
-        raise WrongShapeError("abelian algebra has no ad spectrum to read")
-    return tuple(values)
-
-
-def spectra_match_up_to_scale(first, second) -> bool:
-    """True iff the two eigenvalue multisets agree after scaling one of
-    them by a single nonzero constant (basis rescalings of X1 do that)."""
-    if len(first) != len(second):
-        return False
-
-    def _multiset_eq(xs, ys):
-        pool = list(ys)
-        for x in xs:
-            for t, y in enumerate(pool):
-                if x == y:
-                    del pool[t]
-                    break
-            else:
-                return False
-        return True
-
-    base = first[0]
-    for cand in second:
-        if cand.is_zero() or base.is_zero():
-            continue
-        scale = base / cand
-        if _multiset_eq(first, [scale * y for y in second]):
-            return True
-    return False
 
 
 # ------------------------------------------------------- descent witnesses

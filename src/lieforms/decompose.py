@@ -69,7 +69,6 @@ from .errors import (
     NotClosedError,
     NotTwoStepError,
     OddSizeError,
-    OracleUndecidedError,
     TVanishesError,
     TowerMismatchError,
     UncertifiedDecompositionError,
@@ -92,16 +91,15 @@ from .polynomials import (
 )
 from .liealg import (
     LieAlgebra,
-    LinearMap,
     _ad_images,
     _restricted,
     _spans_ideal,
     _touching,
     fingerprint,
     direct_sum,
-    verify_morphism,
+    verify_sigma_isomorphism,
 )
-from .descent import conjugate_orbit
+from .descent import class_of, conjugate_orbit
 from .pfaffian import invariant_c_of, refute_isomorphism_by_c
 
 DEFAULT_SEED = 20260823
@@ -475,10 +473,10 @@ def minpoly_of_matrix(M, field) -> Polynomial:
 
 
 def _coprime_split(p: Polynomial):
-    """A factorization p = S * T into coprime monic factors of positive
-    degree, or None: at p's first root in its field, else at its first
-    factor over Q.  Over an extension both come from the one factorization
-    _root_search makes; over Q p is factored only when it has no root."""
+    """(split, factors): p = S * T into coprime monic factors of positive
+    degree, or None, at p's first root in its field, else at its first
+    factor in factors, p's factorization over Q or None.  Over an extension
+    both come from _root_search; over Q p is factored only without a root."""
     field = p.ring
     p = p.monic()
     roots, _, factors = _root_search(p)
@@ -488,15 +486,15 @@ def _coprime_split(p: Polynomial):
         while (rest % lin).is_zero():
             S = S * lin
             rest = rest // lin
-        return (S, rest) if rest.degree >= 1 else None
+        return ((S, rest) if rest.degree >= 1 else None), factors
     if factors is None and field.is_rationals and \
             p.degree <= FACTOR_DEGREE_CAP:
         _, factors = factor_over_Q(p)
     if factors is not None and len(factors) >= 2:
         f0, m0 = factors[0]
         S = f0 ** m0
-        return S, p // S
-    return None
+        return (S, p // S), factors
+    return None, factors
 
 
 # ------------------------------------------------------- idempotent search
@@ -608,13 +606,13 @@ def _split_or_certify(field, n, mats, owner):
         p = minpoly_of_matrix(mult, field)
         if p.degree < 2:
             continue
-        split = _coprime_split(p)
+        split, factors = _coprime_split(p)
         if split is not None:
             x = _sp_sum(zip(coeffs, quo))
             e = _lifted_idempotent(split, x, n, field)
             if e is not None:
                 return e, None, None
-        elif p.degree == q and _irreducibility(p) is True:
+        elif p.degree == q and _irreducibility(p, factors) is True:
             return (None,) + _certify_local(
                 field, n, mats, null, owner,
                 "centroid modulo its radical is a field")
@@ -911,8 +909,7 @@ def _similarity_verdict(A, B, act_a, act_b) -> Verdict:
             _sub_scaled(col, s, {fb: A.derived[c].get(fa, zero)})
             for r, v in col.items():
                 cert[r][c] = v
-        if verify_morphism(A, B, cert) and \
-                LinearMap.make(A, B, cert).is_bijective():
+        if verify_sigma_isomorphism(A, B, None, cert):
             return _confirmed("ad on [L, L] similar up to scale", cert)
         return _UNKNOWN
     return (_refuted("ad on [L, L] not similar up to scale") if complete
@@ -1047,23 +1044,18 @@ class FormCount:
     witness_blocks: tuple
 
 
-def _oracle_confirms(a, b) -> bool:
-    v = isomorphism_verdict(a, b)
-    if v.status == "unknown":
-        raise OracleUndecidedError(
-            "isomorphism oracle cannot decide a summand comparison")
-    return v.status == "confirmed"
-
-
 def count_forms(L: LieAlgebra, F: FieldTower) -> FormCount:
     """Count the algebras over E = L.field sharing the underlying
     F-algebra of L, together with witnesses.
 
-    Decomposes L with full certification, groups the summands into
-    isomorphism classes, merges classes linked by a Galois conjugate into
-    orbit families, and multiplies the multiset counts C(k+m-1, m-1) per
-    family (k summands spread over m conjugate classes).  One witness per
-    counted class is returned as an explicit direct sum.
+    Decomposes L with full certification and places each certified
+    summand, in one pass, by class_of against the orbit representatives
+    found so far: it joins that family, a Galois orbit of isomorphism
+    classes, or opens one whose representatives are the classes of its
+    conjugates.  Orbits are equal or disjoint, so families never merge; an
+    unknown verdict with no confirmation raises OracleUndecidedError.  The
+    count multiplies C(k+m-1, m-1) per family (k summands over m conjugate
+    classes); one witness per counted class is an explicit direct sum.
     """
     E = L.field
     G = galois_group(E, F)
@@ -1073,62 +1065,32 @@ def count_forms(L: LieAlgebra, F: FieldTower) -> FormCount:
         raise UncertifiedDecompositionError(
             "%d summand(s) lack indecomposability certificates" % bad)
 
-    classes: list = []
+    # per family: orbit representatives, {class: its first summand}, size
+    found: list = []
     for s in dec.summands:
-        placed = False
-        undecided = False
-        for cl in classes:
-            v = isomorphism_verdict(s.algebra, cl["rep"])
-            if v.status == "confirmed":
-                cl["count"] += 1
-                placed = True
-                break
-            if v.status == "unknown":
-                undecided = True
-        if placed:
-            continue
-        if undecided:
-            raise OracleUndecidedError(
-                "cannot place a summand into an isomorphism class")
-        classes.append({"rep": s.algebra, "count": 1})
-
-    orbits = [conjugate_orbit(cl["rep"], G, isomorphism_verdict)
-              for cl in classes]
-
-    parent = list(range(len(classes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(classes)):
-        reps_i = [orbits[i].conjugates[t] for t in orbits[i].representatives]
-        for j in range(i + 1, len(classes)):
-            if find(i) == find(j):
-                continue
-            if any(_oracle_confirms(r, classes[j]["rep"]) for r in reps_i):
-                parent[find(i)] = find(j)
-
-    family_members: dict = {}
-    for i in range(len(classes)):
-        family_members.setdefault(find(i), []).append(i)
+        slots = [(fam, c) for fam in found for c in range(len(fam[0]))]
+        hit = class_of(s.algebra, [fam[0][c] for fam, c in slots],
+                       isomorphism_verdict)
+        if hit is None:
+            orbit = conjugate_orbit(s.algebra, G, isomorphism_verdict)
+            found.append([tuple(orbit.conjugates[t]
+                                for t in orbit.representatives), {}, 0])
+            # the identity comes first in G, so s is in class 0
+            fam, c = found[-1], 0
+        else:
+            fam, c = slots[hit]
+        fam[1].setdefault(c, s.algebra)
+        fam[2] += 1
 
     families = []
     family_distributions = []
     total = 1
-    for root in sorted(family_members):
-        members = family_members[root]
-        first = members[0]
-        orbit_reps = tuple(orbits[first].conjugates[t]
-                           for t in orbits[first].representatives)
+    for orbit_reps, firsts, k in found:
         m = len(orbit_reps)
-        k = sum(classes[i]["count"] for i in members)
         contribution = comb(k + m - 1, m - 1)
         total *= contribution
         families.append(OrbitFamilyCount(
-            class_representatives=tuple(classes[i]["rep"] for i in members),
+            class_representatives=tuple(firsts.values()),
             orbit_representatives=orbit_reps,
             multiplicity=k,
             contribution=contribution))

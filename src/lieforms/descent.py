@@ -269,32 +269,40 @@ class ConjugateOrbit:
         return len(self.representatives)
 
 
+def class_of(x: LieAlgebra, reps,
+             oracle: Callable[[LieAlgebra, LieAlgebra], object]
+             ) -> Optional[int]:
+    """The index of the first of the pairwise non-isomorphic reps that the
+    oracle confirms x isomorphic to, or None when it refutes every one.
+
+    The oracle's verdicts have a status of "confirmed", "refuted" or
+    "unknown".  A confirmation alone places x; without one, an unknown
+    verdict raises OracleUndecidedError.
+    """
+    undecided = False
+    for idx, rep in enumerate(reps):
+        status = oracle(x, rep).status
+        if status == "confirmed":
+            return idx
+        undecided = undecided or status == "unknown"
+    if undecided:
+        raise OracleUndecidedError(
+            "cannot place an algebra into an isomorphism class")
+    return None
+
+
 def conjugate_orbit(L: LieAlgebra, G: GaloisGroup,
                     oracle: Callable[[LieAlgebra, LieAlgebra], object]
                     ) -> ConjugateOrbit:
-    """Group the conjugates of L by isomorphism using a verdict oracle.
-
-    The oracle returns an object with a status attribute equal to
-    "confirmed", "refuted" or "unknown"; an unknown verdict between a
-    conjugate and every established representative is an error because the
-    partition would be ambiguous.
-    """
+    """Group the conjugates of L by isomorphism: each conjugate joins the
+    class class_of places it in, or opens a new one."""
     conjugates = tuple(conjugate(L, s) for s in G.elements)
     reps: list[int] = []
-    class_of: list[int] = []
+    classes: list[int] = []
     for idx, cand in enumerate(conjugates):
-        assigned = None
-        for cls, rep_idx in enumerate(reps):
-            verdict = oracle(cand, conjugates[rep_idx])
-            if verdict.status == "confirmed":
-                assigned = cls
-                break
-            if verdict.status == "unknown":
-                raise OracleUndecidedError(
-                    "cannot decide whether conjugate %d matches class %d"
-                    % (idx, cls))
-        if assigned is None:
+        cls = class_of(cand, [conjugates[r] for r in reps], oracle)
+        if cls is None:
+            cls = len(reps)
             reps.append(idx)
-            assigned = len(reps) - 1
-        class_of.append(assigned)
-    return ConjugateOrbit(L, G, conjugates, tuple(class_of), tuple(reps))
+        classes.append(cls)
+    return ConjugateOrbit(L, G, conjugates, tuple(classes), tuple(reps))

@@ -8,7 +8,6 @@ import pytest
 from lieforms.catalog import (
     OverFWitness,
     abelian,
-    diagonal_ad_spectrum,
     g1_alpha,
     g1_iso_criterion,
     g_lambda,
@@ -19,14 +18,13 @@ from lieforms.catalog import (
     r3_iso_criterion,
     r3_lambda,
     r3_lambda_plus_abelian,
-    spectra_match_up_to_scale,
 )
+from lieforms.decompose import isomorphism_verdict
 from lieforms.descent import conjugate, defined_over_witness_check
 from lieforms.errors import (
     ConstraintViolatedError,
     IndexRangeError,
     TowerMismatchError,
-    WrongShapeError,
     ZeroAlphaError,
     ZeroLambdaError,
 )
@@ -166,12 +164,6 @@ class TestR3Family:
         sigma = nontrivial_sigma(K)
         assert conjugate(r3_lambda(K, i), sigma) == r3_lambda(K, -i)
 
-    def test_ad_spectrum(self):
-        assert diagonal_ad_spectrum(r3_lambda(Q, 5)) == (
-            Q.one(), Q.from_rational(5))
-        assert diagonal_ad_spectrum(r3_lambda_plus_abelian(Q, 5)) == (
-            Q.one(), Q.from_rational(5))
-
     def test_iso_criterion(self):
         two = Q.from_rational(2)
         half = Q.from_rational(Fraction(1, 2))
@@ -228,30 +220,14 @@ class TestG1Family:
         with pytest.raises(ZeroAlphaError):
             g1_alpha(Q, 0)
 
-    def test_spectrum(self):
-        assert diagonal_ad_spectrum(g1_alpha(Q, 1)) == (
-            Q.one(), Q.one(), Q.one())
-        assert diagonal_ad_spectrum(g1_alpha(Q, 4)) == (
-            Q.one(), Q.one(), Q.from_rational(4))
-
     def test_conjugate_and_spectrum_refutation(self):
         K = gaussian_rationals()
         alpha = K.one() + K.generator()
         sigma = nontrivial_sigma(K)
         conj = conjugate(g1_alpha(K, alpha), sigma)
         assert conj == g1_alpha(K, sigma(alpha))
-        assert not spectra_match_up_to_scale(
-            diagonal_ad_spectrum(conj),
-            diagonal_ad_spectrum(g1_alpha(K, alpha)))
-
-    def test_spectrum_match_up_to_scaling(self):
-        K = gaussian_rationals()
-        alpha = K.one() + K.generator()
-        spec = diagonal_ad_spectrum(g1_alpha(K, alpha))
-        two = K.from_rational(2)
-        scaled = tuple(two * v for v in spec)
-        assert spectra_match_up_to_scale(spec, scaled)
-        assert spectra_match_up_to_scale(spec, spec)
+        assert isomorphism_verdict(
+            conj, g1_alpha(K, alpha)).status == "refuted"
 
     def test_iso_criterion(self):
         K = gaussian_rationals()
@@ -260,12 +236,6 @@ class TestG1Family:
         assert not g1_iso_criterion(alpha, nontrivial_sigma(K)(alpha))
         with pytest.raises(ZeroAlphaError):
             g1_iso_criterion(K.zero(), alpha)
-
-    def test_spectrum_needs_diagonal_shape(self):
-        with pytest.raises(WrongShapeError):
-            diagonal_ad_spectrum(heisenberg(Q))
-        with pytest.raises(WrongShapeError):
-            diagonal_ad_spectrum(abelian(Q, 2))
 
 
 class TestOverFWitness:

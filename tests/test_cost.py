@@ -20,6 +20,11 @@ is_zero calls, against 422 and 2,793 through rref.  The morphism check
 expands from the 36 stored brackets of the target: 576 look-ups in its
 table, against 12,816 when it probed every pair of source basis vectors.
 
+count_forms on nintot(1+i, 4, 1) over Q sorts its four summands in one
+pass: one conjugate_orbit call for the one family, and 7 oracle calls in
+all, against 2 and 9 when each isomorphism class took its own orbit and a
+union-find merged the classes.
+
 Rows already in reduced echelon form, 1 at their pivots, are kept by the
 reducer as they are: linalg.echelon and rref of 10 such rows of the band
 case take no product and no inverse, against 20 and 10 when rref scaled
@@ -30,9 +35,9 @@ import random
 
 import pytest
 
-from lieforms import linalg
+from lieforms import decompose, linalg
 from lieforms.catalog import g_lambda, nintot_family
-from lieforms.decompose import decompose_indecomposable
+from lieforms.decompose import count_forms, decompose_indecomposable
 from lieforms.descent import verify_sumconjugate
 from lieforms.fields import (
     FieldElement,
@@ -48,6 +53,7 @@ CEILINGS = {
     "fingerprint": 582,
 }
 FULL_DECOMPOSE_CEILING = 255757
+COUNT_FORMS_CEILINGS = {"conjugate_orbit": 1, "isomorphism_verdict": 7}
 SUMCONJUGATE_CEILINGS = {
     "is_bijective.mul": 276,
     "is_bijective.is_zero": 2124,
@@ -112,6 +118,20 @@ def test_dense_rebased_nintot_decomposes_under_its_ceiling(multiplications):
     count = multiplications[0]
     assert len(d) == 2 and d.verified and d.all_certified
     assert count <= FULL_DECOMPOSE_CEILING, (count, FULL_DECOMPOSE_CEILING)
+
+
+def test_count_forms_places_each_summand_once(monkeypatch):
+    Qi = gaussian_rationals()
+    L = nintot_family(Qi, Qi.one() + Qi.generator(), 4, 1)
+    calls = dict.fromkeys(COUNT_FORMS_CEILINGS, 0)
+    for name in calls:
+        def counting(*args, _name=name, _orig=getattr(decompose, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(decompose, name, counting)
+    assert count_forms(L, rationals()).count == 5
+    for name, ceiling in COUNT_FORMS_CEILINGS.items():
+        assert calls[name] <= ceiling, (name, calls[name], ceiling)
 
 
 class CountingTable(dict):

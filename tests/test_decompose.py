@@ -825,7 +825,7 @@ class TestMinpolyAndRoots:
         p = Polynomial.from_rationals(Qi, [3, -4, 4, -4, 1])
         assert roots_in_field(p) == [Qi.from_rational(1),
                                      Qi.from_rational(3), i, -i]
-        S, T = decompose_module._coprime_split(p)
+        (S, T), _ = decompose_module._coprime_split(p)
         assert S == Polynomial.from_rationals(Qi, [-1, 1])
         assert S * T == p
 
@@ -845,9 +845,29 @@ class TestMinpolyAndRoots:
                         lambda p, _fn=fn, _name=name:
                             calls.update([_name]) or _fn(p))
         p = Polynomial.from_rationals(gaussian_rationals(), coeffs)
-        S, T = decompose_module._coprime_split(p)
+        (S, T), _ = decompose_module._coprime_split(p)
         assert S.degree >= 1 and T.degree >= 1 and S * T == p
         assert calls == Counter(factor_over_Q=1)
+
+    def test_residue_field_is_factored_once(self, monkeypatch):
+        """heisenberg over Q(cbrt 2), restricted to Q: its centroid is the
+        cubic field, and the one factorization of t^3 - 2 over Q that
+        finds no split also certifies the quotient a field."""
+        from lieforms import fields, polynomials
+
+        Q = rationals()
+        E = field_extend(Q, Polynomial.from_rationals(Q, [-2, 0, 0, 1]),
+                         "c", [[0, 1, 0]])
+        L = restrict_scalars(heisenberg(E), Q).algebra
+        calls = Counter()
+        fn = polynomials.factor_over_Q
+        for module in (polynomials, fields, decompose_module):
+            monkeypatch.setattr(module, "factor_over_Q",
+                                lambda p: calls.update(["factor"]) or fn(p))
+        d = decompose_indecomposable(L)
+        assert calls == Counter(factor=1)
+        assert [(s.certificate, s.detail) for s in d.summands] == [
+            (CERTIFIED, "centroid modulo its radical is a field")]
 
 
 class TestFindIdempotent:
@@ -1395,6 +1415,23 @@ class TestCountForms:
             assert count_forms(change_basis(L, P), rationals()).count == 3
         except OracleUndecidedError:
             pass
+
+    @pytest.mark.parametrize("plain_first", [True, False])
+    def test_two_families_in_one_pass(self, plain_first):
+        """g_{1+i} + h3 + g_{1-i} over Q, either g first: g_{1+i} and
+        g_{1-i} are one Galois orbit of two classes, h3 is its own, so the
+        count is C(2+1, 1) * 1 = 3."""
+        Qi, lam = gaussian_lambda()
+        g, gc = g_lambda(Qi, lam), g_lambda(Qi, Qi.one() - Qi.generator())
+        ends = (g, gc) if plain_first else (gc, g)
+        fc = count_forms(direct_sum(ends[0], heisenberg(Qi), ends[1]),
+                         rationals())
+        assert fc.count == 3
+        assert [(f.multiplicity, len(f.orbit_representatives))
+                for f in fc.families] == [(2, 2), (1, 1)]
+        assert [[b.dim for b in blocks] for blocks in fc.witness_blocks] \
+            == [[10, 10, 3]] * 3
+        assert [len(f.class_representatives) for f in fc.families] == [2, 1]
 
     def test_heisenberg_is_rigid(self):
         Q = rationals()

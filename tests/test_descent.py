@@ -388,3 +388,26 @@ class TestConjugateOrbit:
         G = galois_group(K, rationals())
         with pytest.raises(OracleUndecidedError):
             conjugate_orbit(solvable_r3(K, K.generator()), G, unknown_oracle)
+
+    def test_one_confirmation_places_past_an_unknown(self):
+        """Over Q(zeta8), |G| = 4: conjugate 1 is refuted against class 0
+        and opens class 1; conjugate 2 is unknown against class 0 but
+        confirmed against class 1, which places it, as the classes are
+        pairwise non-isomorphic; conjugate 3 is confirmed against class 0."""
+        K = cyclotomic_field(8)
+        G = galois_group(K, rationals())
+        L = solvable_r3(K, K.generator())
+        tables = [conjugate(L, s).brackets for s in G.elements]
+        assert len({str(sorted(t.items())) for t in tables}) == 4
+        statuses = {(1, 0): "refuted", (2, 0): "unknown", (2, 1): "confirmed",
+                    (3, 0): "confirmed"}
+
+        def oracle(a, b):
+            class V:
+                status = statuses[(tables.index(a.brackets),
+                                   tables.index(b.brackets))]
+            return V()
+
+        orbit = conjugate_orbit(L, G, oracle)
+        assert orbit.class_of == (0, 1, 1, 0)
+        assert orbit.representatives == (0, 1)
