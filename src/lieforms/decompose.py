@@ -234,41 +234,31 @@ def _canonical(field, n, flats) -> list:
     return [{last - k: v for k, v in row.items()} for row in reversed(red)]
 
 
+def _conjugated(field, m, left, mats, right) -> list:
+    """The canonical basis (see _canonical) of the span of the m-by-m
+    products left M right over the sparse matrices M in mats."""
+    return _canonical(field, m, [_flat(_sp_mul(_sp_mul(left, M), right), m)
+                                 for M in mats])
+
+
 def _adapted_centroid(L: LieAlgebra) -> list:
     """The canonical centroid basis of L, as sparse flat vectors, solved on
-    L.adapted and mapped back through the columns of Q."""
+    L.adapted and mapped back as Q M' Q^-1 through the columns of Q."""
     n, field = L.dim, L.field
     one = field.one()
     derived = L.derived
-    vecs = L.adapted_basis()  # columns of Q, in L's coordinates
-    free = [c for c in range(n) if c not in derived]
-    p = len(free)
-    # Q^-1 e_j, in the adapted coordinates
-    inv_cols = [None] * n
-    for t, c in enumerate(free):
-        inv_cols[c] = {t: one}
-    for s, c in enumerate(sorted(derived)):
-        col = {p + s: one}
-        for t, f in enumerate(free):
-            v = derived[c].get(f)
-            if v is not None:
-                col[t] = -v
-        inv_cols[c] = col
-    flats = []
-    for vec in _block_centroid(L.adapted):
-        neg_images: dict = {}  # u -> -(Q times column u of M'), L's coords
-        for k, v in vec.items():
-            _sub_scaled(neg_images.setdefault(k % n, {}), v, vecs[k // n])
-        flat: dict = {}
-        for j in range(n):
-            col: dict = {}  # column j of Q M' Q^-1
-            for u, y in inv_cols[j].items():
-                if u in neg_images:
-                    _sub_scaled(col, y, neg_images[u])
-            for r, v in col.items():
-                flat[r * n + j] = v
-        flats.append(flat)
-    return _canonical(field, n, flats)
+    Q = _columns(dict(enumerate(L.adapted_basis())))
+    # the rows of Q^-1: entry (t, c) is the adapted coordinate t of e_c
+    free = {c: t for t, c in enumerate(c for c in range(n)
+                                       if c not in derived)}
+    inv = {t: {c: one} for c, t in free.items()}
+    for t, c in enumerate(sorted(derived), len(free)):
+        inv[t] = {c: one}
+        for f, v in derived[c].items():
+            if f != c:
+                inv[free[f]][c] = -v
+    mats = [_unflatten(vec, n) for vec in _block_centroid(L.adapted)]
+    return _conjugated(field, n, Q, mats, inv)
 
 
 def _block_centroid(L: LieAlgebra) -> list:
@@ -473,28 +463,29 @@ def minpoly_of_matrix(M, field) -> Polynomial:
 
 
 def _coprime_split(p: Polynomial):
-    """(split, factors): p = S * T into coprime monic factors of positive
+    """(split, search): p = S * T into coprime monic factors of positive
     degree, or None, at p's first root in its field, else at its first
-    factor in factors, p's factorization over Q or None.  Over an extension
-    both come from _root_search; over Q p is factored only without a root."""
+    factor over Q.  search is _root_search's (roots, complete, factors) on
+    p; over Q, where it finds roots only, p is factored when it has none."""
     field = p.ring
     p = p.monic()
-    roots, _, factors = _root_search(p)
+    roots, complete, factors = _root_search(p)
+    if not roots and factors is None and field.is_rationals and \
+            p.degree <= FACTOR_DEGREE_CAP:
+        _, factors = factor_over_Q(p)
+    search = roots, complete, factors
     if roots:
         lin = Polynomial(field, [-roots[0], field.one()])
         S, rest = Polynomial.one(field), p
         while (rest % lin).is_zero():
             S = S * lin
             rest = rest // lin
-        return ((S, rest) if rest.degree >= 1 else None), factors
-    if factors is None and field.is_rationals and \
-            p.degree <= FACTOR_DEGREE_CAP:
-        _, factors = factor_over_Q(p)
+        return ((S, rest) if rest.degree >= 1 else None), search
     if factors is not None and len(factors) >= 2:
         f0, m0 = factors[0]
         S = f0 ** m0
-        return (S, p // S), factors
-    return None, factors
+        return (S, p // S), search
+    return None, search
 
 
 # ------------------------------------------------------- idempotent search
@@ -606,13 +597,13 @@ def _split_or_certify(field, n, mats, owner):
         p = minpoly_of_matrix(mult, field)
         if p.degree < 2:
             continue
-        split, factors = _coprime_split(p)
+        split, search = _coprime_split(p)
         if split is not None:
             x = _sp_sum(zip(coeffs, quo))
             e = _lifted_idempotent(split, x, n, field)
             if e is not None:
                 return e, None, None
-        elif p.degree == q and _irreducibility(p, factors) is True:
+        elif p.degree == q and _irreducibility(p, search) is True:
             return (None,) + _certify_local(
                 field, n, mats, null, owner,
                 "centroid modulo its radical is a field")
@@ -782,8 +773,8 @@ def _corner_centroid(field, mats, proj, part) -> list:
         if row is not None:
             head[s] = row
     cols = _columns(dict(enumerate(part)))  # column c -> {t: w_t[c]}
-    flats = [_flat(_sp_mul(_sp_mul(head, M), cols), m) for M in mats]
-    return [_unflatten(vec, m) for vec in _canonical(field, m, flats)]
+    return [_unflatten(vec, m)
+            for vec in _conjugated(field, m, head, mats, cols)]
 
 
 def _freeze_rows(rows):

@@ -30,19 +30,20 @@ from .fields import (
 from .liealg import (
     LieAlgebra,
     LinearMap,
-    SemiLinearMap,
     change_basis,
     direct_sum,
-    verify_morphism,
+    verify_sigma_isomorphism,
 )
 
 
-def _map_meta(meta: dict, sigma: Automorphism) -> dict:
+def _map_meta(meta: dict, element_map: Callable) -> dict:
+    """meta with element_map applied to the field elements among its
+    "params"."""
     out = dict(meta)
     params = out.get("params")
     if isinstance(params, dict):
-        out["params"] = {k: (sigma(v) if isinstance(v, FieldElement) else v)
-                         for k, v in params.items()}
+        out["params"] = {k: (element_map(v) if isinstance(v, FieldElement)
+                             else v) for k, v in params.items()}
     return out
 
 
@@ -59,12 +60,10 @@ def conjugate(L: LieAlgebra, sigma: Automorphism) -> LieAlgebra:
                       _map_meta(L.meta, sigma))
 
 
-def conjugation_map(L: LieAlgebra, sigma: Automorphism) -> SemiLinearMap:
+def conjugation_map(L: LieAlgebra, sigma: Automorphism) -> LinearMap:
     """The canonical sigma-semilinear isomorphism L -> conjugate(L, sigma)."""
-    target = conjugate(L, sigma)
-    ident = linalg.identity_matrix(L.field, L.dim)
-    return SemiLinearMap(L, target, sigma,
-                         tuple(tuple(r) for r in ident))
+    return LinearMap.make(L, conjugate(L, sigma),
+                          linalg.identity_matrix(L.field, L.dim), sigma)
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,30 @@ def extend_scalars(L: LieAlgebra, E: FieldTower) -> LieAlgebra:
     relative_degree(E, L.field)  # raises NotSubLevelError when unrelated
     brackets = {ij: {k: lift_to(c, E) for k, c in comps.items()}
                 for ij, comps in L.brackets.items()}
-    meta = dict(L.meta)
-    params = meta.get("params")
-    if isinstance(params, dict):
-        meta["params"] = {k: (lift_to(v, E) if isinstance(v, FieldElement)
-                              else v) for k, v in params.items()}
-    return LieAlgebra(E, L.dim, brackets, L.labels, meta)
+    return LieAlgebra(E, L.dim, brackets, L.labels,
+                      _map_meta(L.meta, lambda c: lift_to(c, E)))
+
+
+def _embedding_rows(n: int, sigmas, scalars, E: FieldTower) -> list:
+    """The E-matrix sending e_s X_i, in the restriction basis of an
+    n-dimensional algebra, to (sigma_b(e_s) X_i)_b in the sum of its
+    conjugates: entry (b*n + i, i*d + s) is sigma_b(e_s), the rest 0."""
+    d = len(scalars)
+    rows = [[E.zero()] * (n * d) for _ in range(n * len(sigmas))]
+    for b, sigma in enumerate(sigmas):
+        images = [sigma(e) for e in scalars]
+        for i in range(n):
+            rows[b * n + i][i * d:(i + 1) * d] = images
+    return rows
+
+
+def _over(rows, F: FieldTower) -> list:
+    """The F-matrix of an E-matrix: row r becomes the d = [E : F] rows
+    r*d + u, u < d, whose entries are coordinate u over F of row r's."""
+    out = []
+    for row in rows:
+        out.extend(map(list, zip(*(coords_over(x, F) for x in row))))
+    return out
 
 
 def underlying_iso_from_sigma(L: LieAlgebra, sigma: Automorphism,
@@ -142,17 +159,7 @@ def underlying_iso_from_sigma(L: LieAlgebra, sigma: Automorphism,
         F = E.base if not E.is_rationals else E
     R = restrict_scalars(L, F)
     target = restrict_scalars(conjugate(L, sigma), F)
-    d = len(R.scalars)
-    n = L.dim
-    block = []
-    for s in range(d):
-        block.append(coords_over(sigma(R.scalars[s]), F))
-    # block[s][u]: coefficient of e_u in sigma(e_s)
-    rows = [[F.zero()] * (n * d) for _ in range(n * d)]
-    for i in range(n):
-        for s in range(d):
-            for u in range(d):
-                rows[i * d + u][i * d + s] = block[s][u]
+    rows = _over(_embedding_rows(L.dim, (sigma,), R.scalars, E), F)
     return LinearMap.make(R.algebra, target.algebra, rows)
 
 
@@ -179,15 +186,9 @@ def verify_sumconjugate(L: LieAlgebra, F: FieldTower) -> SumConjugateReport:
     source = extend_scalars(R.algebra, E)
     conjugates = tuple(conjugate(L, s) for s in G.elements)
     total = direct_sum(*conjugates)
-    d = len(R.scalars)
-    n = L.dim
-    rows = [[E.zero()] * (n * d) for _ in range(n * len(G))]
-    for b, sigma in enumerate(G.elements):
-        for i in range(n):
-            for s in range(d):
-                rows[b * n + i][i * d + s] = sigma(R.scalars[s])
+    rows = _embedding_rows(L.dim, G.elements, R.scalars, E)
     m = LinearMap.make(source, total, rows)
-    ok = verify_morphism(source, total, rows) and m.is_bijective()
+    ok = verify_sigma_isomorphism(source, total, None, m.matrix)
     return SumConjugateReport(G, conjugates, total, m, ok)
 
 
@@ -217,29 +218,14 @@ def canonical_embedding(L: LieAlgebra, F: FieldTower) -> EmbeddingReport:
     conjugates = tuple(conjugate(L, s) for s in G.elements)
     total = direct_sum(*conjugates)
     Rtot = restrict_scalars(total, F)
-    d = len(R.scalars)
-    n = L.dim
-    g = len(G)
-    rows_f = [[F.zero()] * (n * d) for _ in range(n * g * d)]
-    cols_e = []
-    for i in range(n):
-        for s in range(d):
-            col_e = [E.zero()] * (n * g)
-            for b, sigma in enumerate(G.elements):
-                img = sigma(R.scalars[s])
-                col_e[b * n + i] = img
-                flat = coords_over(img, F)
-                for u, cu in enumerate(flat):
-                    rows_f[(b * n + i) * d + u][i * d + s] = cu
-            cols_e.append(col_e)
+    rows_e = _embedding_rows(L.dim, G.elements, R.scalars, E)
+    rows_f = _over(rows_e, F)
     m = LinearMap.make(R.algebra, Rtot.algebra, rows_f)
-    rank_f = linalg.rank([list(r) for r in rows_f], F)
-    mat_e = [[cols_e[c][r] for c in range(n * d)] for r in range(n * g)]
-    rank_e = linalg.rank(mat_e, E)
-    injective = rank_f == n * d
-    e_independent = rank_e == n * d
-    is_f_form = injective and e_independent and d == g
-    return EmbeddingReport(G, total, m, injective, n * d, rank_e,
+    f_dim, rank_e = R.algebra.dim, linalg.rank(rows_e, E)
+    injective = linalg.rank(rows_f, F) == f_dim
+    e_independent = rank_e == f_dim
+    is_f_form = injective and e_independent and len(R.scalars) == len(G)
+    return EmbeddingReport(G, total, m, injective, f_dim, rank_e,
                            e_independent, is_f_form)
 
 

@@ -943,20 +943,22 @@ def _root_search(p: Polynomial) -> tuple:
     return roots, complete, factors
 
 
-def _irreducibility(p: Polynomial, factors=None) -> Optional[bool]:
+def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
     """Whether a monic p of degree >= 2 is irreducible over its field:
     True or False where the toolkit proves it, None where it cannot tell.
     A quadratic over Q or a quadratic level is decided by whether its
     discriminant is a square there.  Over Q up to FACTOR_DEGREE_CAP, a
-    cyclotomic Phi_n is irreducible (Gauss) and any other p is factored,
-    unless factors, its factorization over Q, is given.  A cubic is
-    reducible exactly when it has a root, which decides it where
-    _root_search is complete.
+    cyclotomic Phi_n is irreducible (Gauss) and any other p is factored.
+    A cubic is reducible exactly when it has a root, which decides it
+    where _root_search is complete.  search, when given, is the (roots,
+    complete, factors) of a _root_search of p, with factors p's
+    factorization over Q where known, and neither is done again.
     """
     E = p.ring
     if p.degree == 2 and (E.is_rationals or (E.base.is_rationals
                                              and E.degree == 2)):
         return not quadratic_roots(p)
+    roots, complete, factors = search or ((), False, None)
     if E.is_rationals:
         if p.degree > FACTOR_DEGREE_CAP:
             return None
@@ -964,7 +966,8 @@ def _irreducibility(p: Polynomial, factors=None) -> Optional[bool]:
             return len(factors) == 1 and factors[0][1] == 1
         return _is_cyclotomic(p) or is_irreducible_over_Q(p)
     if p.degree <= 3:
-        roots, complete, _ = _root_search(p)
+        if search is None:
+            roots, complete, _ = _root_search(p)
         if complete:
             return not roots
     return None

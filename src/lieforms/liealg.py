@@ -368,25 +368,33 @@ class Vector:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Linear map between algebras; matrix rows are target coordinates."""
+    """Map between algebras over one field; matrix rows are target
+    coordinates, so column i is the image of e_i.  sigma None means linear;
+    otherwise the map is sigma-semilinear: phi(c x) = sigma(c) phi(x)."""
 
     source: LieAlgebra
     target: LieAlgebra
     matrix: tuple
+    sigma: object = None
 
     @staticmethod
-    def make(source: LieAlgebra, target: LieAlgebra, rows) -> "LinearMap":
+    def make(source: LieAlgebra, target: LieAlgebra, rows,
+             sigma=None) -> "LinearMap":
+        if source.field != target.field:
+            raise TowerMismatchError("map between algebras over two fields")
         mat = tuple(tuple(_coerce(target.field, c) for c in row)
                     for row in rows)
         if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
             raise OwnerMismatchError("matrix shape does not match algebras")
-        return LinearMap(source, target, mat)
+        return LinearMap(source, target, mat, sigma)
 
     def apply(self, v: Vector) -> Vector:
         self.source._own(v)
-        coords = linalg.mat_vec([list(r) for r in self.matrix],
-                                list(v.coords), self.target.field)
-        return Vector(self.target, tuple(coords))
+        coords = v.coords
+        if self.sigma is not None:
+            coords = [self.sigma(c) for c in coords]
+        return Vector(self.target, tuple(
+            linalg.mat_vec(self.matrix, coords, self.target.field)))
 
     def column(self, i: int) -> list[FieldElement]:
         return [row[i] for row in self.matrix]
@@ -394,25 +402,12 @@ class LinearMap:
     def is_bijective(self) -> bool:
         if self.source.dim != self.target.dim:
             return False
-        return linalg.rank([list(r) for r in self.matrix],
-                           self.target.field) == self.source.dim
+        return linalg.rank(self.matrix, self.target.field) == self.source.dim
 
     def verify(self) -> bool:
-        return verify_morphism(self.source, self.target, self.matrix)
-
-
-@dataclass(frozen=True)
-class SemiLinearMap:
-    """sigma-semilinear map: phi(c x) = sigma(c) phi(x)."""
-
-    source: LieAlgebra
-    target: LieAlgebra
-    sigma: object
-    matrix: tuple
-
-    def verify(self) -> bool:
-        return verify_sigma_isomorphism(self.source, self.target, self.sigma,
-                                        self.matrix, require_bijective=False)
+        """Exact check that the map preserves brackets on the basis."""
+        return _semilinear_holds(self.source, self.target, self.sigma,
+                                 self.matrix)
 
 
 def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
@@ -462,35 +457,24 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
     return True
 
 
-def _shaped(source: LieAlgebra, target: LieAlgebra, matrix):
-    """matrix coerced to target.field, or None when its shape is wrong."""
-    mat = [[_coerce(target.field, c) for c in row] for row in matrix]
-    if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
-        return None
-    return mat
-
-
 def verify_morphism(source: LieAlgebra, target: LieAlgebra, matrix) -> bool:
-    """Exact check that matrix defines a Lie algebra morphism on the basis."""
-    if source.field != target.field:
-        raise TowerMismatchError("morphism between algebras over different "
-                                 "fields")
-    mat = _shaped(source, target, matrix)
-    return mat is not None and _semilinear_holds(source, target, None, mat)
+    """Exact check that matrix defines a Lie algebra morphism on the basis;
+    False when its shape does not fit the algebras."""
+    try:
+        m = LinearMap.make(source, target, matrix)
+    except OwnerMismatchError:
+        return False
+    return m.verify()
 
 
 def verify_sigma_isomorphism(source: LieAlgebra, target: LieAlgebra, sigma,
-                             matrix, require_bijective: bool = True) -> bool:
-    """Check a sigma-semilinear morphism (and bijectivity by default)."""
-    if source.field != target.field:
-        raise TowerMismatchError("sigma-isomorphism requires one common field")
-    mat = _shaped(source, target, matrix)
-    if mat is None or not _semilinear_holds(source, target, sigma, mat):
+                             matrix) -> bool:
+    """Check a bijective sigma-semilinear morphism; sigma None is linear."""
+    try:
+        m = LinearMap.make(source, target, matrix, sigma)
+    except OwnerMismatchError:
         return False
-    if require_bijective:
-        return (source.dim == target.dim
-                and linalg.rank(mat, target.field) == source.dim)
-    return True
+    return m.verify() and m.is_bijective()
 
 
 # ------------------------------------------------------------------ sums
@@ -522,9 +506,7 @@ def direct_sum(*algebras: LieAlgebra) -> LieAlgebra:
 def change_basis(L: LieAlgebra, P) -> LieAlgebra:
     """Rewrite L in the basis whose j-th vector is column j of P."""
     field = L.field
-    mat = [[_coerce(field, c) for c in row] for row in P]
-    if len(mat) != L.dim or any(len(r) != L.dim for r in mat):
-        raise OwnerMismatchError("change of basis matrix has wrong shape")
+    mat = LinearMap.make(L, L, P).matrix  # raises on a wrong shape
     try:
         inv = linalg.inverse(mat, field)
     except SingularMatrixError:

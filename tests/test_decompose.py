@@ -869,6 +869,28 @@ class TestMinpolyAndRoots:
         assert [(s.certificate, s.detail) for s in d.summands] == [
             (CERTIFIED, "centroid modulo its radical is a field")]
 
+    def test_cubic_residue_field_over_a_quadratic_level_is_factored_once(
+            self, monkeypatch):
+        """heisenberg over Q(i)(cbrt 2), given with the identity as its
+        only automorphism, restricted to Q(i): the root search that finds
+        no split of the rational cubic also proves it irreducible, so
+        t^3 - 2 is factored over Q once."""
+        from lieforms import fields, polynomials
+
+        Qi = gaussian_rationals()
+        E = field_extend(Qi, Polynomial.from_rationals(Qi, [-2, 0, 0, 1]),
+                         "c", [[0, 1, 0]])
+        L = restrict_scalars(heisenberg(E), Qi).algebra
+        calls = Counter()
+        fn = polynomials.factor_over_Q
+        for module in (polynomials, fields, decompose_module):
+            monkeypatch.setattr(module, "factor_over_Q",
+                                lambda p: calls.update(["factor"]) or fn(p))
+        d = decompose_indecomposable(L)
+        assert calls == Counter(factor=1)
+        assert [(s.certificate, s.detail) for s in d.summands] == [
+            (CERTIFIED, "centroid modulo its radical is a field")]
+
 
 class TestFindIdempotent:
     def test_block_projection_found_and_verified(self):

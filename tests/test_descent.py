@@ -94,6 +94,18 @@ class TestConjugate:
         L = heis(K, K.generator())
         phi = conjugation_map(L, nontrivial_sigma(K))
         assert phi.verify()
+        # its matrix is the identity, so it sends v to the vector whose
+        # coordinates are sigma of v's
+        for K in (gaussian_rationals(), cyclotomic_field(8)):
+            z = K.generator()
+            L = g_lambda(K, K.one() + z)
+            coords = [z ** (t % 4) + K.from_rational(t) for t in range(L.dim)]
+            for sigma in K.automorphisms():
+                phi = conjugation_map(L, sigma)
+                assert phi.sigma is sigma and phi.verify()
+                image = phi.apply(L.vector(coords))
+                assert image.algebra == conjugate(L, sigma)
+                assert list(image.coords) == [sigma(c) for c in coords]
 
 
 class TestRestrictScalars:
@@ -240,6 +252,38 @@ class TestUnderlyingIso:
             assert m.matrix[2 * i][2 * i] == Q.one()
             assert m.matrix[2 * i + 1][2 * i + 1] == -Q.one()
             assert m.matrix[2 * i][2 * i + 1].is_zero()
+        # entry by entry, on a field of degree 4 and on a relative step:
+        # row (b*n + i)*d + u, column i*d + s holds coordinate u over F of
+        # sigma_b(e_s), and every other entry is 0
+        top = field_extend(K, Polynomial.from_rationals(K, [-2, 0, 1]), "s",
+                           [(0, 1), (0, -1)])
+        for E, F in ((K, Q), (cyclotomic_field(8), Q), (top, K)):
+            L = heis(E, E.generator())
+            n, scalars = L.dim, restrict_scalars(L, F).scalars
+            d = len(scalars)
+            G = galois_group(E, F).elements
+
+            def expect(sigmas):
+                out = {}
+                for b, sigma in enumerate(sigmas):
+                    for s, e in enumerate(scalars):
+                        flat = coords_over(sigma(e), F)
+                        for i in range(n):
+                            for u in range(d):
+                                out[((b * n + i) * d + u, i * d + s)] = \
+                                    flat[u]
+                return out
+
+            maps = [(underlying_iso_from_sigma(L, sigma, F), (sigma,))
+                    for sigma in G]
+            maps.append((canonical_embedding(L, F).map, G))
+            for m, sigmas in maps:
+                want = expect(sigmas)
+                assert len(m.matrix) == n * len(sigmas) * d
+                for r, row in enumerate(m.matrix):
+                    assert len(row) == n * d
+                    for c, x in enumerate(row):
+                        assert x == want.get((r, c), F.zero()), (E, r, c)
 
 
 class TestSumConjugate:

@@ -8,6 +8,7 @@ from lieforms.errors import (
     JacobiError,
     OwnerMismatchError,
     SingularMatrixError,
+    TowerMismatchError,
 )
 from lieforms import linalg
 from lieforms import liealg as liealg_module
@@ -195,6 +196,10 @@ def test_verify_morphism_identity_and_scaling():
     assert verify_morphism(L, L, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
     # X->X, Y->2Y, Z->Z is not
     assert not verify_morphism(L, L, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+    # the zero map is a morphism; a matrix of the wrong shape is none
+    assert verify_morphism(L, L, [[0] * 3 for _ in range(3)])
+    assert not verify_morphism(L, L, [[1, 0, 0], [0, 1, 0]])
+    assert not verify_sigma_isomorphism(L, L, None, [[1, 0, 0]])
 
 
 def test_verify_sigma_isomorphism_on_conjugate():
@@ -212,6 +217,13 @@ def test_verify_sigma_isomorphism_on_conjugate():
              for r in range(G.dim)]
     assert verify_sigma_isomorphism(G, conjugate(G, sigma), sigma, ident)
     assert not verify_sigma_isomorphism(G, G, sigma, ident)
+    # the zero map preserves brackets, linear or sigma-semilinear, and is
+    # refused as an isomorphism because it is not bijective
+    zero = [[0] * 3 for _ in range(3)]
+    assert not verify_sigma_isomorphism(heis(), heis(), None, zero)
+    m = LinearMap.make(L, Lbar, zero, sigma)
+    assert m.sigma is sigma and m.verify() and not m.is_bijective()
+    assert not verify_sigma_isomorphism(L, Lbar, sigma, zero)
 
 
 def test_ideal_checks():
@@ -409,6 +421,10 @@ def test_linear_map_apply():
     assert v.coords == L.vector([2, 1, -3]).coords
     assert m.is_bijective()
     assert m.verify()  # X<->Y, Z->-Z preserves [X,Y]=Z
+    with pytest.raises(TowerMismatchError):
+        LinearMap.make(L, heis(QI), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(OwnerMismatchError):
+        LinearMap.make(L, L, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_ad_matrix():
