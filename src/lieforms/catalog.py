@@ -9,7 +9,6 @@ shape, constants mapped through sigma).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -25,19 +24,9 @@ from .fields import (
     FieldTower,
     coords_over,
     galois_group,
-    lift_to,
 )
-from .liealg import LieAlgebra, change_basis, direct_sum
+from .liealg import LieAlgebra, _coerce, change_basis, direct_sum
 from .descent import defined_over_witness_check
-
-
-def _elem(field: FieldTower, value) -> FieldElement:
-    """Coerce ints, Fractions, or lower-level elements into field."""
-    if isinstance(value, FieldElement):
-        if value.field == field:
-            return value
-        return lift_to(value, field)
-    return field.from_rational(Fraction(value))
 
 
 # ------------------------------------------------------------ flat families
@@ -67,7 +56,7 @@ def g_lambda(field: FieldTower, lam) -> LieAlgebra:
     Basis X1..X8, Z1, Z2 with [X1,X5] = [X2,X6] = [X3,X7] = [X4,X8] = Z1,
     [X2,X5] = [X3,X6] = [X4,X7] = Z2, [X1,X8] = -Z2, [X2,X7] = -lambda Z2.
     """
-    lam = _elem(field, lam)
+    lam = _coerce(field, lam)
     one = field.one()
     brackets = {
         (0, 4): {8: one}, (1, 5): {8: one}, (2, 6): {8: one},
@@ -83,7 +72,7 @@ def g_lambda(field: FieldTower, lam) -> LieAlgebra:
 
 def r3_lambda(field: FieldTower, lam) -> LieAlgebra:
     """The solvable family [X1,X2] = X2, [X1,X3] = lambda X3, lambda != 0."""
-    lam = _elem(field, lam)
+    lam = _coerce(field, lam)
     if lam.is_zero():
         raise ZeroLambdaError("r3_lambda needs lambda != 0")
     brackets = {(0, 1): {1: field.one()}, (0, 2): {2: lam}}
@@ -94,7 +83,7 @@ def r3_lambda(field: FieldTower, lam) -> LieAlgebra:
 
 def r3_lambda_plus_abelian(field: FieldTower, lam) -> LieAlgebra:
     """r3_lambda extended by a central abelian direction X4."""
-    lam = _elem(field, lam)
+    lam = _coerce(field, lam)
     if lam.is_zero():
         raise ZeroLambdaError("r3_lambda_plus_abelian needs lambda != 0")
     brackets = {(0, 1): {1: field.one()}, (0, 2): {2: lam}}
@@ -106,7 +95,7 @@ def r3_lambda_plus_abelian(field: FieldTower, lam) -> LieAlgebra:
 
 def g1_alpha(field: FieldTower, alpha) -> LieAlgebra:
     """The solvable family [X1,X2] = X2, [X1,X3] = X3, [X1,X4] = alpha X4."""
-    alpha = _elem(field, alpha)
+    alpha = _coerce(field, alpha)
     if alpha.is_zero():
         raise ZeroAlphaError("g1_alpha needs alpha != 0")
     one = field.one()
@@ -133,7 +122,7 @@ def nintot_family(field: FieldTower, lam, k: int, j: int) -> LieAlgebra:
         raise ConstraintViolatedError(
             "nintot_family needs the top level to be quadratic, got degree %d"
             % field.minpoly.degree)
-    lam = _elem(field, lam)
+    lam = _coerce(field, lam)
     group = galois_group(field, field.base)
     sigma = group.elements[1]
     summands = ([g_lambda(field, lam)] * j
@@ -220,7 +209,7 @@ def overFprop_witness(F: FieldTower, a, lam) -> OverFWitness:
     X3 = -(lambda+1) Y2 + Y3 inside it.
     """
     E = lam.field
-    a_E = _elem(E, a)
+    a_E = _coerce(E, a)
     one, zero = E.one(), E.zero()
     two = one + one
     if not (lam * lam + a_E * lam + one).is_zero():

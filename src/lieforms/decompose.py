@@ -47,7 +47,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from . import linalg
 from .linalg import (
@@ -946,10 +946,7 @@ class MatchReport:
 def _summand_algebras(D):
     if isinstance(D, Decomposition):
         return [s.algebra for s in D.summands]
-    out = []
-    for item in D:
-        out.append(item.algebra if isinstance(item, Summand) else item)
-    return out
+    return list(D)
 
 
 def _perfect_matching(n: int, adj) -> Optional[list]:
@@ -974,16 +971,13 @@ def _perfect_matching(n: int, adj) -> Optional[list]:
     return pairing
 
 
-def krull_schmidt_match(D1, D2,
-                        oracle: Optional[Callable] = None) -> MatchReport:
+def krull_schmidt_match(D1, D2) -> MatchReport:
     """Match two summand lists pairwise by the isomorphism oracle.
 
     A perfect matching along confirmed pairs gives "matched"; when even the
     non-refuted pairs admit no perfect matching the lists cannot present
     the same algebra, giving "refuted"; anything else is "unknown".
     """
-    if oracle is None:
-        oracle = isomorphism_verdict
     left = _summand_algebras(D1)
     right = _summand_algebras(D2)
     if len(left) != len(right):
@@ -993,7 +987,7 @@ def krull_schmidt_match(D1, D2,
     possible = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            v = oracle(left[i], right[j])
+            v = isomorphism_verdict(left[i], right[j])
             if v.status == "confirmed":
                 confirmed[i].append(j)
                 possible[i].append(j)

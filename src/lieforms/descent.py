@@ -36,15 +36,18 @@ from .liealg import (
 )
 
 
-def _map_meta(meta: dict, element_map: Callable) -> dict:
-    """meta with element_map applied to the field elements among its
-    "params"."""
-    out = dict(meta)
-    params = out.get("params")
+def _mapped(L: LieAlgebra, field: FieldTower,
+            element_map: Callable) -> LieAlgebra:
+    """L over field in the same basis, with element_map applied to every
+    structure constant and to the field elements among meta["params"]."""
+    brackets = {ij: {k: element_map(c) for k, c in comps.items()}
+                for ij, comps in L.brackets.items()}
+    meta = dict(L.meta)
+    params = meta.get("params")
     if isinstance(params, dict):
-        out["params"] = {k: (element_map(v) if isinstance(v, FieldElement)
-                             else v) for k, v in params.items()}
-    return out
+        meta["params"] = {k: (element_map(v) if isinstance(v, FieldElement)
+                              else v) for k, v in params.items()}
+    return LieAlgebra(field, L.dim, brackets, L.labels, meta)
 
 
 def conjugate(L: LieAlgebra, sigma: Automorphism) -> LieAlgebra:
@@ -54,10 +57,7 @@ def conjugate(L: LieAlgebra, sigma: Automorphism) -> LieAlgebra:
         raise TowerMismatchError(
             "automorphism of %r cannot conjugate an algebra over %r"
             % (sigma.field, L.field))
-    brackets = {ij: {k: sigma(c) for k, c in comps.items()}
-                for ij, comps in L.brackets.items()}
-    return LieAlgebra(L.field, L.dim, brackets, L.labels,
-                      _map_meta(L.meta, sigma))
+    return _mapped(L, L.field, sigma)
 
 
 def conjugation_map(L: LieAlgebra, sigma: Automorphism) -> LinearMap:
@@ -118,10 +118,7 @@ def restrict_scalars(L: LieAlgebra, F: FieldTower) -> Restriction:
 def extend_scalars(L: LieAlgebra, E: FieldTower) -> LieAlgebra:
     """Lift an algebra over a lower level to E (same basis and constants)."""
     relative_degree(E, L.field)  # raises NotSubLevelError when unrelated
-    brackets = {ij: {k: lift_to(c, E) for k, c in comps.items()}
-                for ij, comps in L.brackets.items()}
-    return LieAlgebra(E, L.dim, brackets, L.labels,
-                      _map_meta(L.meta, lambda c: lift_to(c, E)))
+    return _mapped(L, E, lambda c: lift_to(c, E))
 
 
 def _embedding_rows(n: int, sigmas, scalars, E: FieldTower) -> list:

@@ -704,8 +704,9 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
     be among them; entries are validated as roots and closed under
     composition.  A minimal polynomial that _irreducibility proves
     reducible is refused: over Q up to the factorization cap, quadratics
-    over quadratic levels, and cubics over Galois quadratic levels.  One
-    it cannot decide is trusted input.
+    over quadratic levels, cubics over Galois quadratic levels, and at
+    every level a rational one that factors over Q.  One it cannot decide
+    is trusted input.
     """
     if minpoly.ring != base:
         raise TowerMismatchError("minimal polynomial not over the base level")
@@ -768,11 +769,14 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
 
 
 def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
-    """Refuse a minimal polynomial that _irreducibility proves reducible."""
+    """Refuse a minimal polynomial that _irreducibility proves reducible.
+    Above Q, one of degree at most 3 has a root in the base; a higher one
+    is refused only for its factors over Q."""
     if _irreducibility(minpoly) is False:
         raise DegenerateError(
             "minimal polynomial is reducible over Q" if base.is_rationals
-            else "minimal polynomial has a root in the base")
+            else "minimal polynomial has a root in the base"
+            if minpoly.degree <= 3 else "minimal polynomial factors over Q")
 
 
 def quadratic_field(d, name: Optional[str] = None) -> FieldTower:
@@ -949,8 +953,11 @@ def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
     A quadratic over Q or a quadratic level is decided by whether its
     discriminant is a square there.  Over Q up to FACTOR_DEGREE_CAP, a
     cyclotomic Phi_n is irreducible (Gauss) and any other p is factored.
-    A cubic is reducible exactly when it has a root, which decides it
-    where _root_search is complete.  search, when given, is the (roots,
+    At every level, a rational p up to the cap that has more than one
+    factor, or a repeated one, over Q is reducible; one irreducible over
+    Q may still split above it, as t^4 + 1 does over Q(i).  A cubic is
+    reducible exactly when it has a root, which decides it where
+    _root_search is complete.  search, when given, is the (roots,
     complete, factors) of a _root_search of p, with factors p's
     factorization over Q where known, and neither is done again.
     """
@@ -958,18 +965,20 @@ def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
     if p.degree == 2 and (E.is_rationals or (E.base.is_rationals
                                              and E.degree == 2)):
         return not quadratic_roots(p)
+    if search is None and not E.is_rationals and (p.degree <= 3 or (
+            p.degree <= FACTOR_DEGREE_CAP
+            and all(c.is_rational() for c in p.coeffs))):
+        search = _root_search(p)
     roots, complete, factors = search or ((), False, None)
+    if factors is not None and (len(factors) > 1 or factors[0][1] > 1):
+        return False
     if E.is_rationals:
         if p.degree > FACTOR_DEGREE_CAP:
             return None
-        if factors is not None:
-            return len(factors) == 1 and factors[0][1] == 1
-        return _is_cyclotomic(p) or is_irreducible_over_Q(p)
-    if p.degree <= 3:
-        if search is None:
-            roots, complete, _ = _root_search(p)
-        if complete:
-            return not roots
+        return (factors is not None or _is_cyclotomic(p)
+                or is_irreducible_over_Q(p))
+    if p.degree <= 3 and complete:
+        return not roots
     return None
 
 

@@ -72,26 +72,6 @@ def _spec_int(numeral: str, spec: str) -> int:
     return -int(digits) if numeral.startswith("-") else int(digits)
 
 
-class _AlgebraSpec:
-    """Parsed algebra entity; the LieAlgebra itself is built on demand so
-    a Jacobi failure surfaces where the algebra is used, not at load."""
-
-    __slots__ = ("name", "field_name", "field", "dim", "entries")
-
-    def __init__(self, name, field_name, field, dim, entries):
-        self.name = name
-        self.field_name = field_name
-        self.field = field
-        self.dim = dim
-        self.entries = entries      # {(i, j, k) 0-based: FieldElement}
-
-    def build(self) -> LieAlgebra:
-        brackets: dict = {}
-        for (i, j, k), c in self.entries.items():
-            brackets.setdefault((i, j), {})[k] = c
-        return LieAlgebra(self.field, self.dim, brackets)
-
-
 class Manifest:
     """Named fields and algebras loaded from manifest text."""
 
@@ -100,7 +80,10 @@ class Manifest:
         self._builtins: dict = {}       # builtin towers, built once each
         self._literals: dict = {}       # (tower, literal) -> parsed element
         self._field_bases: dict = {}    # field name -> base name as given
-        self._specs: dict = {}
+        # algebra name -> (field name, field, dim, {(i, j): {k: coeff}}),
+        # 0-based; the LieAlgebra is built on first use, so a Jacobi
+        # failure surfaces where the algebra is used, not at load
+        self._algebras: dict = {}
         self._built: dict = {}
         self._order: list = []      # ("field"|"algebra", name)
 
@@ -123,20 +106,19 @@ class Manifest:
 
     def algebra(self, name: str) -> LieAlgebra:
         got = self._built.get(name)
-        if got is not None:
-            return got
-        spec = self._specs.get(name)
-        if spec is None:
-            raise ManifestError("unknown algebra %r" % name)
-        built = spec.build()
-        self._built[name] = built
-        return built
+        if got is None:
+            _, field, dim, table = self._parsed(name)
+            got = self._built[name] = LieAlgebra(field, dim, table)
+        return got
 
     def algebra_field_name(self, name: str) -> str:
-        spec = self._specs.get(name)
-        if spec is None:
+        return self._parsed(name)[0]
+
+    def _parsed(self, name: str) -> tuple:
+        got = self._algebras.get(name)
+        if got is None:
             raise ManifestError("unknown algebra %r" % name)
-        return spec.field_name
+        return got
 
     # -------------------------------------------------------- construction
 
@@ -171,7 +153,7 @@ class Manifest:
         if not isinstance(dim, int) or dim < 1:
             raise ManifestError("algebra %r: dim must be a positive integer"
                                 % name)
-        entries: dict = {}
+        table: dict = {}
         for item in brackets:
             try:
                 i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
@@ -187,22 +169,20 @@ class Manifest:
             if not 1 <= k <= dim:
                 raise ManifestError(
                     "algebra %r: component index %d out of range" % (name, k))
-            if (i - 1, j - 1, k - 1) in entries:
+            if k - 1 in table.get((i - 1, j - 1), ()):
                 raise ManifestError(
                     "algebra %r: duplicate bracket entry (%d, %d, %d)"
                     % (name, i, j, k))
             value = self._coeff(coeff, field, name)
             if not value.is_zero():
-                entries[(i - 1, j - 1, k - 1)] = value
-        spec = _AlgebraSpec(name, field_name, field, dim, entries)
-        existing = self._specs.get(name)
+                table.setdefault((i - 1, j - 1), {})[k - 1] = value
+        existing = self._algebras.get(name)
         if existing is not None:
-            if (existing.field != field or existing.dim != dim
-                    or existing.entries != entries):
+            if existing[1:] != (field, dim, table):
                 raise ManifestError("conflicting definitions of algebra %r"
                                     % name)
             return
-        self._specs[name] = spec
+        self._algebras[name] = (field_name, field, dim, table)
         self._order.append(("algebra", name))
 
     def _coeff(self, text, field, owner):
@@ -227,9 +207,8 @@ class Manifest:
                 out.append(field_entity(name, self._fields[name],
                                         self._field_bases[name]))
             else:
-                spec = self._specs[name]
-                out.append(_algebra_entity(name, spec.field_name, spec.dim,
-                                           spec.entries))
+                field_name, _, dim, table = self._algebras[name]
+                out.append(_algebra_entity(name, field_name, dim, table))
         return out
 
 
@@ -246,19 +225,18 @@ def field_entity(name: str, tower: FieldTower, base_name: str) -> dict:
 
 
 def _algebra_entity(name: str, field_name: str, dim: int,
-                    entries: dict) -> dict:
-    """Canonical manifest dict from {(i, j, k): coeff} entries, 0-based:
+                    table: dict) -> dict:
+    """Canonical manifest dict from a 0-based {(i, j): {k: coeff}} table:
     1-based brackets sorted by (i, j, k)."""
     items = [{"i": i + 1, "j": j + 1, "k": k + 1, "coeff": format_element(c)}
-             for (i, j, k), c in sorted(entries.items())]
+             for (i, j), comps in sorted(table.items())
+             for k, c in sorted(comps.items())]
     return {"name": name, "field": field_name, "dim": dim, "brackets": items}
 
 
 def algebra_entity(name: str, field_name: str, L: LieAlgebra) -> dict:
     """Canonical manifest dict for an algebra (1-based sorted brackets)."""
-    entries = {(i, j, k): c for (i, j), comps in L.brackets.items()
-               for k, c in comps.items()}
-    return _algebra_entity(name, field_name, L.dim, entries)
+    return _algebra_entity(name, field_name, L.dim, L.brackets)
 
 
 def serialize_entity(entity: dict) -> str:

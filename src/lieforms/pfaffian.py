@@ -33,7 +33,7 @@ from .errors import (
     ZeroScalarError,
 )
 from .fields import FieldElement, FieldTower
-from .liealg import LieAlgebra, _ad_images, _touching, commutator_rows
+from .liealg import LieAlgebra, _ad_images, _coerce, _touching, commutator_rows
 
 
 class MultiPoly:
@@ -563,14 +563,10 @@ def projective_equivalence_check(f: MultiPoly, g: MultiPoly, matrix,
                                  scalar) -> bool:
     """Check scalar * f(matrix @ (z1, z2, ...)) == g exactly."""
     field = f.field
-    if hasattr(scalar, "is_zero"):
-        s = scalar
-    else:
-        s = field.from_rational(scalar)
+    s = _coerce(field, scalar)
     if s.is_zero():
         raise ZeroScalarError("equivalence scalar must be nonzero")
-    rows = [[c if hasattr(c, "is_zero") else field.from_rational(c)
-             for c in row] for row in matrix]
+    rows = [[_coerce(field, c) for c in row] for row in matrix]
     if linalg.rank([list(r) for r in rows], field) < len(rows):
         raise SingularMatrixError("substitution matrix is singular")
     return f.compose_linear(rows).scale(s) == g

@@ -14,7 +14,7 @@ from lieforms.fields import (
     rationals,
 )
 from lieforms.liealg import direct_sum
-from lieforms.catalog import g_lambda, heisenberg
+from lieforms.catalog import g_lambda, heisenberg, r3_lambda
 from lieforms.manifest import (
     Manifest,
     algebra_entity,
@@ -177,8 +177,26 @@ class TestManifest:
                  '[{"i": 1, "j": 2, "k": 3, "coeff": "2"}]}')
         man = parse_manifest(line + "\n" + line)
         assert man.algebra_names == ("h",)
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match="line 2: conflicting "
+                           "definitions of algebra 'h'"):
             parse_manifest(line + "\n" + other)
+
+    def test_bracket_order_and_repeats(self):
+        """Entries in any order define the same algebra and serialize
+        sorted by (i, j, k); an entry given twice is refused."""
+        entries = ['{"i": 2, "j": 3, "k": 1, "coeff": "0"}',
+                   '{"i": 1, "j": 3, "k": 3, "coeff": "2"}',
+                   '{"i": 1, "j": 2, "k": 2, "coeff": "1"}']
+        head = '{"name": "r", "field": "Q", "dim": 3, "brackets": [%s]}'
+        text = head % ", ".join(entries)
+        again = head % ", ".join(reversed(entries[1:]))
+        man = parse_manifest(text + "\n" + again)
+        assert man.algebra("r") == r3_lambda(rationals(),
+                                             rationals().from_rational(2))
+        assert serialize_manifest(man) == again + "\n"
+        with pytest.raises(ManifestError, match="line 1: algebra 'r': "
+                           r"duplicate bracket entry \(1, 3, 3\)"):
+            parse_manifest(head % ", ".join(entries + [entries[1]]))
 
     def test_jacobi_failure_surfaces_at_use(self):
         text = ('{"name": "bad", "field": "Q", "dim": 3, "brackets": ['

@@ -39,6 +39,7 @@ from lieforms.liealg import (
     is_ideal,
     restrict_to_span,
     verify_morphism,
+    verify_sigma_isomorphism,
 )
 from lieforms.descent import conjugate, restrict_scalars
 from lieforms.manifest import load_manifest
@@ -1668,6 +1669,76 @@ class TestAdaptedRoute:
         assert [len(decompose_indecomposable(PL))
                 for name, PL in DENSE_REBASING_CASES
                 if "r3+g1+ab1" in name] == [3, 3]
+
+
+def metamorphic_cases():
+    """Catalog algebras and sums of them over Q and Q(i), each paired
+    with its re-basings by dense invertible matrices, seeds 1 to 3."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        two = field.from_rational(2)
+        for name, L in (
+                ("h3", heisenberg(field)),
+                ("h3+ab1", direct_sum(heisenberg(field), abelian(field, 1))),
+                ("r3", r3_lambda(field, lam)),
+                ("r3+ab1", r3_lambda_plus_abelian(field, lam)),
+                ("g1", g1_alpha(field, two)),
+                ("h3+h3", direct_sum(heisenberg(field), heisenberg(field))),
+                ("g_lambda", g_lambda(field, lam)),
+                ("r3+g1+ab1", direct_sum(r3_lambda(field, lam),
+                                         g1_alpha(field, two),
+                                         abelian(field, 1)))):
+            for seed in (1, 2, 3):
+                P = invertible(field, L.dim, seed, L.dim * L.dim)
+                out.append(("%s/%s*dense%d" % (fname, name, seed), L,
+                            change_basis(L, P)))
+    return out
+
+
+METAMORPHIC_CASES = metamorphic_cases()
+
+
+class TestOracleUnderDenseRebasing:
+    """Every answer of the oracle and of matching must hold for every
+    basis presentation: L against P.L, with P dense and invertible, is
+    never refuted, and what is confirmed re-verifies."""
+
+    @staticmethod
+    def shape(d):
+        return Counter((s.algebra.dim, s.certificate) for s in d.summands)
+
+    @pytest.mark.parametrize("name, L, PL", METAMORPHIC_CASES,
+                             ids=[name for name, _, _ in METAMORPHIC_CASES])
+    def test_verdicts_are_basis_free(self, name, L, PL):
+        assert fingerprint(L) == fingerprint(PL)
+        v = isomorphism_verdict(L, PL)
+        assert v.status != "refuted"
+        if v.status == "confirmed":
+            assert verify_sigma_isomorphism(L, PL, None, v.certificate)
+        # the similarity layer decides almost-abelian algebras in any basis
+        if name.split("/")[1].startswith(("r3*", "g1*")):
+            assert v.status == "confirmed"
+        d, Pd = decompose_indecomposable(L), decompose_indecomposable(PL)
+        assert krull_schmidt_match(d, Pd).status != "refuted"
+        assert self.shape(d) == self.shape(Pd)
+
+    @pytest.mark.parametrize("k, seeds", [(1, (1, 2, 3)), (2, (1,))])
+    def test_count_forms_on_rebased_nintot(self, k, seeds):
+        """nintot(1+i, k, k) has k + 1 forms over Q; a re-basing may
+        leave the count undecided, never wrong."""
+        Qi, lam = gaussian_lambda()
+        L = nintot_family(Qi, lam, k, k)
+        n = L.dim
+        for seed in seeds:
+            P = invertible(Qi, n, seed, n * n if n <= 10 else 2 * n)
+            try:
+                count = count_forms(change_basis(L, P), rationals()).count
+            except OracleUndecidedError:
+                assert k > 1
+                continue
+            assert count == k + 1
 
 
 # ------------------------------------------------- sparse nullspace

@@ -15,6 +15,7 @@ from lieforms.errors import (
 )
 from lieforms.fields import (
     Automorphism,
+    _irreducibility,
     FieldElement,
     FieldTower,
     coords_over,
@@ -209,6 +210,20 @@ def test_cubic_over_a_galois_quadratic_level_is_proved_by_its_roots():
     K = field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 0, 1]), "t",
                      [(0, 1, 0)])
     assert K.degree == 3
+
+
+def test_a_rational_minpoly_that_factors_over_q_is_refused_at_every_level():
+    # (t^2 - 2)(t^2 - 3) and (t^2 - 2)^2 factor over Q, so over Q(i) too
+    for coeffs in ([6, 0, -5, 0, 1], [4, 0, -4, 0, 1]):
+        p = Polynomial.from_rationals(QI, coeffs)
+        assert _irreducibility(p) is False
+        with pytest.raises(DegenerateError, match="factors over Q"):
+            field_extend(QI, p, "t", [(0, 1, 0, 0)])
+    # t^4 + 1 is irreducible over Q but splits as (t^2 - i)(t^2 + i) over
+    # Q(i): being irreducible over Q proves nothing there
+    p = Polynomial.from_rationals(QI, [1, 0, 0, 0, 1])
+    assert _irreducibility(p) is None
+    assert field_extend(QI, p, "t", [(0, 1, 0, 0)]).degree == 4
 
 
 def test_quadratic_radicand_cap():
