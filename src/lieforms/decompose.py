@@ -15,8 +15,8 @@ it does not depend on the basis the system was solved in.  The centroid is
 solved once per decomposition: a summand I = e L of a piece takes the
 corner e C e of the piece's centroid C, restricted to I and put in the same
 canonical basis.  A decomposition runs on the adapted table too, centroid,
-splits and pieces alike, and maps each summand's basis back to L's
-coordinates once at the end.  Each piece then takes one
+splits, pieces and the final verification alike, and maps each summand's
+basis back to L's coordinates once at the end.  Each piece then takes one
 route through the radical quotient: the trace Gram of the centroid basis
 gives the Jacobson radical R as its nullspace and the small quotient by R
 through its pivot columns; a candidate whose minimal polynomial modulo R
@@ -699,8 +699,13 @@ def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
     to L's coordinates once, through the columns of L.adapted_basis().  A
     single summand is L itself with identity rows; otherwise each summand's
     algebra is the route's piece, whose constants are those of the
-    reported rows: [r_a, r_b] = sum of c_ab^k r_k in L.  The returned
-    decomposition always passes verify_decomposition on L's own constants.
+    reported rows: [r_a, r_b] = sum of c_ab^k r_k in L.  verified is
+    verify_decomposition of the route's rows on the route's table, sparse
+    where L's constants are dense.  That is sound: the columns of
+    L.adapted_basis() give an isomorphism from L.adapted onto L, which
+    takes ideals to ideals and independent spans to independent spans,
+    and it sends the span of each summand's route rows onto the span of
+    its reported rows.
     """
     route = L if L.adapted is None else L.adapted
     found = _split_queue(route)
@@ -717,7 +722,7 @@ def decompose_indecomposable(L: LieAlgebra) -> Decomposition:
              for r in s.rows]), s.certificate, s.detail)
             for s in found)
     return Decomposition(L, summands,
-                         verify_decomposition(L, [s.rows for s in summands]))
+                         verify_decomposition(route, [s.rows for s in found]))
 
 
 def _split_queue(A: LieAlgebra) -> list:

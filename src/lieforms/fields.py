@@ -9,8 +9,14 @@ always reduced, gcd(num..., den) = 1, so zero is (0, ..., 0)/1 and equal
 elements have equal ``num`` and ``den``.  Each tower builds the product
 table of that basis once, as integers over one table denominator, so
 arithmetic never recurses through the levels and works on ints; inverses
-are fraction-free (E. Bareiss, Math. Comp. 22, 1968).  ``coords`` is a
-read-only view of the power-basis coordinates over the level below.
+are fraction-free (E. Bareiss, Math. Comp. 22, 1968).  That table walk is
+the general rule.  Two common levels take a closed form on the same pair
+instead: on Q every operator works on the single numerator, and on a
+quadratic level over Q whose minimal polynomial t^2 + c1*t + c0 has integer
+coefficients a product is four integer products, with theta**2 = -c0 -
+c1*theta kept on the tower.  A result over the denominator 1 skips the
+gcd.  ``coords`` is a read-only view of the power-basis coordinates over
+the level below.
 ``Fraction`` appears only where values enter or leave: parsing and
 ``from_rational``, ``rational_value``, ``format_element``, the ``vec``
 view, and the rational square roots behind ``sqrt_or_none``.  Every
@@ -60,8 +66,8 @@ class FieldTower:
     """One level of a field tower.  Treat instances as immutable."""
 
     __slots__ = ("base", "minpoly", "gen_name", "aut_images", "aut_table",
-                 "n", "_table", "_tden", "_aut_maps", "_hash", "_skey",
-                 "_zero", "_one")
+                 "n", "_table", "_tden", "_quad", "_aut_maps", "_hash",
+                 "_skey", "_zero", "_one")
 
     def __init__(self, base: Optional["FieldTower"] = None,
                  minpoly: Optional[Polynomial] = None,
@@ -77,6 +83,9 @@ class FieldTower:
         self._skey = None
         self._zero = None
         self._one = None
+        # (r0, r1) with theta**2 = r0 + r1*theta, for a quadratic over Q
+        # with an integral minimal polynomial; None elsewhere
+        self._quad = None
         # n = [E:Q], the length of every element's coordinate tuple
         if base is None:
             self.n = 1
@@ -84,6 +93,9 @@ class FieldTower:
         else:
             self.n = base.n * minpoly.degree
             self._table, self._tden = _product_table(base, minpoly)
+            c0, c1 = minpoly.coeffs[:2]
+            if self.n == 2 and c0.den == c1.den == 1:
+                self._quad = (-c0.num[0], -c1.num[0])
 
     # ------------------------------------------------------------ queries
 
@@ -325,16 +337,25 @@ class FieldElement:
         raise TypeError("cannot combine FieldElement with %r" % (other,))
 
     def __add__(self, other):
-        a, b = self._pair(other)
+        if type(other) is FieldElement and other.field is self.field:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
         return _combine(a.field, a.num, a.den, b.num, b.den, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-v for v in self.num), self.den)
+        num = self.num
+        if len(num) == 1:
+            return FieldElement(self.field, (-num[0],), self.den)
+        return FieldElement(self.field, tuple(-v for v in num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
+        if type(other) is FieldElement and other.field is self.field:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
         return _combine(a.field, a.num, a.den, b.num, b.den, _sub)
 
     def __rsub__(self, other):
@@ -342,12 +363,25 @@ class FieldElement:
         return _combine(a.field, b.num, b.den, a.num, a.den, _sub)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
+        if type(other) is FieldElement and other.field is self.field:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
         field = a.field
         if field.n == 1:
             num, den = a.num[0] * b.num[0], a.den * b.den
+            if den == 1:
+                return FieldElement(field, (num,), 1)
             g = gcd(num, den)
             return FieldElement(field, (num // g,), den // g)
+        quad = field._quad
+        if quad is not None:
+            # (a0 + a1 theta)(b0 + b1 theta) with theta**2 = r0 + r1 theta
+            (a0, a1), (b0, b1), (r0, r1) = a.num, b.num, quad
+            t = a1 * b1
+            return _reduced(field, (a0 * b0 + r0 * t,
+                                    a0 * b1 + a1 * b0 + r1 * t),
+                            a.den * b.den)
         table = field._table
         out = [0] * field.n
         bnum = b.num
@@ -433,6 +467,8 @@ class FieldElement:
 
 def _reduced(field: FieldTower, num, den: int) -> FieldElement:
     """The element num / den (den > 0) in lowest terms."""
+    if den == 1:
+        return FieldElement(field, tuple(num), 1)
     g = gcd(den, *num)
     if g == 1:
         return FieldElement(field, tuple(num), den)
@@ -442,6 +478,10 @@ def _reduced(field: FieldTower, num, den: int) -> FieldElement:
 def _combine(field: FieldTower, anum, aden: int, bnum, bden: int,
              op) -> FieldElement:
     """anum/aden op bnum/bden, coordinatewise, for op add or sub."""
+    if aden == bden == 1:
+        if field.n == 1:
+            return FieldElement(field, (op(anum[0], bnum[0]),), 1)
+        return FieldElement(field, tuple(map(op, anum, bnum)), 1)
     if field.n == 1:
         num, den = op(anum[0] * bden, bnum[0] * aden), aden * bden
         g = gcd(num, den)

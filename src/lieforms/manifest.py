@@ -154,6 +154,8 @@ class Manifest:
             raise ManifestError("algebra %r: dim must be a positive integer"
                                 % name)
         table: dict = {}
+        # zero coefficients are not stored, so repeats are tracked apart
+        seen = set()
         for item in brackets:
             try:
                 i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
@@ -169,10 +171,11 @@ class Manifest:
             if not 1 <= k <= dim:
                 raise ManifestError(
                     "algebra %r: component index %d out of range" % (name, k))
-            if k - 1 in table.get((i - 1, j - 1), ()):
+            if (i, j, k) in seen:
                 raise ManifestError(
                     "algebra %r: duplicate bracket entry (%d, %d, %d)"
                     % (name, i, j, k))
+            seen.add((i, j, k))
             value = self._coeff(coeff, field, name)
             if not value.is_zero():
                 table.setdefault((i - 1, j - 1), {})[k - 1] = value

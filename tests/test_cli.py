@@ -183,7 +183,8 @@ class TestManifest:
 
     def test_bracket_order_and_repeats(self):
         """Entries in any order define the same algebra and serialize
-        sorted by (i, j, k); an entry given twice is refused."""
+        sorted by (i, j, k); an entry given twice is refused, also when
+        one of the two coefficients is zero."""
         entries = ['{"i": 2, "j": 3, "k": 1, "coeff": "0"}',
                    '{"i": 1, "j": 3, "k": 3, "coeff": "2"}',
                    '{"i": 1, "j": 2, "k": 2, "coeff": "1"}']
@@ -197,6 +198,11 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 1: algebra 'r': "
                            r"duplicate bracket entry \(1, 3, 3\)"):
             parse_manifest(head % ", ".join(entries + [entries[1]]))
+        zero = '{"i": 1, "j": 3, "k": 3, "coeff": "0"}'
+        for pair in ([zero, entries[1]], [entries[1], zero]):
+            with pytest.raises(ManifestError, match="line 1: algebra 'r': "
+                               r"duplicate bracket entry \(1, 3, 3\)"):
+                parse_manifest(head % ", ".join(pair))
 
     def test_jacobi_failure_surfaces_at_use(self):
         text = ('{"name": "bad", "field": "Q", "dim": 3, "brackets": ['

@@ -9,9 +9,12 @@ re-based by a seeded unitriangular P with every entry above the diagonal
 from {-2, -1, 1, 2}.  Each ceiling is 1.2 times the count measured when it
 was set: 2,366 for change_basis and 485 for fingerprint, below the counts
 before the [L, L]-adapted presentation was kept on the algebra (26,845 and
-10,169); 9,959 and 213,131 for decompose_indecomposable, which splits on
-the adapted table, against 22,322 and 506,863 when it split in the
-caller's basis.
+10,169); 7,278 and 176,316 for decompose_indecomposable, which splits on
+the adapted table and verifies its summands there, against 9,620 and
+212,276 when it verified them on the caller's dense constants and 22,322
+and 506,863 when it also split in the caller's basis.  Every product goes
+through FieldElement.__mul__, the closed-form Q and quadratic paths too,
+so these counters see all the work.
 
 The sum-conjugate case is g_lambda over Q(zeta8), lambda = 1 + zeta8, and
 its map L_Q (x) Q(zeta8) -> sum of conjugates (dim 40).  is_bijective
@@ -49,10 +52,10 @@ from lieforms.liealg import change_basis, fingerprint, verify_morphism
 
 CEILINGS = {
     "change_basis": 2839,
-    "decompose_indecomposable": 11950,
+    "decompose_indecomposable": 8733,
     "fingerprint": 582,
 }
-FULL_DECOMPOSE_CEILING = 255757
+FULL_DECOMPOSE_CEILING = 211579
 COUNT_FORMS_CEILINGS = {"conjugate_orbit": 1, "isomorphism_verdict": 7}
 SUMCONJUGATE_CEILINGS = {
     "is_bijective.mul": 276,

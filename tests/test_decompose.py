@@ -63,6 +63,7 @@ from lieforms.decompose import (
     _certify_local,
     _lifted_idempotent,
     _nilpotent_span,
+    _split_queue,
     _square_zero,
     centroid,
     centroid_basis,
@@ -1709,6 +1710,22 @@ class TestOracleUnderDenseRebasing:
     def shape(d):
         return Counter((s.algebra.dim, s.certificate) for s in d.summands)
 
+    @staticmethod
+    def bent(found):
+        """The summands' rows with the first row of one summand I moved by
+        a row v of another summand J that is not central in J, or None
+        when there is no such v.  The moved span meets J in 0 and does not
+        hold [J, v], so it is not an ideal."""
+        for j, s in enumerate(found if len(found) > 1 else ()):
+            a = next((a for key in s.algebra.brackets for a in key), None)
+            if a is not None:
+                rows = [list(t.rows) for t in found]
+                i = 1 if j == 0 else 0
+                rows[i][0] = tuple(x + y for x, y in
+                                   zip(rows[i][0], s.rows[a]))
+                return rows
+        return None
+
     @pytest.mark.parametrize("name, L, PL", METAMORPHIC_CASES,
                              ids=[name for name, _, _ in METAMORPHIC_CASES])
     def test_verdicts_are_basis_free(self, name, L, PL):
@@ -1723,6 +1740,17 @@ class TestOracleUnderDenseRebasing:
         d, Pd = decompose_indecomposable(L), decompose_indecomposable(PL)
         assert krull_schmidt_match(d, Pd).status != "refuted"
         assert self.shape(d) == self.shape(Pd)
+        # verified is checked on the adapted table: the rows mapped back
+        # must span ideals of PL's own constants too, and the adapted
+        # check must refuse a row outside every ideal
+        assert Pd.verified and verify_decomposition(PL, Pd.ideal_bases)
+        route = PL if PL.adapted is None else PL.adapted
+        found = _split_queue(route)
+        assert verify_decomposition(route, [s.rows for s in found])
+        bent = self.bent(found)
+        assert bent is not None or len(found) == 1
+        if bent is not None:
+            assert not verify_decomposition(route, bent)
 
     @pytest.mark.parametrize("k, seeds", [(1, (1, 2, 3)), (2, (1,))])
     def test_count_forms_on_rebased_nintot(self, k, seeds):

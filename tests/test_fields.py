@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -616,3 +616,115 @@ def test_literal_numbers_that_cannot_be_read():
     for text in ("1" * 5000, "1/0", "1/" + "7" * 5000):
         with pytest.raises(ManifestError):
             parse_element(text, Q)
+
+
+# ------------------------------------------------ closed-form operator paths
+
+def ref_of(x):
+    """x as nested Fraction lists: a Fraction on Q, else one entry per
+    power of the generator, each a value of the level below.  Read from
+    the stored numerators, not through any arithmetic."""
+    def split(vec, field):
+        if field.is_rationals:
+            return vec[0]
+        D = field.base.n
+        return [split(vec[k:k + D], field.base)
+                for k in range(0, field.n, D)]
+    return split([Fraction(v, x.den) for v in x.num], x.field)
+
+
+def ref_lift(r, K, E):
+    """The reference value r of level K as a value of the higher level E."""
+    if E == K:
+        return r
+    inner = ref_lift(r, K, E.base)
+    return [inner] + [ref_lift(Fraction(0), rationals(), E.base)] * (
+        E.degree - 1)
+
+
+def ref_add(a, b, sign=1):
+    if isinstance(a, Fraction):
+        return a + sign * b
+    return [ref_add(x, y, sign) for x, y in zip(a, b)]
+
+
+def ref_mul(a, b, field):
+    """a * b as Fraction polynomials reduced modulo the minimal
+    polynomial, level by level."""
+    if field.is_rationals:
+        return a * b
+    d, base = field.degree, field.base
+    prod = [ref_lift(Fraction(0), rationals(), base)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = ref_add(prod[i + j], ref_mul(x, y, base))
+    m = [ref_of(c) for c in field.minpoly.coeffs]
+    for top in range(2 * d - 2, d - 1, -1):
+        c = prod[top]
+        for j in range(d):
+            prod[top - d + j] = ref_add(prod[top - d + j],
+                                        ref_mul(c, m[j], base), -1)
+    return prod[:d]
+
+
+def integral_or_not(field, rng, dens):
+    """A random element whose rational leaves have denominators in dens."""
+    num = tuple(rng.randint(-9, 9) for _ in range(field.n))
+    parts = [Fraction(v, rng.choice(dens)) for v in num]
+    den = lcm(*(p.denominator for p in parts))
+    return FieldElement(field, tuple(int(p * den) for p in parts), den)
+
+
+OPERATOR_FIELDS = {
+    "Q": lambda: Q,
+    "Q(i)": lambda: QI,
+    "Q(sqrt2)": lambda: QR2,
+    "Q(zeta3)": lambda: cyclotomic_field(3),
+    "Q(zeta8)": lambda: cyclotomic_field(8),
+    "Q(i)(sqrt2)": FLAT_TOWERS["Q(i)(sqrt2)"],
+    "Q(sqrt1/2)": FLAT_TOWERS["Q(sqrt1/2)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_FIELDS))
+def test_operator_paths_match_polynomial_reference(name):
+    """Every operator, on the closed-form integer paths (Q, integral
+    quadratics over Q) and the product-table walk alike, agrees with
+    Fraction polynomials reduced modulo the minimal polynomial, and
+    returns a reduced pair."""
+    E = OPERATOR_FIELDS[name]()
+    quad = {"Q(i)": (-1, 0), "Q(sqrt2)": (2, 0), "Q(zeta3)": (-1, -1)}
+    assert E._quad == quad.get(name)
+    rng = random.Random(47)
+    one = ref_lift(Fraction(1), Q, E)
+    samples = [integral_or_not(E, rng, dens) for dens in ((1,), (1, 2, 3, 4))
+               for _ in range(6)] + [E.zero(), E.one()]
+    for a in samples:
+        assert_canonical(a)
+        ra = ref_of(a)
+        assert_canonical(-a)
+        assert ref_of(-a) == ref_add(ref_lift(Fraction(0), Q, E), ra, -1)
+        if not a.is_zero():
+            inv = a.inverse()
+            assert_canonical(inv)
+            assert ref_mul(ra, ref_of(inv), E) == one
+        # same level, every lower level, and int and Fraction operands
+        others = [(b, ref_of(b)) for b in samples[::3]]
+        for K in E.levels()[:-1]:
+            y = integral_or_not(K, rng, (1, 3))
+            others.append((y, ref_lift(ref_of(y), K, E)))
+        others += [(k, ref_lift(Fraction(k), Q, E))
+                   for k in (0, 3, -2, Fraction(5, 6), Fraction(-4))]
+        for b, rb in others:
+            for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra)):
+                results = ((x * y, ref_mul(rx, ry, E)),
+                           (x + y, ref_add(rx, ry)),
+                           (x - y, ref_add(rx, ry, -1)))
+                for got, want in results:
+                    assert isinstance(got, FieldElement) and got.field is E
+                    assert_canonical(got)
+                    assert ref_of(got) == want
+                if y != 0:
+                    q = x / y
+                    assert_canonical(q)
+                    assert ref_mul(ref_of(q), ry, E) == rx
