@@ -422,35 +422,51 @@ _COMMON = [
 ]
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The command-line parser, or, given a name in COMMANDS, the parser
-    with that subcommand alone.
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    _, handler, arguments = COMMANDS[name]
+    for flags, keywords in arguments + _COMMON:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(handler=handler, command=name)
 
-    A command line whose first word is that name parses the same with
-    either, including its errors and help; building one subcommand instead
-    of all of them is most of the setup of a short command.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every command as a subcommand."""
     parser = argparse.ArgumentParser(
         prog="lieforms",
         description="Exact Lie algebra computations over Galois extensions.")
-    # usage lists every subcommand whichever ones are built
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
-    for name, (help_text, handler, arguments) in COMMANDS.items():
-        if command in (None, name):
-            sp = sub.add_parser(name, help=help_text)
-            for flags, keywords in arguments + _COMMON:
-                sp.add_argument(*flags, **keywords)
-            sp.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, built as build_parser builds its
+    subcommand: the same prog, arguments, help and errors."""
+    parser = argparse.ArgumentParser(prog="lieforms " + name)
+    _add_command(parser, name)
+    return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives, with its help,
+    errors and exit codes.
+
+    A command named first is parsed by its own parser: building one
+    command's parser instead of all eleven is most of a short command's
+    setup.  Arguments it does not know are reported by the full parser,
+    under the top-level usage, as they would be there.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, unknown = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only a subcommand named first can be parsed without the others
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.handler(args)
     except (UncertifiedDecompositionError, OracleUndecidedError) as exc:

@@ -826,16 +826,30 @@ def _refuted(reason):
 _UNKNOWN = Verdict("unknown", "no layer decided")
 
 
-def _almost_abelian_action(L: LieAlgebra):
-    """(f, X) when D = [L, L] is abelian of codimension one, else None: f is
-    the one column that is not a pivot of D's echelon rows d_t, and column
-    t of X is [e_f, d_t] at the pivots, so X is ad e_f on D in the rows."""
+def _almost_abelian_action(L: LieAlgebra) -> tuple:
+    """(action, own): action is (f, X) when D = [L, L] is abelian of
+    codimension one, else None; f is the one column that is not a pivot of
+    D's echelon rows d_t, and column t of X is [e_f, d_t] at the pivots, so
+    X is ad e_f on D in the rows.  own is the dimension of {Z : X Z = Z X},
+    None without an action.
+
+    Like the fingerprint, the pair is computed on the first call and kept
+    on L.
+    """
+    if L._action is None:
+        L._action = _almost_abelian_data(L)
+    return L._action
+
+
+def _almost_abelian_data(L: LieAlgebra) -> tuple:
+    """_almost_abelian_action of L, computed."""
     if fingerprint(L).derived[1:] != (L.dim - 1, 0):
-        return None
+        return None, None
     (f,) = (c for c in range(L.dim) if c not in L.derived)
     touching, pivots = _touching(L.brackets), sorted(L.derived)
     cols = [_ad_images(touching, L.derived[c]).get(f, {}) for c in pivots]
-    return f, [[col.get(c, L.field.zero()) for col in cols] for c in pivots]
+    X = [[col.get(c, L.field.zero()) for col in cols] for c in pivots]
+    return (f, X), len(_intertwiners(L.field, X, X))
 
 
 def _scales(field, X, Y):
@@ -869,8 +883,9 @@ def _intertwiners(field, P, Q) -> list:
     return red.nullspace(m * m)
 
 
-def _similarity_verdict(A, B, act_a, act_b) -> Verdict:
-    """The verdict on A and B, given their actions (f, X) and (f', X').
+def _similarity_verdict(A, B) -> Verdict:
+    """The verdict on A and B, almost abelian both, with actions (f, X)
+    and (f', X').
 
     An isomorphism maps [A, A] onto [B, B] and e_f to s e_f' plus a vector
     acting trivially there, so A and B are isomorphic exactly when
@@ -881,11 +896,10 @@ def _similarity_verdict(A, B, act_a, act_b) -> Verdict:
     column c of its matrix is that image less d_t[f] s e_f'.
     """
     field, n, zero = A.field, A.dim, A.field.zero()
-    (fa, X), (fb, Y) = act_a, act_b
-    own = len(_intertwiners(field, X, X))
-    scales, complete = _scales(field, X, Y)
-    if own != len(_intertwiners(field, Y, Y)):
-        scales, complete = [], True
+    ((fa, X), own), ((fb, Y), own_b) = (_almost_abelian_action(A),
+                                        _almost_abelian_action(B))
+    scales, complete = (_scales(field, X, Y) if own == own_b
+                        else ([], True))
     rows_b = [B.derived[c] for c in sorted(B.derived)]
     for s in scales:
         Z = _intertwiners(field, [[s * y for y in row] for row in Y], X)
@@ -930,9 +944,8 @@ def isomorphism_verdict(A: LieAlgebra, B: LieAlgebra) -> Verdict:
     if A.brackets == B.brackets:
         return _confirmed("identical structure constants",
                           linalg.identity_matrix(A.field, A.dim))
-    act_a = _almost_abelian_action(A)
-    if act_a is not None:
-        return _similarity_verdict(A, B, act_a, _almost_abelian_action(B))
+    if _almost_abelian_action(A)[0] is not None:
+        return _similarity_verdict(A, B)
     if refute_isomorphism_by_c(A, B):
         return _refuted("quartic invariants differ")
     return _UNKNOWN

@@ -7,19 +7,20 @@ power-product basis (H. Cohen, GTM 138, sec. 4.2): index t*D + u,
 D = [base:Q], stands for theta**t times base basis element u.  The pair is
 always reduced, gcd(num..., den) = 1, so zero is (0, ..., 0)/1 and equal
 elements have equal ``num`` and ``den``.  Each tower builds the product
-table of that basis once, as integers over one table denominator, so
-arithmetic never recurses through the levels and works on ints; inverses
-are fraction-free (E. Bareiss, Math. Comp. 22, 1968).  That table walk is
-the general rule.  Two common levels take a closed form on the same pair
-instead: on Q every operator works on the single numerator, and on a
-quadratic level over Q whose minimal polynomial t^2 + c1*t + c0 has integer
-coefficients a product is four integer products, with theta**2 = -c0 -
-c1*theta kept on the tower.  A result over the denominator 1 skips the
-gcd.  ``coords`` is a read-only view of the power-basis coordinates over
-the level below.
+table of that basis at most once, as integers over one table denominator,
+so arithmetic never recurses through the levels and works on ints;
+inverses are fraction-free (E. Bareiss, Math. Comp. 22, 1968).  That table
+walk is the general rule.  Two common levels take a closed form on the
+same pair instead: on Q every operator works on the single numerator, and
+on a quadratic level over Q whose minimal polynomial t^2 + c1*t + c0 has
+integer coefficients a product is four integer products, with
+theta**2 = -c0 - c1*theta kept on the tower, and an inverse one division
+by the norm; such a level builds its table only for a level built above
+it.  A result over the denominator 1 skips the gcd.  ``coords`` is a
+read-only view of the power-basis coordinates over the level below.
 ``Fraction`` appears only where values enter or leave: parsing and
-``from_rational``, ``rational_value``, ``format_element``, the ``vec``
-view, and the rational square roots behind ``sqrt_or_none``.  Every
+``from_rational``, ``rational_value``, ``format_element`` and the ``vec``
+view; ``sqrt_or_none`` solves its norm equations in integers.  Every
 operation is exact, and automorphisms are stored explicitly as generator
 images so group structure (closure, composition tables) is validated at
 construction time; each one also keeps its integer matrix on the absolute
@@ -29,6 +30,13 @@ Automorphisms act as the identity on all strictly lower levels.  As a
 consequence galois_group(E, F) can only realize the full relative degree
 when F is the immediate base of E (or F = E); asking for a deeper fixed
 level raises NotGaloisError.
+
+Levels compare by identity first: lift_to, is_level_of, relative_degree,
+the operators' pairing of mixed levels and Automorphism calls look for
+the level itself, and only the one level of the same absolute degree
+that is another object is compared by structure_key.  A tower is built
+in integers: the product table and each automorphism's matrix, with an
+image checked as a root by the matrix, take no structural comparison.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add as _add, sub as _sub
 from typing import Iterable, Optional, Sequence
 
@@ -86,16 +94,21 @@ class FieldTower:
         # (r0, r1) with theta**2 = r0 + r1*theta, for a quadratic over Q
         # with an integral minimal polynomial; None elsewhere
         self._quad = None
+        # the product table of _product_table; on a _quad level, which
+        # multiplies and inverts in closed form, built only for a level
+        # above it (see _products)
+        self._table = self._tden = None
         # n = [E:Q], the length of every element's coordinate tuple
         if base is None:
             self.n = 1
             self._table, self._tden = ((((0, 1),),),), 1
         else:
             self.n = base.n * minpoly.degree
-            self._table, self._tden = _product_table(base, minpoly)
             c0, c1 = minpoly.coeffs[:2]
             if self.n == 2 and c0.den == c1.den == 1:
                 self._quad = (-c0.num[0], -c1.num[0])
+            else:
+                self._table, self._tden = _product_table(base, minpoly)
 
     # ------------------------------------------------------------ queries
 
@@ -119,6 +132,12 @@ class FieldTower:
             chain.append(level)
             level = level.base
         return tuple(reversed(chain))
+
+    def _products(self) -> tuple:
+        """(table, tden) of _product_table, built on first use."""
+        if self._table is None:
+            self._table, self._tden = _product_table(self.base, self.minpoly)
+        return self._table, self._tden
 
     def is_galois(self) -> bool:
         if self.is_rationals:
@@ -152,7 +171,8 @@ class FieldTower:
             return True
         if not isinstance(other, FieldTower):
             return NotImplemented
-        return self.structure_key() == other.structure_key()
+        return (self.n == other.n
+                and self.structure_key() == other.structure_key())
 
     def __hash__(self):
         if self._hash is None:
@@ -227,36 +247,69 @@ def _product_table(base: FieldTower, minpoly: Polynomial) -> tuple:
 
     Cell [a][b] lists the (k, c) with b_a * b_b = sum of (c / tden) * b_k,
     every c a nonzero int, where b_{t*D+u} = theta**t * (base basis element
-    u).  Built with the base's own table, so each level is reduced by its
-    minimal polynomial once.
+    u).  So b_a * b_b = theta**s * (b_u * b_v) with s = t + t', and b_u * b_v
+    comes from the base's own table.  With delta the product of the
+    denominators of the minimal polynomial and of that table, delta * theta
+    maps integer coordinates to integer coordinates, so every product is
+    worked out in ints, each level reduced by its minimal polynomial once.
     """
     d, D = minpoly.degree, base.n
-    zero = base.zero()
-    # theta**s for s <= 2d-2, as power-basis coordinates over the base
-    powers = [[base.one()] + [zero] * (d - 1)]
-    for _ in range(2 * d - 2):
-        prev = powers[-1]
-        top = prev[-1]
-        col = [zero] + prev[:-1]
-        if not top.is_zero():
-            col = [c - top * m for c, m in zip(col, minpoly.coeffs)]
-        powers.append(col)
-    units = [base._unit(u) for u in range(D)]
-    products = []
-    for a in range(d * D):
-        t1, u1 = divmod(a, D)
-        row = []
-        for b in range(d * D):
-            t2, u2 = divmod(b, D)
-            p = units[u1] * units[u2]
-            row.append([r * p for r in powers[t1 + t2]])
-        products.append(row)
-    tden = lcm(*(x.den for row in products for parts in row for x in parts))
-    table = tuple(tuple(tuple((k, c) for k, c in enumerate(_over(parts, tden))
-                              if c)
-                        for parts in row)
-                  for row in products)
-    return table, tden
+    n, top, last = d * D, (d - 1) * D, 2 * d - 2
+    btable, btden = base._products()
+    mden = lcm(*(m.den for m in minpoly.coeffs))
+    delta = mden * btden
+    # carry[u] = delta * theta**d * b_u = -delta * sum of theta**k * m_k b_u
+    carry = []
+    for u in range(D):
+        out = [0] * n
+        for k, m in enumerate(minpoly.coeffs[:d]):
+            scale = mden // m.den
+            for i, x in enumerate(m.num):
+                if x:
+                    for w, c in btable[i][u]:
+                        out[k * D + w] -= x * scale * c
+        carry.append(out)
+    # high[w][j] = delta**(j+1) * theta**(d+j) * b_w, for d + j <= last
+    high = []
+    for vec in carry:
+        chain = [vec]
+        for _ in range(last - d):
+            out = [0] * D + [delta * v for v in vec[:top]]
+            for u, v in enumerate(vec[top:]):
+                if v:
+                    out = [o + v * c for o, c in zip(out, carry[u])]
+            chain.append(out)
+            vec = out
+        high.append(chain)
+    # b_{t*D+u} * b_{t'*D+v} = theta**(t+t') * b_u * b_v: cells[u*D+v][s],
+    # sparse over btden * delta**last.  Below theta**d the product is
+    # b_u * b_v moved up s levels; above, it combines high.
+    top_scale = delta ** last
+    cells = []
+    for u in range(D):
+        for v in range(D):
+            entries = btable[u][v]
+            by_s = [[(s * D + w, c * top_scale) for w, c in entries]
+                    for s in range(d)]
+            for s in range(d, last + 1):
+                scale = delta ** (last - s + d - 1)
+                out = [0] * n
+                for w, c in entries:
+                    f = c * scale
+                    out = [o + f * x for o, x in zip(out, high[w][s - d])]
+                by_s.append([(k, x) for k, x in enumerate(out) if x])
+            cells.append(by_s)
+    common = btden * delta ** last
+    g = common if common == 1 else gcd(
+        common, *(x for by_s in cells for cell in by_s for _, x in cell))
+    if g != 1:
+        cells = [[[(k, x // g) for k, x in cell] for cell in by_s]
+                 for by_s in cells]
+    sparse = [[tuple(cell) for cell in by_s] for by_s in cells]
+    table = tuple([tuple([sparse[u * D + v][t + t2]
+                          for t2 in range(d) for v in range(D)])
+                   for t in range(d) for u in range(D)])
+    return table, common // g
 
 
 class FieldElement:
@@ -325,7 +378,7 @@ class FieldElement:
 
     def _pair(self, other) -> tuple["FieldElement", "FieldElement"]:
         if isinstance(other, FieldElement):
-            if self.field is other.field or self.field == other.field:
+            if self.field is other.field:
                 return self, other
             if is_level_of(other.field, self.field):
                 return self, lift_to(other, self.field)
@@ -406,6 +459,18 @@ class FieldElement:
             a = num[0]
             return (FieldElement(field, (den,), a) if a > 0
                     else FieldElement(field, (-den,), -a))
+        quad = field._quad
+        if quad is not None:
+            # (a0 + a1 theta)(a0 + r1 a1 - a1 theta) = a0^2 + r1 a0 a1 -
+            # r0 a1^2, the norm, with theta**2 = r0 + r1 theta
+            (a0, a1), (r0, r1) = num, quad
+            norm = a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1
+            if not norm:
+                raise DegenerateError("minimal polynomial of %s is not "
+                                      "irreducible" % field.gen_name)
+            if norm < 0:
+                norm, den = -norm, -den
+            return _reduced(field, (den * (a0 + r1 * a1), -den * a1), norm)
         # x * b_c = sum of A[k][c] * b_k / (den * tden) for an integer
         # matrix A, so the inverse is den * tden * z with A z = e_0.
         # Bareiss elimination of [A | e_0] ends on the pivot D = +-det A;
@@ -514,34 +579,35 @@ def _joined(E: FieldTower, parts: Sequence[FieldElement]) -> FieldElement:
 # ---------------------------------------------------------------- tower maps
 
 def is_level_of(F: FieldTower, E: FieldTower) -> bool:
-    """True when F equals one of E's levels."""
-    level = E
-    while level is not None:
-        if level == F:
-            return True
+    """True when F equals one of E's levels.
+
+    Going down, each level has a smaller absolute degree, so only the level
+    of F's degree can equal F.  It is compared by identity first, and by
+    structure only when it is another object.
+    """
+    level, n = E, F.n
+    while level.n > n:
         level = level.base
-    return False
+    return level is F or (level.n == n and level == F)
 
 
 def relative_degree(E: FieldTower, F: FieldTower) -> int:
     """[E : F] along the tower; NotSubLevelError when F is not a level."""
-    d = 1
-    level = E
-    while level is not None:
-        if level == F:
-            return d
-        d *= level.degree
-        level = level.base
-    raise NotSubLevelError("%r is not a level of %r" % (F, E))
+    if not is_level_of(F, E):
+        raise NotSubLevelError("%r is not a level of %r" % (F, E))
+    return E.n // F.n
 
 
 def lift_to(x: FieldElement, E: FieldTower) -> FieldElement:
     """Embed an element of a lower level into E (zero-padding coordinates)."""
-    if x.field is E or x.field == E:
+    F = x.field
+    if F is E:
         return x
-    if not is_level_of(x.field, E):
-        raise TowerMismatchError("%r is not a level of %r" % (x.field, E))
-    return FieldElement(E, x.num + (0,) * (E.n - x.field.n), x.den)
+    if not is_level_of(F, E):
+        raise TowerMismatchError("%r is not a level of %r" % (F, E))
+    if F.n == E.n:
+        return x
+    return FieldElement(E, x.num + (0,) * (E.n - F.n), x.den)
 
 
 def coords_over(x: FieldElement, F: FieldTower) -> list[FieldElement]:
@@ -573,9 +639,12 @@ def from_coords_over(E: FieldTower, F: FieldTower,
 
 def eval_poly_at(p: Polynomial, x: FieldElement) -> FieldElement:
     """Evaluate p at x, lifting coefficients from p's level into x's field."""
-    acc = x.field.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * x + lift_to(c, x.field)
+    E, coeffs = x.field, p.coeffs
+    if not coeffs:
+        return E.zero()
+    acc = lift_to(coeffs[-1], E)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + lift_to(c, E)
     return acc
 
 
@@ -599,15 +668,14 @@ class Automorphism:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         field = self.field
-        if x.field == field:
-            if self.index == 0 or field.is_rationals:
-                return x
-            return _mapped(field, field._aut_maps[self.index], x)
-        if is_level_of(x.field, self.field):
+        if x.field is not field and not is_level_of(x.field, field):
+            raise TowerMismatchError(
+                "automorphism of %r cannot act on an element of %r"
+                % (field, x.field))
+        # the identity, and every automorphism below its own level
+        if self.index == 0 or field.is_rationals or x.field.n < field.n:
             return x
-        raise TowerMismatchError(
-            "automorphism of %r cannot act on an element of %r"
-            % (self.field, x.field))
+        return _mapped(field, field._aut_maps[self.index], x)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
@@ -625,22 +693,25 @@ class Automorphism:
 
 
 def _aut_map(image: FieldElement) -> tuple:
-    """The automorphism theta -> image on the absolute basis, over one
-    denominator: (columns, mden), where columns[c] lists the (k, m) with
-    sigma(b_c) = sum of (m / mden) * b_k, every m a nonzero int.
+    """The map theta -> image on the absolute basis, over one denominator,
+    and image**d, d the relative degree: ((columns, mden), image**d), where
+    columns[c] lists the (k, m) with sigma(b_c) = sum of (m / mden) * b_k,
+    every m a nonzero int.
 
     sigma fixes the base, so sigma(b_{t*D+u}) = image**t * b_u.
     """
     E = image.field
     units = [E._unit(u) for u in range(E.base.n)]
-    cols = []
-    power = E.one()
-    for _ in range(E.degree):
-        cols += [power * unit for unit in units]
+    cols = list(units)
+    power = image
+    for _ in range(1, E.degree):
+        cols.append(power)
+        cols += [power * unit for unit in units[1:]]
         power = power * image
     mden = lcm(*(x.den for x in cols))
-    return (tuple(tuple((k, m) for k, m in enumerate(_over([x], mden)) if m)
-                  for x in cols), mden)
+    return ((tuple([tuple([(k, m * (mden // x.den))
+                           for k, m in enumerate(x.num) if m])
+                    for x in cols]), mden), power)
 
 
 def _mapped(field: FieldTower, aut_map: tuple,
@@ -765,35 +836,45 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
 
     tower = FieldTower(base, minpoly, gen_name)
     gen = tower.generator()
-    elems = []
+    # theta**d = -(sum of m_k theta**k); sigma's matrix takes it to
+    # -(sum of m_k image**k), so an image is a root exactly when that is
+    # image**d
+    theta_d = _joined(tower, [-m for m in minpoly.coeffs[:-1]])
+    # images and maps are keyed by (num, den): hashing an element hashes
+    # its tower, whose automorphisms are not filled in yet.  The
+    # generator's map is the identity matrix.
+    identity = tuple(((c, 1),) for c in range(tower.n)), 1
+    elems, maps = [], {(gen.num, gen.den): identity}
     for coords in images:
         if isinstance(coords, FieldElement):
-            img = coords if coords.field == tower else tower.element([coords])
+            img = coords if coords.field is tower else tower.element([coords])
         else:
             img = tower.element(coords)
-        val = eval_poly_at(minpoly, img)
-        if not val.is_zero():
-            raise NonRootError("claimed image %s is not a root of the "
-                               "minimal polynomial" % format_element(img))
+        key = (img.num, img.den)
+        if key not in maps:
+            amap, top = _aut_map(img)
+            if _mapped(tower, amap, theta_d) != top:
+                raise NonRootError("claimed image %s is not a root of the "
+                                   "minimal polynomial" % format_element(img))
+            maps[key] = amap
         elems.append(img)
     if gen not in elems:
         raise DegenerateError("automorphism list must contain the identity "
                               "image %s" % gen_name)
     ordered = [gen] + [e for e in elems if e != gen]
-    # images are keyed by (num, den): hashing an element hashes its tower,
-    # whose automorphisms are not filled in yet
     index = {(e.num, e.den): k for k, e in enumerate(ordered)}
     if len(index) != len(elems):
         raise DegenerateError("duplicate automorphism images")
     if len(elems) > minpoly.degree:
         raise DegenerateError("more automorphisms than the degree allows")
-    maps = [_aut_map(image) for image in ordered]
+    maps = [maps[(e.num, e.den)] for e in ordered]
     # a after b sends theta to a(b(theta)); every image is a root, so each
-    # map is a field embedding and the composite is exact
-    table = []
-    for a in maps:
-        row = []
-        for b in ordered:
+    # map is a field embedding and the composite is exact.  The identity's
+    # row and column need no check.
+    table = [tuple(range(len(ordered)))]
+    for i, a in enumerate(maps[1:], start=1):
+        row = [i]
+        for b in ordered[1:]:
             composed = _mapped(tower, a, b)
             k = index.get((composed.num, composed.den))
             if k is None:
@@ -852,12 +933,17 @@ def cyclotomic_field(n: int, name: Optional[str] = None) -> FieldTower:
         raise DegenerateError("cyclotomic_field supports 3 <= n <= 12")
     if name is None:
         name = "z%d" % n
+    coeffs = cyclotomic_coeffs(n)
+    # zeta**k as integer coordinates, one multiplication by zeta at a time
+    power, images = [1] + [0] * (len(coeffs) - 2), []
+    for k in range(1, n):
+        top, power = power[-1], [0] + power[:-1]
+        if top:
+            power = [p - top * c for p, c in zip(power, coeffs)]
+        if gcd(k, n) == 1:
+            images.append(power)
     Q = rationals()
-    minpoly = Polynomial.from_rationals(Q, cyclotomic_coeffs(n))
-    # zeta^k as coordinates: t^k reduced modulo the minimal polynomial
-    images = [(Polynomial.one(Q).shift(k) % minpoly).coeffs
-              for k in range(1, n) if gcd(k, n) == 1]
-    return field_extend(Q, minpoly, name, images)
+    return field_extend(Q, Polynomial.from_rationals(Q, coeffs), name, images)
 
 
 # ---------------------------------------------------------------- square roots
@@ -866,46 +952,60 @@ def sqrt_or_none(x: FieldElement) -> Optional[FieldElement]:
     """An exact square root of x in its own field, or None.
 
     Supported levels: the rationals, and quadratic extensions of the
-    rationals (via norm equations).  Anything deeper returns None without
-    attempting a search.
+    rationals (via norm equations, in integers).  Anything deeper returns
+    None without attempting a search.
     """
     field = x.field
     if field.is_rationals:
-        r = _rational_sqrt(x.rational_value())
-        return None if r is None else field.from_rational(r)
+        # num and den are coprime, so their roots are too
+        rn, rd = _exact_isqrt(x.num[0]), _exact_isqrt(x.den)
+        return (None if rn is None or rd is None
+                else FieldElement(field, (rn,), rd))
     if not field.base.is_rationals or field.degree != 2:
         return None
-    p = field.minpoly.coeff(1).rational_value()
-    q = field.minpoly.coeff(0).rational_value()
-    D0 = p * p / 4 - q          # phi = theta + p/2 has phi^2 = D0
-    a, b = x.vec
-    u0 = a - b * p / 2
-    v0 = b
+    # theta**2 + (P/m) theta + Q/m = 0, so phi = 2m theta + P has
+    # phi**2 = delta = P**2 - 4mQ.  With k = 2m den, k**2 x = A + B phi
+    # for integers A and B, and s + t phi squares to it exactly when
+    # s**2 + t**2 delta = A and 2st = B; each candidate root is listed as
+    # integer coordinates over theta and a denominator, k times too large.
+    c0, c1 = field.minpoly.coeffs[:2]
+    m = lcm(c0.den, c1.den)
+    P, Q = c1.num[0] * (m // c1.den), c0.num[0] * (m // c0.den)
+    delta = P * P - 4 * m * Q
+    (a0, a1), k = x.num, 2 * m * x.den
+    A, B = k * (2 * m * a0 - a1 * P), k * a1
     candidates = []
-    if v0 == 0:
-        s = _rational_sqrt(u0)
-        if s is not None:
-            candidates.append((s, Fraction(0)))
-        if D0 != 0:
-            t2 = u0 / D0
-            t = _rational_sqrt(t2)
-            if t is not None:
-                candidates.append((Fraction(0), t))
+    if B == 0:
+        # t = 0 and s**2 = A, or s = 0 and t**2 = A delta / delta**2
+        S = _exact_isqrt(A)
+        if S is not None:
+            candidates.append(((S, 0), k))
+        T = _exact_isqrt(A * delta) if delta else None
+        if T is not None:
+            candidates.append(((T * P, 2 * m * T), abs(delta) * k))
     else:
-        norm = u0 * u0 - v0 * v0 * D0
-        root = _rational_sqrt(norm)
-        if root is not None:
-            for sign in (1, -1):
-                s2 = (u0 + sign * root) / 2
-                s = _rational_sqrt(s2)
-                if s is not None and s != 0:
-                    t = v0 / (2 * s)
-                    candidates.append((s, t))
-    for s, t in candidates:
-        cand = field.element([s + t * p / 2, t])
+        # s**2 = (A +- r) / 2 with r**2 the norm A**2 - B**2 delta; with
+        # s = S/2 (S > 0), t = B/S
+        r = _exact_isqrt(A * A - B * B * delta)
+        if r is not None:
+            for M in (A + r, A - r):
+                S = _exact_isqrt(2 * M)
+                if S:
+                    candidates.append(((S * S + 2 * B * P, 4 * m * B),
+                                       2 * S * k))
+    for num, den in candidates:
+        cand = _reduced(field, num, den)
         if cand * cand == x:
             return cand
     return None
+
+
+def _exact_isqrt(n: int) -> Optional[int]:
+    """The r >= 0 with r * r == n, or None."""
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def quadratic_roots(f: Polynomial) -> list:
@@ -918,20 +1018,6 @@ def quadratic_roots(f: Polynomial) -> list:
         return []
     half = E.from_rational(Fraction(1, 2))
     return [(-b + s) * half, (-b - s) * half]
-
-
-def _rational_sqrt(r: Fraction) -> Optional[Fraction]:
-    from math import isqrt
-
-    if r < 0:
-        return None
-    if r == 0:
-        return Fraction(0)
-    n, d = r.numerator, r.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 # ---------------------------------------------------------------- roots
@@ -1026,6 +1112,7 @@ def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)"
                     r"|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+_TOKEN_KINDS = ("num", "name", "pow", "mul", "add", "sub", "lpar", "rpar")
 
 
 def parse_element(text: str, field: FieldTower) -> FieldElement:
@@ -1038,15 +1125,11 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
             raise ManifestError("cannot tokenize element literal at %r"
                                 % text[pos:])
         pos = m.end()
-        groups = m.groups()
-        for kind, val in zip(("num", "name", "pow", "mul", "add", "sub",
-                              "lpar", "rpar"), groups):
-            if val is not None:
-                tokens.append((kind, val))
-                break
+        tokens.append((_TOKEN_KINDS[m.lastindex - 1], m[m.lastindex]))
+    # the generators, lifted to field only when the literal names one
     names = {}
-    for level in field.levels():
-        if not level.is_rationals:
+    if any(kind == "name" for kind, _ in tokens):
+        for level in field.levels()[1:]:
             names[level.gen_name] = lift_to(level.generator(), field)
     # "nest": largest product of exponents nested in the current group
     state = {"i": 0, "nest": 1}
@@ -1063,12 +1146,10 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
         return v
 
     def parse_expr():
-        sign = 1
         k, _ = peek()
         if k in ("add", "sub"):
             take(k)
-            sign = -1 if k == "sub" else 1
-        acc = parse_term() * field.from_rational(sign)
+        acc = -parse_term() if k == "sub" else parse_term()
         while True:
             k, _ = peek()
             if k == "add":
@@ -1098,7 +1179,7 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
         if k == "num":
             take("num")
             try:
-                value = Fraction(v)
+                value = Fraction(v) if "/" in v else int(v)
             except (ValueError, ZeroDivisionError) as exc:
                 # int() refuses numerals over the interpreter's digit limit
                 raise ManifestError("bad number in element literal: %s"

@@ -194,7 +194,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("field", "dim", "brackets", "labels", "meta", "derived",
-                 "adapted", "_fingerprint")
+                 "adapted", "_fingerprint", "_action")
 
     def __init__(self, field: FieldTower, dim: int, brackets,
                  labels: Optional[Sequence[str]] = None,
@@ -227,7 +227,9 @@ class LieAlgebra:
                 raise DegenerateError("label count does not match dimension")
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._fingerprint = None
+        # computed on first use: fingerprint(), and the isomorphism
+        # oracle's almost-abelian action (decompose._almost_abelian_action)
+        self._fingerprint = self._action = None
         self.derived = _derived_rows(field, clean)
         self.adapted = None
         if all(len(row) == 1 for row in self.derived.values()):
@@ -246,7 +248,7 @@ class LieAlgebra:
         adapted.labels, adapted.meta = _default_labels(dim), {}
         one, p = field.one(), dim - len(self.derived)
         adapted.derived = {k: {k: one} for k in range(p, dim)}
-        adapted.adapted = adapted._fingerprint = None
+        adapted.adapted = adapted._fingerprint = adapted._action = None
         self.adapted = adapted
 
     def adapted_basis(self) -> list:

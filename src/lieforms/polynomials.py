@@ -67,7 +67,7 @@ class Polynomial:
 
     @classmethod
     def from_rationals(cls, ring, values: Sequence) -> "Polynomial":
-        return cls(ring, [ring.from_rational(Fraction(v)) for v in values])
+        return cls(ring, [ring.from_rational(v) for v in values])
 
     # -------------------------------------------------- basic queries
 

@@ -586,29 +586,43 @@ class TestCommandLine:
     ])
     def test_one_command_parser_parses_like_the_full_parser(self, capsys,
                                                             name, valid):
-        full, one = cli.build_parser(), cli.build_parser(name)
-        assert one.format_usage() == full.format_usage()
-        assert one.parse_args([name] + valid) == full.parse_args([name] + valid)
+        """The parse main runs, which builds the named command's parser,
+        gives the full parser's namespace, and its help, errors and exit
+        codes byte for byte."""
+        full = cli.build_parser()
+        assert cli.parse_args([name] + valid) == \
+            full.parse_args([name] + valid)
         for argv in ([name, "-h"], [name], [name, "a", "b", "c", "--bogus"],
                      [name, "a", "--n", "x"]):
             seen = []
-            for parser in (full, one):
+            for parse in (full.parse_args, cli.parse_args):
                 with pytest.raises(SystemExit) as exc:
-                    parser.parse_args(argv)
+                    parse(argv)
                 seen.append((exc.value.code, capsys.readouterr()))
             assert seen[0] == seen[1]
 
     def test_main_builds_the_named_command_only(self, monkeypatch, capsys):
         built = []
-        build = cli.build_parser
+        full, one = cli.build_parser, cli.command_parser
         monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: built.append(command)
-                            or build(command))
+                            lambda: built.append(None) or full())
+        monkeypatch.setattr(cli, "command_parser",
+                            lambda name: built.append(name) or one(name))
         assert run_cli(capsys, "catalog", "heisenberg")[0] == 0
         for argv in (["-h"], ["chec"], []):
             with pytest.raises(SystemExit):
                 cli.main(argv)
         assert built == ["catalog", None, None, None]
+        # an argument the command does not know is reported by the full
+        # parser, under the top-level usage
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "a", "--bogus"])
+        assert exc.value.code == 2 and built == ["check", None]
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lieforms [-h]\n")
+        assert err.endswith("lieforms: error: unrecognized arguments: "
+                            "--bogus\n")
 
     def test_main_calls_in_sequence_see_only_their_own_files(self, capsys,
                                                              tmp_path):

@@ -1262,8 +1262,9 @@ def test_almost_abelian_action_matches_the_derived_algebra(name, L, rebase):
     rows: [e_f, d_t] = sum of X[r][t] d_r."""
     if rebase:
         L = change_basis(L, invertible(L.field, L.dim, 3, 2 * L.dim))
-    action = decompose_module._almost_abelian_action(L)
+    action, own = decompose_module._almost_abelian_action(L)
     assert (action is not None) == almost_abelian_reference(L)
+    assert (own is not None) == (action is not None)
     if action is None:
         return
     f, X = action

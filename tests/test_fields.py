@@ -287,6 +287,29 @@ def test_coords_roundtrip_two_levels():
         assert rebuilt == x
 
 
+def test_equal_towers_that_are_other_objects_act_as_one_level():
+    """Levels compare by identity first; a level that is another object
+    with the same structure is still that level."""
+    A, B = gaussian_rationals(), gaussian_rationals()
+    assert A is not B and A == B
+    T = field_extend(A, Polynomial.from_rationals(A, [-2, 0, 1]), "r",
+                     [(0, 1), (0, -1)])
+    assert is_level_of(B, T) and relative_degree(T, B) == 2
+    assert not is_level_of(QR2, T)
+    i_a, i_b, r = A.generator(), B.generator(), T.generator()
+    assert lift_to(i_b, T) == lift_to(i_a, T)
+    assert (i_b + r).field is T and i_b + r == lift_to(i_a, T) + r
+    assert (r * i_b) * (r * i_b) == T.from_rational(-2)
+    assert (i_a * i_b).field is A and i_a * i_b == A.from_rational(-1)
+    assert A.automorphisms()[1](i_b) == -i_a
+    assert T.automorphisms()[1](i_b) is i_b
+    assert coords_over(r + i_b, B) == [i_a, A.one()]
+    with pytest.raises(NotSubLevelError):
+        relative_degree(T, QR2)
+    with pytest.raises(TowerMismatchError):
+        lift_to(QR2.generator(), T)
+
+
 def test_tower_mismatch_errors():
     a = QI.generator()
     b = QR2.generator()
@@ -318,6 +341,29 @@ def test_sqrt_in_rationals_and_quadratics():
     assert s is not None and s * s == x
     assert sqrt_or_none(QI.generator() + 5) is None or \
         (sqrt_or_none(QI.generator() + 5) ** 2 == QI.generator() + 5)
+
+
+def test_sqrt_recovers_squares_over_quadratic_levels():
+    """Over quadratic levels, with an integral minimal polynomial or not,
+    every square has a root, one of the two it could be, and a non-square
+    has none."""
+    rng = random.Random(31)
+    fields = [QI, QR2, cyclotomic_field(3)]
+    for c0, c1 in ((Fraction(3, 4), Fraction(1, 2)), (Fraction(-5, 4), 0)):
+        poly = Polynomial.from_rationals(Q, [c0, c1, 1])
+        fields.append(field_extend(Q, poly, "t", [(0, 1), (-c1, -1)]))
+    for field in fields:
+        for _ in range(40):
+            y = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               for _ in range(rng.choice((1, 2)))])
+            x = y * y
+            r = sqrt_or_none(x)
+            assert r is not None and r * r == x and r in (y, -y)
+        assert sqrt_or_none(field.zero()) == field.zero()
+    assert sqrt_or_none(QR2.generator()) is None
+    assert sqrt_or_none(QI.from_rational(3)) is None
+    assert sqrt_or_none(QR2.from_rational(Fraction(9, 2))) == parse_element(
+        "3/2r2", QR2)
 
 
 def test_parse_format_roundtrip():
