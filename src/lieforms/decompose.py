@@ -77,6 +77,7 @@ from .errors import (
 from .fields import (
     FieldTower,
     GaloisGroup,
+    _addmul,
     _irreducibility,
     _root_search,
     galois_group,
@@ -267,11 +268,14 @@ def _block_centroid(L: LieAlgebra) -> list:
     ordered basis pairs, including i = j (which forces [M e_i, e_i] = 0).
 
     They are linear in the entries M[r][c] at flat index r*n + c; for one j
-    they say that M commutes with ad(e_j).  The solution space is shrunk
-    one j at a time.  Block 0 is solved in flat coordinates.  Each later
-    block is projected onto the current basis through an index from flat
-    column to the basis vectors that touch it, so the cost follows the
-    supports, and is solved there in basis coordinates.
+    they say that M commutes with R_j, right multiplication by e_j.  The
+    solution space is shrunk one j at a time.  Block 0 is solved in flat
+    coordinates.  A later block is solved in the coordinates y_t of the
+    current basis M_t: its equations are the flat entries of the sum of
+    y_t (M_t R_j - R_j M_t), accumulated from the nonzeros of each M_t and
+    of R_j, so the cost follows the supports and no row that vanishes on
+    the whole basis is formed.  That is the same system as the flat rows
+    of block j written in the basis, so its reduced rows are the same.
 
     The basis is kept canonical throughout: vector t is 1 on its own free
     column f_t, 0 on every other free column, and sorted by f_t.  The
@@ -285,21 +289,22 @@ def _block_centroid(L: LieAlgebra) -> list:
     for row in _centroid_rows(L, 0):
         red.add(row)
     basis = red.nullspace(n * n)
-    index = None  # column -> [(t, basis[t][column])], rebuilt on change
     for j in range(1, n):
-        if index is None:
-            index = {}
-            for t, vec in enumerate(basis):
-                for k, v in vec.items():
-                    index.setdefault(k, []).append((t, v))
+        # R_j by columns, cols[s] = [e_s, e_j], and by rows
+        cols = [L.bracket_basis(s, j) for s in range(n)]
+        rows = _columns(dict(enumerate(cols)))
+        # the equation at flat position p: t -> (M_t R_j - R_j M_t)[p]
+        system: dict = {}
+        for t, vec in enumerate(basis):
+            for pos, v in vec.items():
+                r, k = divmod(pos, n)
+                for s, c in rows.get(k, {}).items():
+                    _addmul(system.setdefault(r * n + s, {}), t, v, c)
+                for p, c in cols[r].items():
+                    _addmul(system.setdefault(p * n + k, {}), t, c, v, True)
         red = _SparseReducer(field)
-        for row in _centroid_rows(L, j):
-            proj: dict = {}
-            for k, c in row.items():
-                for t, v in index.get(k, ()):
-                    cur = proj.get(t)
-                    proj[t] = c * v if cur is None else cur + c * v
-            red.add(proj)
+        for row in system.values():
+            red.add(row)
         if not red.pivots:
             continue
         red.reduce_fully()
@@ -308,7 +313,6 @@ def _block_centroid(L: LieAlgebra) -> list:
                 if u != t:
                     _sub_scaled(basis[u], a, basis[t])
         basis = [vec for t, vec in enumerate(basis) if t not in red.pivots]
-        index = None
     return basis
 
 
@@ -336,9 +340,7 @@ def _trace_gram(field, mats) -> list:
             for c, x in row.items():
                 for b, y in index.get((c, r), ()):
                     if b >= a:
-                        t = x * y
-                        prev = acc.get(b)
-                        acc[b] = t if prev is None else prev + t
+                        _addmul(acc, b, x, y)
         for b, v in list(acc.items()):
             if v.is_zero():
                 del acc[b]

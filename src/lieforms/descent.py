@@ -32,7 +32,6 @@ from .liealg import (
     LinearMap,
     change_basis,
     direct_sum,
-    verify_sigma_isomorphism,
 )
 
 
@@ -185,7 +184,7 @@ def verify_sumconjugate(L: LieAlgebra, F: FieldTower) -> SumConjugateReport:
     total = direct_sum(*conjugates)
     rows = _embedding_rows(L.dim, G.elements, R.scalars, E)
     m = LinearMap.make(source, total, rows)
-    ok = verify_sigma_isomorphism(source, total, None, m.matrix)
+    ok = m.verify() and m.is_bijective()
     return SumConjugateReport(G, conjugates, total, m, ok)
 
 

@@ -16,11 +16,15 @@ on a quadratic level over Q whose minimal polynomial t^2 + c1*t + c0 has
 integer coefficients a product is four integer products, with
 theta**2 = -c0 - c1*theta kept on the tower, and an inverse one division
 by the norm; such a level builds its table only for a level built above
-it.  A result over the denominator 1 skips the gcd.  ``coords`` is a
+it.  A result over the denominator 1 skips the gcd.  The sparse loops
+of linalg, liealg and decompose accumulate products through one fused
+step, _addmul, which on those two levels forms acc + x*y in ints and
+builds one element where the operators build two.  ``coords`` is a
 read-only view of the power-basis coordinates over the level below.
 ``Fraction`` appears only where values enter or leave: parsing and
-``from_rational``, ``rational_value``, ``format_element`` and the ``vec``
-view; ``sqrt_or_none`` solves its norm equations in integers.  Every
+``from_rational``, ``rational_value`` and the ``vec`` view;
+``format_element`` writes each coordinate from the ints, and
+``sqrt_or_none`` solves its norm equations in integers.  Every
 operation is exact, and automorphisms are stored explicitly as generator
 images so group structure (closure, composition tables) is validated at
 construction time; each one also keeps its integer matrix on the absolute
@@ -557,6 +561,51 @@ def _combine(field: FieldTower, anum, aden: int, bnum, bden: int,
     s, t = bden // g, aden // g
     return _reduced(field, [op(x * s, y * t) for x, y in zip(anum, bnum)],
                     aden * s)
+
+
+def _addmul(acc: dict, key, x: FieldElement, y: FieldElement,
+            sub: bool = False) -> FieldElement:
+    """Set acc[key] to acc[key] + x*y, or to acc[key] - x*y when sub is
+    set, an absent key reading as zero, and return it.  On Q and on a
+    _quad level, with x, y and acc[key] all of that level, the product and
+    the sum are worked out in ints and build one element; anywhere else
+    the operators do it."""
+    field, prev = x.field, acc.get(key)
+    if y.field is field and (prev is None or prev.field is field):
+        den = x.den * y.den
+        if field.n == 1:
+            num = x.num[0] * y.num[0]
+            if sub:
+                num = -num
+            if prev is not None:
+                q = prev.den
+                if q == den:
+                    num += prev.num[0]
+                else:
+                    num, den = num * q + prev.num[0] * den, den * q
+            if den != 1:
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            out = acc[key] = FieldElement(field, (num,), den)
+            return out
+        if field._quad is not None:
+            (a0, a1), (b0, b1), (r0, r1) = x.num, y.num, field._quad
+            t = a1 * b1
+            n0, n1 = a0 * b0 + r0 * t, a0 * b1 + a1 * b0 + r1 * t
+            if sub:
+                n0, n1 = -n0, -n1
+            if prev is not None:
+                # over lcm(den, prev.den)
+                (p0, p1), q = prev.num, prev.den
+                g = gcd(den, q)
+                s, u = q // g, den // g
+                n0, n1, den = n0 * s + p0 * u, n1 * s + p1 * u, den * s
+            out = acc[key] = _reduced(field, (n0, n1), den)
+            return out
+    t = x * y
+    out = acc[key] = (-t if sub else t) if prev is None else (
+        prev - t if sub else prev + t)
+    return out
 
 
 def _over(parts: Sequence[FieldElement], den: int) -> list:
@@ -1229,31 +1278,34 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
 
 def format_element(x: FieldElement) -> str:
     """Canonical literal; parse_element(format_element(x), x.field) == x."""
-    field = x.field
+    return _format(x.field, x.num, x.den)
+
+
+def _format(field: FieldTower, num: Sequence[int], den: int) -> str:
+    """format_element of the element num / den of field, written from the
+    ints: each coordinate over the level below is num's slice over den,
+    and a rational one is put in lowest terms on its own."""
     if field.is_rationals:
-        return str(x.coords[0])
-    pieces = []
-    for k, c in enumerate(x.coords):
-        if c.is_zero():
+        return _ratio(num[0], den)
+    D, pieces = field.base.n, []
+    for k in range(field.degree):
+        part = num[k * D:(k + 1) * D]
+        if not any(part):
             continue
-        if k == 0:
-            gen_part = ""
-        elif k == 1:
-            gen_part = field.gen_name
+        gen_part = ("" if k == 0 else field.gen_name if k == 1
+                    else "%s^%d" % (field.gen_name, k))
+        if any(part[1:]):
+            pieces.append("+(%s)%s" % (_format(field.base, part, den),
+                                       gen_part))
         else:
-            gen_part = "%s^%d" % (field.gen_name, k)
-        if c.is_rational():
-            val = c.rational_value()
-            sign = "-" if val < 0 else "+"
-            body = str(abs(val)) + gen_part
-        else:
-            sign = "+"
-            body = "(%s)%s" % (format_element(c), gen_part)
-        pieces.append((sign, body))
-    if not pieces:
-        return "0"
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += sign + body
-    return out
+            v = part[0]
+            pieces.append("%s%s%s" % ("-" if v < 0 else "+",
+                                      _ratio(abs(v), den), gen_part))
+    out = "".join(pieces) or "0"
+    return out[1:] if out[0] == "+" else out
+
+
+def _ratio(num: int, den: int) -> str:
+    """The Fraction num / den as str writes it."""
+    g = gcd(num, den)
+    return "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)

@@ -32,7 +32,13 @@ from .errors import (
     SingularMatrixError,
     TowerMismatchError,
 )
-from .fields import FieldElement, FieldTower, format_element, lift_to
+from .fields import (
+    FieldElement,
+    FieldTower,
+    _addmul,
+    format_element,
+    lift_to,
+)
 
 
 def _coerce(field: FieldTower, value) -> FieldElement:
@@ -58,19 +64,12 @@ def _add_bracket(brackets: dict, acc: dict, u: dict, v: dict) -> None:
             key = (a, b) if a < b else (b, a)
             if key not in brackets:
                 continue
-            t = x * y
-            prev = coeffs.get(key)
-            if a < b:
-                coeffs[key] = t if prev is None else prev + t
-            else:
-                coeffs[key] = -t if prev is None else prev - t
+            _addmul(coeffs, key, x, y, a > b)
     for key, coeff in coeffs.items():
         if coeff.is_zero():
             continue
         for k, c in brackets[key].items():
-            t = coeff * c
-            prev = acc.get(k)
-            acc[k] = t if prev is None else prev + t
+            _addmul(acc, k, coeff, c)
 
 
 def _touching(brackets: dict) -> dict:
@@ -91,12 +90,7 @@ def _ad_images(touching: dict, w: dict) -> dict:
         for i, entry, negate in touching.get(b, ()):
             acc = images.setdefault(i, {})
             for k, c in entry.items():
-                t = x * c
-                prev = acc.get(k)
-                if negate:
-                    acc[k] = -t if prev is None else prev - t
-                else:
-                    acc[k] = t if prev is None else prev + t
+                _addmul(acc, k, x, c, negate)
     return images
 
 
@@ -128,12 +122,7 @@ def _check_jacobi(brackets: dict) -> None:
                 if acc is None:
                     acc = sums[triple] = {}
                 for t, d in outer.items():
-                    cd = c * d
-                    cur = acc.get(t)
-                    if cur is None:
-                        acc[t] = -cd if negate else cd
-                    else:
-                        acc[t] = cur - cd if negate else cur + cd
+                    _addmul(acc, t, c, d, negate)
     failing = [triple for triple, acc in sums.items()
                if any(not v.is_zero() for v in acc.values())]
     if failing:
@@ -432,28 +421,19 @@ def _semilinear_holds(source: LieAlgebra, target: LieAlgebra, sigma,
             for j, y in rows[s].items():
                 if i == j:
                     continue
-                t = x * y
                 per = coeffs.setdefault((i, j) if i < j else (j, i), {})
-                prev = per.get(key)
-                if i < j:
-                    per[key] = t if prev is None else prev + t
-                else:
-                    per[key] = -t if prev is None else prev - t
+                _addmul(per, key, x, y, i > j)
     for pair in coeffs.keys() | source.brackets.keys():
         acc: dict = {}
         for key, coeff in coeffs.get(pair, {}).items():
             if coeff.is_zero():
                 continue
             for k, c in target.brackets[key].items():
-                t = coeff * c
-                prev = acc.get(k)
-                acc[k] = t if prev is None else prev + t
+                _addmul(acc, k, coeff, c)
         for k, c in source.brackets.get(pair, {}).items():
             sc = c if sigma is None else sigma(c)
             for r, x in cols.get(k, {}).items():
-                t = sc * x
-                prev = acc.get(r)
-                acc[r] = -t if prev is None else prev - t
+                _addmul(acc, r, sc, x, True)
         if any(not c.is_zero() for c in acc.values()):
             return False
     return True

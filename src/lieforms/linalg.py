@@ -6,7 +6,9 @@ the nonzeros of the pivot row, and a row that arrives reduced, 1 at its
 pivot, is kept without a product.  Each new row's pivot is its leftmost
 nonzero column after reduction, so the reducer ends on the reduced row
 echelon form of the span, which is unique: rref, nullspace, solve and
-inverse return the same entries whatever order the rows come in.  Dense
+inverse return the same entries whatever order the rows come in.  Row
+updates and sparse products add each term in place with fields._addmul,
+which builds one element per term on Q and quadratic levels.  Dense
 lists are only the edge, converted by sparse() and dense(): the matrices
 callers pass in and the rows, vectors and inverses they get back.  det
 eliminates densely on its own, as the independent reference the Pfaffian
@@ -16,6 +18,7 @@ tests compare Pf^2 against.
 from __future__ import annotations
 
 from .errors import SingularMatrixError
+from .fields import _addmul
 from .polynomials import Polynomial
 
 
@@ -23,14 +26,8 @@ def _sub_scaled(acc: dict, f, row: dict, skip=None) -> None:
     """acc -= f * row over sparse {index: coeff} dicts, leaving out index
     skip and dropping the entries that cancel."""
     for k, v in row.items():
-        if k == skip:
-            continue
-        cur = acc.get(k)
-        nv = -(f * v) if cur is None else cur - f * v
-        if nv.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = nv
+        if k != skip and _addmul(acc, k, f, v, True).is_zero():
+            del acc[k]
 
 
 class _SparseReducer:
@@ -170,9 +167,7 @@ def _sp_mul(A: dict, B: dict) -> dict:
         acc: dict = {}
         for k, x in row.items():
             for c, y in B.get(k, {}).items():
-                t = x * y
-                prev = acc.get(c)
-                acc[c] = t if prev is None else prev + t
+                _addmul(acc, c, x, y)
         acc = {c: v for c, v in acc.items() if not v.is_zero()}
         if acc:
             out[r] = acc

@@ -150,7 +150,8 @@ class Manifest:
     def add_algebra(self, name: str, field_name: str, dim: int,
                     brackets) -> None:
         field = self.field(field_name)
-        if not isinstance(dim, int) or dim < 1:
+        # JSON integers only: true is an int to isinstance
+        if type(dim) is not int or dim < 1:
             raise ManifestError("algebra %r: dim must be a positive integer"
                                 % name)
         table: dict = {}
@@ -158,12 +159,17 @@ class Manifest:
         seen = set()
         for item in brackets:
             try:
-                i, j, k = int(item["i"]), int(item["j"]), int(item["k"])
+                i, j, k = item["i"], item["j"], item["k"]
                 coeff = item["coeff"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise ManifestError(
                     "algebra %r: bracket entries need i, j, k, coeff"
                     % name) from exc
+            if not type(i) is type(j) is type(k) is int:
+                key = next(key for key in "ijk" if type(item[key]) is not int)
+                raise ManifestError(
+                    "algebra %r: bracket index %r must be an integer, got "
+                    "%r" % (name, key, item[key]))
             if not 1 <= i < j <= dim:
                 raise ManifestError(
                     "algebra %r: bracket needs 1 <= i < j <= dim, got "

@@ -169,6 +169,23 @@ class TestManifest:
             parse_manifest('{"name": "x", "field": "Q", "dim": 2, '
                            '"brackets": [{"i": 1, "j": 2, "k": 1, '
                            '"coeff": 3}]}')
+        # indices and dim are JSON integers: no float, string or bool
+        bracket = ('{"name": "x", "field": "Q", "dim": 3, "brackets": '
+                   '[{"i": %s, "j": %s, "k": %s, "coeff": "1"}]}')
+        for (i, j, k), key in ((("1.9", "2.2", '"3"'), "i"),
+                               (("1", "2.0", "3"), "j"),
+                               (("1", "2", '"3"'), "k"),
+                               (("true", "2", "3"), "i"),
+                               (("1", "2", "null"), "k")):
+            with pytest.raises(ManifestError, match="line 1: algebra 'x': "
+                               "bracket index '%s' must be an integer"
+                               % key):
+                parse_manifest(bracket % (i, j, k))
+        for dim in ("true", "3.0", '"3"'):
+            with pytest.raises(ManifestError, match="line 1: algebra 'x': "
+                               "dim must be a positive integer"):
+                parse_manifest('{"name": "x", "field": "Q", "dim": %s, '
+                               '"brackets": []}' % dim)
 
     def test_duplicates_must_agree(self):
         line = ('{"name": "h", "field": "Q", "dim": 3, "brackets": '

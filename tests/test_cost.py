@@ -12,9 +12,12 @@ before the [L, L]-adapted presentation was kept on the algebra (26,845 and
 10,169); 7,278 and 176,316 for decompose_indecomposable, which splits on
 the adapted table and verifies its summands there, against 9,620 and
 212,276 when it verified them on the caller's dense constants and 22,322
-and 506,863 when it also split in the caller's basis.  Every product goes
-through FieldElement.__mul__, the closed-form Q and quadratic paths too,
-so these counters see all the work.
+and 506,863 when it also split in the caller's basis.  A product is formed
+either by FieldElement.__mul__ or by a fused fields._addmul step, which
+adds x*y into a sparse accumulator; these counters count both, one product
+per fused step whichever path it takes, so they see all the work.  Since
+each centroid block j >= 1 is built from the surviving basis, the two
+decompositions form 7,410 and 173,933 products.
 
 The sum-conjugate case is g_lambda over Q(zeta8), lambda = 1 + zeta8, and
 its map L_Q (x) Q(zeta8) -> sum of conjugates (dim 40).  is_bijective
@@ -51,11 +54,12 @@ both of its algebras' actions.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lieforms import decompose, linalg
+from lieforms import decompose, fields, liealg, linalg
 from lieforms.catalog import g_lambda, nintot_family, r3_lambda
 from lieforms.decompose import (
     count_forms,
@@ -110,17 +114,37 @@ def full_unitriangular(n, seed):
              for c in range(n)] for r in range(n)]
 
 
-@pytest.fixture
-def multiplications(monkeypatch):
-    """A counter of FieldElement.__mul__ calls; reset it with cell[0] = 0."""
-    cell = [0]
-    mul = FieldElement.__mul__
+def count_products(monkeypatch, counts, key):
+    """Count every field product into counts[key]: each FieldElement.__mul__
+    call, and each fused _addmul step as one, in every lieforms module
+    that calls it, whether it works in ints or through the operators."""
+    mul, addmul = FieldElement.__mul__, fields._addmul
 
-    def counting(self, other):
-        cell[0] += 1
+    def counting_mul(self, other):
+        counts[key] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    def counting_addmul(*args):
+        before = counts[key]
+        out = addmul(*args)
+        counts[key] = before + 1
+        return out
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    fusing = [m for name, m in sys.modules.items()
+              if name.startswith("lieforms.")
+              and getattr(m, "_addmul", None) is addmul]
+    assert {linalg, liealg, decompose} <= set(fusing)
+    for module in fusing:
+        monkeypatch.setattr(module, "_addmul", counting_addmul)
+
+
+@pytest.fixture
+def multiplications(monkeypatch):
+    """A counter of field products, operator and fused; reset it with
+    cell[0] = 0."""
+    cell = [0]
+    count_products(monkeypatch, cell, 0)
     return cell
 
 
@@ -192,13 +216,15 @@ def test_sumconjugate_checks_stay_under_their_ceilings(monkeypatch):
     E = cyclotomic_field(8)
     m = verify_sumconjugate(g_lambda(E, E.one() + E.generator()),
                             rationals()).map
-    counts = {}
-    for op in ("__mul__", "is_zero"):
-        def counting(*args, _op=op, _orig=getattr(FieldElement, op)):
-            counts[_op] += 1
-            return _orig(*args)
-        monkeypatch.setattr(FieldElement, op, counting)
-        counts[op] = 0
+    counts = {"__mul__": 0, "is_zero": 0}
+    count_products(monkeypatch, counts, "__mul__")
+    is_zero = FieldElement.is_zero
+
+    def counting(self):
+        counts["is_zero"] += 1
+        return is_zero(self)
+
+    monkeypatch.setattr(FieldElement, "is_zero", counting)
     assert m.is_bijective()
     found = {"is_bijective.mul": counts["__mul__"],
              "is_bijective.is_zero": counts["is_zero"]}
@@ -218,11 +244,14 @@ def test_reduced_rows_take_no_products_or_inverses(monkeypatch):
     assert len(red) == 10
     sparse = [linalg.sparse(r) for r in red]
     counts = {"__mul__": 0, "inverse": 0}
-    for op in counts:
-        def counting(*args, _op=op, _orig=getattr(FieldElement, op)):
-            counts[_op] += 1
-            return _orig(*args)
-        monkeypatch.setattr(FieldElement, op, counting)
+    count_products(monkeypatch, counts, "__mul__")
+    inverse = FieldElement.inverse
+
+    def counting(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
     assert linalg.echelon(sparse, Qi) == (sparse, pivots)
     assert linalg.rref(red, Qi) == (red, pivots)
     assert counts == {"__mul__": 0, "inverse": 0}

@@ -405,6 +405,69 @@ def adapted_cases():
     return out
 
 
+def row_projection_centroid(L):
+    """_block_centroid as it solved the blocks j >= 1 before: every row of
+    _centroid_rows(L, j), projected onto the current basis through an
+    index from flat column to the basis vectors that touch it."""
+    n, field = L.dim, L.field
+    red = _SparseReducer(field)
+    for row in _centroid_rows(L, 0):
+        red.add(row)
+    basis = red.nullspace(n * n)
+    for j in range(1, n):
+        index = {}
+        for t, vec in enumerate(basis):
+            for k, v in vec.items():
+                index.setdefault(k, []).append((t, v))
+        red = _SparseReducer(field)
+        for row in _centroid_rows(L, j):
+            proj = {}
+            for k, c in row.items():
+                for t, v in index.get(k, ()):
+                    proj[t] = proj[t] + c * v if t in proj else c * v
+            red.add(proj)
+        red.reduce_fully()
+        for t, prow in red.pivots.items():
+            for u, a in prow.items():
+                if u != t:
+                    linalg._sub_scaled(basis[u], a, basis[t])
+        basis = [vec for t, vec in enumerate(basis) if t not in red.pivots]
+    return basis
+
+
+def projection_cases():
+    """The centroid algebras, and seeded dense re-basings of g_lambda and
+    sl2 over Q and Q(i) by invertible matrices that are not
+    unitriangular."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    out = list(CENTROID_ALGEBRAS)
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        for name, L in (("g_lambda", g_lambda(field, lam)),
+                        ("sl2", sl2(field))):
+            out.append(("%s/%s*dense" % (fname, name),
+                        change_basis(L, invertible(field, L.dim, 5,
+                                                   2 * L.dim))))
+    return out
+
+
+PROJECTION_CASES = projection_cases()
+
+
+def test_projection_cases_include_non_coordinate_derived_algebras():
+    assert sum(L.adapted is not None for _, L in PROJECTION_CASES) >= 4
+
+
+@pytest.mark.parametrize("name, L", PROJECTION_CASES,
+                         ids=[name for name, _ in PROJECTION_CASES])
+def test_block_centroid_equals_the_row_projection(name, L):
+    """Building each block from the surviving basis solves the same system
+    as projecting its rows, so the canonical basis is the same vector for
+    vector, on L's own constants and on its adapted table."""
+    for A in (L,) if L.adapted is None else (L, L.adapted):
+        assert _block_centroid(A) == row_projection_centroid(A)
+
+
 ADAPTED_CASES = adapted_cases()
 
 

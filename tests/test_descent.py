@@ -27,7 +27,7 @@ from lieforms.fields import (
     quadratic_field,
     rationals,
 )
-from lieforms.liealg import LieAlgebra
+from lieforms.liealg import LieAlgebra, LinearMap
 from lieforms.polynomials import Polynomial
 
 
@@ -342,6 +342,21 @@ class TestSumConjugate:
         assert len(rep.group) == 2
         assert rep.sum_algebra.dim == 40
         assert rep.sum_algebra.field == top
+
+    def test_builds_and_coerces_its_map_once(self, monkeypatch):
+        made = []
+        make = LinearMap.make
+
+        def counting(*args, **kwargs):
+            made.append(args[:2])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(LinearMap, "make", staticmethod(counting))
+        K = cyclotomic_field(8)
+        rep = verify_sumconjugate(g_lambda(K, K.one() + K.generator()),
+                                  rationals())
+        assert rep.is_isomorphism
+        assert len(made) == 1
 
     def test_map_sends_basis_through_sigma(self):
         K = gaussian_rationals()

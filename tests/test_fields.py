@@ -15,6 +15,7 @@ from lieforms.errors import (
 )
 from lieforms.fields import (
     Automorphism,
+    _addmul,
     _irreducibility,
     FieldElement,
     FieldTower,
@@ -774,3 +775,83 @@ def test_operator_paths_match_polynomial_reference(name):
                     q = x / y
                     assert_canonical(q)
                     assert ref_mul(ref_of(q), ry, E) == rx
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_FIELDS))
+def test_addmul_matches_the_operators(name):
+    """_addmul(acc, key, x, y, sub) leaves acc[key] + x*y, or acc[key] -
+    x*y, an absent key reading as zero, with the pair and the level the
+    operators give: in ints on Q and the integral quadratics, by the
+    operators on the table walk and when the levels differ."""
+    E = OPERATOR_FIELDS[name]()
+    rng = random.Random(48)
+    samples = [integral_or_not(E, rng, dens) for dens in ((1,), (1, 2, 3, 4))
+               for _ in range(4)] + [E.zero(), E.one()]
+    lower = [integral_or_not(K, rng, (1, 3)) for K in E.levels()[:-1]]
+    for x in samples:
+        for y in samples[::3] + lower:
+            for prev in [None, rng.choice(samples)] + lower:
+                for sub in (False, True):
+                    for a, b in ((x, y), (y, x)):
+                        t = a * b
+                        want = (-t if sub else t) if prev is None else (
+                            prev - t if sub else prev + t)
+                        acc = {"other": E.one()}
+                        if prev is not None:
+                            acc["key"] = prev
+                        got = _addmul(acc, "key", a, b, sub)
+                        assert acc == {"other": E.one(), "key": got}
+                        assert got.field is want.field
+                        assert_canonical(got, want)
+
+
+def format_by_coords(x):
+    """format_element as written through coords and Fractions, the
+    reference for the writer that reads the ints."""
+    field = x.field
+    if field.is_rationals:
+        return str(x.coords[0])
+    pieces = []
+    for k, c in enumerate(x.coords):
+        if c.is_zero():
+            continue
+        if k == 0:
+            gen_part = ""
+        elif k == 1:
+            gen_part = field.gen_name
+        else:
+            gen_part = "%s^%d" % (field.gen_name, k)
+        if c.is_rational():
+            val = c.rational_value()
+            sign = "-" if val < 0 else "+"
+            body = str(abs(val)) + gen_part
+        else:
+            sign = "+"
+            body = "(%s)%s" % (format_by_coords(c), gen_part)
+        pieces.append((sign, body))
+    if not pieces:
+        return "0"
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += sign + body
+    return out
+
+
+@pytest.mark.parametrize("name", sorted({**OPERATOR_FIELDS, **FLAT_TOWERS}))
+def test_format_element_matches_the_fraction_writer(name):
+    """Seeded elements with zero coordinates and mixed denominators,
+    Q(sqrt1/2) among the levels, whose minimal polynomial is not
+    integral."""
+    E = {**OPERATOR_FIELDS, **FLAT_TOWERS}[name]()
+    rng = random.Random(49)
+    for _ in range(300):
+        parts = [Fraction(rng.randint(-9, 9) * rng.choice((0, 1, 1)),
+                          rng.choice((1, 1, 2, 3, 4, 6, 12)))
+                 for _ in range(E.n)]
+        den = lcm(*(p.denominator for p in parts))
+        x = FieldElement(E, tuple(int(p * den) for p in parts), den)
+        assert format_element(x) == format_by_coords(x)
+    for x in (E.zero(), E.one(), -E.one(), E.generator() if E.n > 1
+              else E.from_rational(Fraction(-7, 3))):
+        assert format_element(x) == format_by_coords(x)
