@@ -25,7 +25,8 @@ from .fields import (
     coords_over,
     galois_group,
 )
-from .liealg import LieAlgebra, _coerce, change_basis, direct_sum
+from .liealg import (ALGEBRA_DIM_CAP, LieAlgebra, _coerce, change_basis,
+                     direct_sum)
 from .descent import defined_over_witness_check
 
 
@@ -41,9 +42,10 @@ def heisenberg(field: FieldTower) -> LieAlgebra:
 
 
 def abelian(field: FieldTower, n: int) -> LieAlgebra:
-    """The abelian algebra of dimension n >= 1."""
-    if n < 1:
-        raise IndexRangeError("abelian algebra needs dimension >= 1")
+    """The abelian algebra of dimension n, 1 <= n <= ALGEBRA_DIM_CAP."""
+    if not 1 <= n <= ALGEBRA_DIM_CAP:
+        raise IndexRangeError("abelian algebra needs 1 <= dimension <= %d"
+                              % ALGEBRA_DIM_CAP)
     return LieAlgebra(field, n, {},
                       meta={"name": "abelian%d" % n, "family": "abelian",
                             "params": {}})
@@ -113,6 +115,9 @@ def nintot_family(field: FieldTower, lam, k: int, j: int) -> LieAlgebra:
     """
     if k < 1:
         raise IndexRangeError("nintot_family needs k >= 1 summands")
+    if 10 * k > ALGEBRA_DIM_CAP:
+        raise IndexRangeError("nintot_family needs dimension 10 k <= %d"
+                              % ALGEBRA_DIM_CAP)
     if not 0 <= j <= k:
         raise IndexRangeError("nintot_family needs 0 <= j <= k")
     if field.is_rationals:

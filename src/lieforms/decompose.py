@@ -60,13 +60,11 @@ from .linalg import (
     _sp_mul,
     _sp_sum,
     _sp_trace,
-    _sparse_matrix,
     _sub_scaled,
     _unflatten,
 )
 from .errors import (
     DegenerateError,
-    NotClosedError,
     NotTwoStepError,
     OddSizeError,
     TVanishesError,
@@ -123,76 +121,6 @@ def _poly_apply(p: Polynomial, M, v, field):
 
 
 # ----------------------------------------------------------------- centroid
-
-
-class AssocAlgebra:
-    """A unital associative algebra of n-by-n matrices, kept as a sparse
-    basis, with membership tests through the reduced echelon rows of the
-    flattened basis.  Product closure is verified exactly on construction:
-    every product of two basis matrices must lie in the span.
-    """
-
-    __slots__ = ("field", "matrices", "size", "basis", "rows", "pivots")
-
-    def __init__(self, field: FieldTower, matrices):
-        if not matrices:
-            raise DegenerateError("associative algebra needs a basis")
-        self.field = field
-        self.matrices = tuple(tuple(tuple(row) for row in M)
-                              for M in matrices)
-        self.size = n = len(self.matrices[0])
-        self.basis = tuple(_sparse_matrix(M) for M in self.matrices)
-        self.rows, self.pivots = linalg.echelon(
-            [_flat(A, n) for A in self.basis], field)
-        if len(self.rows) != len(self.basis):
-            raise DegenerateError("basis matrices are linearly dependent")
-        if not self.contains(linalg.identity_matrix(field, n)):
-            raise DegenerateError("associative algebra must contain the "
-                                  "identity matrix")
-        for (a, A), (b, B) in itertools.product(enumerate(self.basis),
-                                                repeat=2):
-            if linalg.express(_flat(_sp_mul(A, B), n), self.rows,
-                              self.pivots) is None:
-                raise NotClosedError(
-                    "product of basis elements %d and %d leaves the span"
-                    % (a, b))
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrices)
-
-    def contains(self, M) -> bool:
-        return self.coords_of(M) is not None
-
-    def coords_of(self, M):
-        """Coordinates in the reduced row span, or None outside it."""
-        coords = linalg.express(_flat(_sparse_matrix(M), self.size),
-                                self.rows, self.pivots)
-        return (None if coords is None
-                else linalg.dense(coords, len(self.rows), self.field))
-
-
-def _centroid_rows(L: LieAlgebra, j: int):
-    """The rows of M[e_i, e_j] = [M e_i, e_j] for one j and every i, as
-    sparse {flat index r*n + c: coeff} dicts; together they say that M
-    commutes with ad(e_j)."""
-    n, zero = L.dim, L.field.zero()
-    into: dict = {}  # p -> [(s, coefficient of e_p in [e_s, e_j])]
-    for s in range(n):
-        for p, c in L.bracket_basis(s, j).items():
-            into.setdefault(p, []).append((s, c))
-    for i in range(n):
-        lhs = L.bracket_basis(i, j)
-        p_range = range(n) if lhs else sorted(into)
-        for p in p_range:
-            row: dict = {}
-            for k, c in lhs.items():
-                col = p * n + k
-                row[col] = row.get(col, zero) + c
-            for s, c in into.get(p, ()):
-                col = s * n + i
-                row[col] = row.get(col, zero) - c
-            yield row
 
 
 def centroid_basis(L: LieAlgebra) -> list:
@@ -269,9 +197,9 @@ def _block_centroid(L: LieAlgebra) -> list:
 
     They are linear in the entries M[r][c] at flat index r*n + c; for one j
     they say that M commutes with R_j, right multiplication by e_j.  The
-    solution space is shrunk one j at a time.  Block 0 is solved in flat
-    coordinates.  A later block is solved in the coordinates y_t of the
-    current basis M_t: its equations are the flat entries of the sum of
+    solution space is shrunk one j at a time, starting from the n^2 matrix
+    units.  Each block is solved in the coordinates y_t of the current
+    basis M_t: its equations are the flat entries of the sum of
     y_t (M_t R_j - R_j M_t), accumulated from the nonzeros of each M_t and
     of R_j, so the cost follows the supports and no row that vanishes on
     the whole basis is formed.  That is the same system as the flat rows
@@ -285,11 +213,9 @@ def _block_centroid(L: LieAlgebra) -> list:
     canonical basis of the smaller space.
     """
     n, field = L.dim, L.field
-    red = _SparseReducer(field)
-    for row in _centroid_rows(L, 0):
-        red.add(row)
-    basis = red.nullspace(n * n)
-    for j in range(1, n):
+    one = field.one()
+    basis = [{f: one} for f in range(n * n)]
+    for j in range(n):
         # R_j by columns, cols[s] = [e_s, e_j], and by rows
         cols = [L.bracket_basis(s, j) for s in range(n)]
         rows = _columns(dict(enumerate(cols)))
@@ -314,11 +240,6 @@ def _block_centroid(L: LieAlgebra) -> list:
                     _sub_scaled(basis[u], a, basis[t])
         basis = [vec for t, vec in enumerate(basis) if t not in red.pivots]
     return basis
-
-
-def centroid(L: LieAlgebra) -> AssocAlgebra:
-    """The centroid of L as a verified associative matrix algebra."""
-    return AssocAlgebra(L.field, centroid_basis(L))
 
 
 # ----------------------------------------------------------------- radical
@@ -360,13 +281,14 @@ def _gram_radical(field, gram):
     return sorted(red.pivots), null
 
 
-def radical(A) -> list:
-    """Basis of the Jacobson radical via the trace form of the defining
-    action: elements with trace(a b) = 0 against the whole basis (exact in
-    characteristic zero for a faithful unital matrix algebra)."""
-    field = A.field
-    _, null = _gram_radical(field, _trace_gram(field, A.basis))
-    return _radical_matrices(field, A.size, A.basis, null)
+def radical(L: LieAlgebra) -> list:
+    """Basis of the Jacobson radical of the centroid of L, as matrices in
+    L's basis: the centroid elements M with tr(M M') = 0 for every M' of
+    the centroid basis (exact in characteristic zero, where the centroid
+    is a unital algebra acting faithfully on L)."""
+    field, mats = L.field, _sparse_centroid(L)
+    _, null = _gram_radical(field, _trace_gram(field, mats))
+    return _radical_matrices(field, L.dim, mats, null)
 
 
 def _radical_matrices(field, n, mats, null) -> list:
@@ -529,17 +451,16 @@ def _lifted_idempotent(split, x: dict, n: int, field) -> Optional[dict]:
 
 
 def _certify_local(field, n, mats, null, owner, detail):
-    """Certificate for a centroid whose quotient by the trace radical is a
-    field: local once the radical is proven nilpotent.
+    """Certificate for a centroid of the Lie algebra owner whose quotient
+    by the trace radical is a field: local once the radical is proven
+    nilpotent.
 
     The radical is spanned by the combinations of the sparse basis mats
     given by null.  It is proven square-zero when it kills [owner, owner]
-    and maps owner into it; otherwise, and when the matrices come without
-    a Lie algebra (owner None), by the chain of its images.
+    and maps owner into it, and otherwise by the chain of its images.
     """
-    if owner is not None and _square_zero(mats, null, owner.derived):
-        return CERTIFIED, detail
-    if _nilpotent_span(field, _radical_matrices(field, n, mats, null)):
+    if _square_zero(mats, null, owner.derived) or _nilpotent_span(
+            field, _radical_matrices(field, n, mats, null)):
         return CERTIFIED, detail
     return HEURISTIC, ("no idempotent found; radical nilpotency could not "
                        "be verified")
@@ -557,7 +478,7 @@ def _split_or_certify(field, n, mats, owner):
     by a q-by-q left multiplication matrix whose minimal polynomial is
     that of x modulo R.  A coprime split of it is lifted to an exact
     idempotent; an irreducible one of degree q proves A/R a field.  owner
-    is the Lie algebra whose centroid A is, or None (see _certify_local).
+    is the Lie algebra whose centroid A is (see _certify_local).
 
     Returns (e, None, None) with e sparse, or (None, certificate, detail).
     """
@@ -611,19 +532,6 @@ def _split_or_certify(field, n, mats, owner):
                 "centroid modulo its radical is a field")
     return None, HEURISTIC, ("no idempotent found, but the centroid was not "
                              "proven local")
-
-
-def find_idempotent(A):
-    """A nontrivial idempotent of the unital matrix algebra A, or None.
-
-    Splits the radical quotient of A as decompose_indecomposable does:
-    candidates are the quotient basis and seeded combinations with
-    coefficients in {-2..2}, and a coprime split of a candidate's minimal
-    polynomial modulo the radical is lifted to an exact idempotent.  Every
-    returned matrix satisfies e*e = e and is neither 0 nor the identity.
-    """
-    e = _split_or_certify(A.field, A.size, A.basis, None)[0]
-    return None if e is None else _dense_matrix(e, A.size, A.field)
 
 
 # ----------------------------------------------------------- decomposition

@@ -64,12 +64,14 @@ from .errors import (
 from .polynomials import (
     FACTOR_DEGREE_CAP,
     LITERAL_EXPONENT_CAP,
+    LITERAL_NESTING_CAP,
     QUADRATIC_RADICAND_CAP,
     Polynomial,
     _is_cyclotomic,
     cyclotomic_coeffs,
     factor_over_Q,
     is_irreducible_over_Q,
+    poly_gcd,
     rational_roots,
 )
 
@@ -863,10 +865,10 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
     coordinates of the generator image over base).  The identity image must
     be among them; entries are validated as roots and closed under
     composition.  A minimal polynomial that _irreducibility proves
-    reducible is refused: over Q up to the factorization cap, quadratics
-    over quadratic levels, cubics over Galois quadratic levels, and at
-    every level a rational one that factors over Q.  One it cannot decide
-    is trusted input.
+    reducible is refused: over Q up to the factorization cap, at every
+    level a rational one that factors over Q, and over a quadratic level
+    one of degree at most 6 (its norm down to Q is within the cap).  One
+    it cannot decide is trusted input.
     """
     if minpoly.ring != base:
         raise TowerMismatchError("minimal polynomial not over the base level")
@@ -940,13 +942,13 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
 
 def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
     """Refuse a minimal polynomial that _irreducibility proves reducible.
-    Above Q, one of degree at most 3 has a root in the base; a higher one
-    is refused only for its factors over Q."""
+    Above Q, one of degree at most 3 has a root in the base."""
     if _irreducibility(minpoly) is False:
         raise DegenerateError(
             "minimal polynomial is reducible over Q" if base.is_rationals
             else "minimal polynomial has a root in the base"
-            if minpoly.degree <= 3 else "minimal polynomial factors over Q")
+            if minpoly.degree <= 3 else
+            "minimal polynomial factors over the base")
 
 
 def quadratic_field(d, name: Optional[str] = None) -> FieldTower:
@@ -1132,9 +1134,9 @@ def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
     factor, or a repeated one, over Q is reducible; one irreducible over
     Q may still split above it, as t^4 + 1 does over Q(i).  A cubic is
     reducible exactly when it has a root, which decides it where
-    _root_search is complete.  search, when given, is the (roots,
-    complete, factors) of a _root_search of p, with factors p's
-    factorization over Q where known, and neither is done again.
+    _root_search is complete.  _norm_rule comes last.  search, when given,
+    is the (roots, complete, factors) of a _root_search of p, with factors
+    p's factorization over Q where known, and neither is done again.
     """
     E = p.ring
     if p.degree == 2 and (E.is_rationals or (E.base.is_rationals
@@ -1154,6 +1156,32 @@ def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
                 or is_irreducible_over_Q(p))
     if p.degree <= 3 and complete:
         return not roots
+    if E.base.is_rationals and E.degree == 2 and \
+            2 * p.degree <= FACTOR_DEGREE_CAP:
+        return _norm_rule(p)
+    return None
+
+
+def _norm_rule(p: Polynomial) -> Optional[bool]:
+    """Trager's norm test (SYMSAC 1976) over E = Q(theta), theta^2 + c1
+    theta + c0 = 0.  A p that is not squarefree is reducible.  Otherwise
+    p(x - s theta) = A + theta B, with A, B over Q, has the norm N = A^2 -
+    c1 A B + c0 B^2, and for the first s in 1, 2, 3 with N squarefree, the
+    factors of p over E match those of N over Q; None without such s."""
+    if poly_gcd(p, p.derivative()).degree > 0:
+        return False
+    E = p.ring
+    c0, c1 = E.minpoly.coeff(0), E.minpoly.coeff(1)
+    for s in (1, 2, 3):
+        shift = Polynomial(E, [E.generator() * -s, E.one()])
+        q = Polynomial.zero(E)
+        for c in reversed(p.coeffs):  # Horner's rule
+            q = q * shift + Polynomial(E, [c])
+        A, B = (Polynomial(E.base, [c.coords[k] for c in q.coeffs])
+                for k in (0, 1))
+        N = A * A - (A * B).scale(c1) + (B * B).scale(c0)
+        if poly_gcd(N, N.derivative()).degree == 0:
+            return is_irreducible_over_Q(N)
     return None
 
 
@@ -1181,7 +1209,7 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
         for level in field.levels()[1:]:
             names[level.gen_name] = lift_to(level.generator(), field)
     # "nest": largest product of exponents nested in the current group
-    state = {"i": 0, "nest": 1}
+    state = {"i": 0, "nest": 1, "depth": 0}
 
     def peek():
         return tokens[state["i"]] if state["i"] < len(tokens) else (None, None)
@@ -1242,9 +1270,14 @@ def parse_element(text: str, field: FieldTower) -> FieldElement:
             base = names[v]
         elif k == "lpar":
             take("lpar")
+            if state["depth"] == LITERAL_NESTING_CAP:
+                raise ManifestError("element literal parentheses nest over "
+                                    "the cap %d" % LITERAL_NESTING_CAP)
+            state["depth"] += 1
             outer, state["nest"] = state["nest"], 1
             base = parse_expr()
             nest, state["nest"] = state["nest"], outer
+            state["depth"] -= 1
             take("rpar")
         else:
             raise ManifestError("unexpected token in element literal %r"

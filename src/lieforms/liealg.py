@@ -40,6 +40,10 @@ from .fields import (
     lift_to,
 )
 
+# Largest dimension of an algebra read from input (a manifest's "dim",
+# catalog.abelian, catalog.nintot_family), checked before anything is built.
+ALGEBRA_DIM_CAP = 1000
+
 
 def _coerce(field: FieldTower, value) -> FieldElement:
     if isinstance(value, FieldElement):

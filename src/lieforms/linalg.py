@@ -106,12 +106,6 @@ def dense(row: dict, n: int, field) -> list:
 # cost.  A flat vector holds entry M[r][c] of an n-by-n matrix at r*n + c.
 
 
-def _sparse_matrix(M) -> dict:
-    """A dense matrix as a sparse one."""
-    rows = {r: sparse(row) for r, row in enumerate(M)}
-    return {r: row for r, row in rows.items() if row}
-
-
 def _dense_matrix(A: dict, n: int, field) -> list:
     return [dense(A.get(r, {}), n, field) for r in range(n)]
 

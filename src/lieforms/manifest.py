@@ -35,7 +35,7 @@ from .fields import (
     rationals,
 )
 from .polynomials import QUADRATIC_RADICAND_CAP, Polynomial
-from .liealg import LieAlgebra
+from .liealg import ALGEBRA_DIM_CAP, LieAlgebra
 
 _BUILTIN_SQRT = re.compile(r"Q\(sqrt(-?\d+)\)")
 _BUILTIN_ZETA = re.compile(r"Q\(zeta(\d+)\)")
@@ -154,6 +154,9 @@ class Manifest:
         if type(dim) is not int or dim < 1:
             raise ManifestError("algebra %r: dim must be a positive integer"
                                 % name)
+        if dim > ALGEBRA_DIM_CAP:
+            raise ManifestError("algebra %r: dim %d is over the cap %d"
+                                % (name, dim, ALGEBRA_DIM_CAP))
         table: dict = {}
         # zero coefficients are not stored, so repeats are tracked apart
         seen = set()

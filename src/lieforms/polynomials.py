@@ -32,6 +32,11 @@ FACTOR_DEGREE_CAP = 12
 # computed.
 LITERAL_EXPONENT_CAP = 256
 
+# Deepest parenthesis nesting an element literal may use, far below the
+# interpreter's recursion limit; format_element nests one level per tower
+# level above the first.  A deeper literal is a ManifestError.
+LITERAL_NESTING_CAP = 64
+
 # Largest |d| that fields.quadratic_field accepts.  Its squarefree test
 # trial-divides up to sqrt|d|, so the cap bounds that work (about 10^5
 # divisions); a larger d is a DegenerateError, raised before it runs.

@@ -13,8 +13,9 @@ from lieforms.fields import (
     quadratic_field,
     rationals,
 )
-from lieforms.liealg import direct_sum
+from lieforms.liealg import ALGEBRA_DIM_CAP, direct_sum
 from lieforms.catalog import g_lambda, heisenberg, r3_lambda
+from lieforms.polynomials import LITERAL_NESTING_CAP
 from lieforms.manifest import (
     Manifest,
     algebra_entity,
@@ -504,6 +505,50 @@ class TestCommandLine:
         assert rc == 2 and err.startswith("error: line 1:") and message in err
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("depth, rc", [
+        (LITERAL_NESTING_CAP, 0), (LITERAL_NESTING_CAP + 1, 2), (400, 2),
+        (3000, 2)])
+    def test_literal_nesting_cap(self, capsys, tmp_path, depth, rc):
+        literal = "(" * depth + "1" + ")" * depth
+        entity = {"name": "a", "field": "Q", "dim": 3,
+                  "brackets": [{"i": 1, "j": 2, "k": 3, "coeff": literal}]}
+        path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
+        assert cli.main(["check", "a", "--manifest", path]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: line 1:")
+            assert "cap %d" % LITERAL_NESTING_CAP in err
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+    def test_algebra_dimension_cap(self, capsys, tmp_path, over):
+        dim = ALGEBRA_DIM_CAP + over
+        entity = {"name": "x", "field": "Q", "dim": dim, "brackets": []}
+        path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
+        k = ALGEBRA_DIM_CAP // 10 + over
+        for argv in (["check", "x", "--manifest", path],
+                     ["catalog", "abelian", "--n", str(dim)],
+                     ["catalog", "nintot", "--field", "Q(i)", "--lambda",
+                      "1+i", "--k", str(k), "--j", "1"]):
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            assert rc == 2 * over
+            if over:
+                assert captured.err.startswith("error:")
+                assert str(ALGEBRA_DIM_CAP) in captured.err
+            elif argv[0] == "catalog":
+                algebra = json.loads(captured.out.splitlines()[-1])
+                assert algebra["dim"] == ALGEBRA_DIM_CAP
+            else:
+                assert "dim: %d" % ALGEBRA_DIM_CAP in captured.out
+
+    def test_manifest_dimension_is_capped_before_its_brackets_are_read(
+            self, capsys, tmp_path):
+        entity = {"name": "x", "field": "Q", "dim": 10 ** 6,
+                  "brackets": [{"i": 1, "j": 2, "k": 3, "coeff": "("}]}
+        path = write_lines(tmp_path, "m.jsonl", json.dumps(entity))
+        assert cli.main(["check", "x", "--manifest", path]) == 2
+        assert "is over the cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec, message", [
         ("Q(sqrt2305843009213693951)", "more than 11 digits"),
         ("Q(sqrt-10000000019)", "<= 10000000000"),
@@ -590,6 +635,25 @@ class TestCommandLine:
         assert code == 2
         assert captured.err.startswith("error:")
         assert "minimal polynomial has a root in the base" in captured.err
+
+    @pytest.mark.parametrize("base, minpoly", [
+        ("Q(i)", ["1", "0", "0", "0", "1"]),      # (t^2 - i)(t^2 + i)
+        ("Q(i)", ["9", "0", "0", "0", "1"]),      # (t^2 - 3i)(t^2 + 3i)
+        ("Q(sqrt2)", ["-2", "0", "0", "0", "1"]),  # (t^2 - r2)(t^2 + r2)
+    ], ids=["t4+1", "t4+9", "t4-2"])
+    def test_quartic_that_splits_over_a_quadratic_level_exits_two(
+            self, capsys, tmp_path, base, minpoly):
+        """Each is irreducible over Q, and was once trusted: decompose of
+        g_t then gave a false CertifiedIndecomposable."""
+        field = {"name": "E", "base": base, "gen": "t", "minpoly": minpoly,
+                 "automorphisms": [["0", "1", "0", "0"]]}
+        path = write_lines(tmp_path, "e.jsonl", json.dumps(field))
+        code = cli.main(["catalog", "g_lambda", "--field", "E", "--lambda",
+                         "t", "--manifest", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "minimal polynomial factors over the base" in captured.err
 
     @pytest.mark.parametrize("name, valid", [
         ("check", ["a"]), ("conjugate", ["a", "--sigma", "id", "--name", "b"]),

@@ -40,6 +40,7 @@ from lieforms.fields import (
 )
 from lieforms.polynomials import (
     LITERAL_EXPONENT_CAP,
+    LITERAL_NESTING_CAP,
     QUADRATIC_RADICAND_CAP,
     Polynomial,
     poly_ext_gcd,
@@ -214,17 +215,60 @@ def test_cubic_over_a_galois_quadratic_level_is_proved_by_its_roots():
 
 
 def test_a_rational_minpoly_that_factors_over_q_is_refused_at_every_level():
-    # (t^2 - 2)(t^2 - 3) and (t^2 - 2)^2 factor over Q, so over Q(i) too
-    for coeffs in ([6, 0, -5, 0, 1], [4, 0, -4, 0, 1]):
+    # (t^2 - 2)(t^2 - 3) and (t^2 - 2)^2 factor over Q, so over Q(i) too;
+    # t^4 + 1 is irreducible over Q but splits as (t^2 - i)(t^2 + i) over
+    # Q(i), which its norm down to Q shows
+    for coeffs in ([6, 0, -5, 0, 1], [4, 0, -4, 0, 1], [1, 0, 0, 0, 1]):
         p = Polynomial.from_rationals(QI, coeffs)
         assert _irreducibility(p) is False
-        with pytest.raises(DegenerateError, match="factors over Q"):
+        with pytest.raises(DegenerateError, match="factors over the base"):
             field_extend(QI, p, "t", [(0, 1, 0, 0)])
-    # t^4 + 1 is irreducible over Q but splits as (t^2 - i)(t^2 + i) over
-    # Q(i): being irreducible over Q proves nothing there
-    p = Polynomial.from_rationals(QI, [1, 0, 0, 0, 1])
-    assert _irreducibility(p) is None
-    assert field_extend(QI, p, "t", [(0, 1, 0, 0)]).degree == 4
+
+
+# Q(zeta3), with minimal polynomial t^2 + t + 1, has c1 != 0
+QUADRATIC_LEVELS = [("Q(i)", QI), ("Q(sqrt2)", QR2),
+                    ("Q(sqrt-3)", quadratic_field(-3)),
+                    ("Q(zeta3)", cyclotomic_field(3))]
+
+
+@pytest.mark.parametrize("name, E", QUADRATIC_LEVELS,
+                         ids=[name for name, _ in QUADRATIC_LEVELS])
+def test_products_of_quadratics_over_a_quadratic_level_are_refused(name, E):
+    """f sigma(f), with rational coefficients, f g and f^2 for seeded monic
+    quadratics f and g over E: the norm rule finds each reducible."""
+    rng = random.Random(name)
+    sigma = galois_group(E, Q).elements[1]
+
+    def element():
+        return E.element([rng.randint(-4, 4), rng.choice((-3, -1, 1, 2))])
+
+    for _ in range(4):
+        f, g = (Polynomial(E, [element(), element(), E.one()])
+                for _ in range(2))
+        conj = Polynomial(E, [sigma(c) for c in f.coeffs])
+        for p in (f * conj, f * g, f * f):
+            assert _irreducibility(p) is False
+            with pytest.raises(DegenerateError, match="factors over the base"):
+                field_extend(E, p, "t", [(0, 1, 0, 0)])
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    ("Q(i)", [-2, 0, 0, 0, 1]),       # t^4 - 2
+    ("Q(i)", [1, 1, 1, 1, 1]),        # Phi_5
+    ("Q(sqrt2)", [-3, 0, 0, 0, 1]),   # t^4 - 3
+    ("Q(sqrt2)", [1, 1, 1, 1, 1]),
+    ("Q(sqrt-3)", [1, 0, 0, 0, 1]),   # Phi_8
+    ("Q(sqrt-3)", [-2, 0, 0, 0, 1]),
+    ("Q(zeta3)", [1, 0, 0, 0, 1]),
+    ("Q(zeta3)", [-2, 0, 0, 0, 1]),
+], ids=["Q(i)/t4-2", "Q(i)/phi5", "Q(sqrt2)/t4-3", "Q(sqrt2)/phi5",
+        "Q(sqrt-3)/phi8", "Q(sqrt-3)/t4-2", "Q(zeta3)/phi8",
+        "Q(zeta3)/t4-2"])
+def test_irreducible_quartics_over_a_quadratic_level_load(name, coeffs):
+    E = dict(QUADRATIC_LEVELS)[name]
+    p = Polynomial.from_rationals(E, coeffs)
+    assert _irreducibility(p) is True
+    assert field_extend(E, p, "t", [(0, 1, 0, 0)]).degree == 4
 
 
 def test_quadratic_radicand_cap():
@@ -657,6 +701,18 @@ def test_literal_exponent_cap():
                  "((1i^2)^16)^9", "3^" + "9" * 5000):
         with pytest.raises(ManifestError, match="cap"):
             parse_element(text, QI)
+
+
+def test_literal_nesting_cap():
+    deepest = "(" * LITERAL_NESTING_CAP + "1+1i" + ")" * LITERAL_NESTING_CAP
+    assert parse_element(deepest, QI) == parse_element("1+1i", QI)
+    for depth in (LITERAL_NESTING_CAP + 1, 340, 3000):
+        with pytest.raises(ManifestError, match="cap %d"
+                           % LITERAL_NESTING_CAP):
+            parse_element("(" * depth + "1" + ")" * depth, QI)
+    # nesting counts open parentheses, not groups in sequence
+    many = "+".join(["(1)"] * (2 * LITERAL_NESTING_CAP))
+    assert parse_element(many, Q) == Q.from_rational(2 * LITERAL_NESTING_CAP)
 
 
 def test_literal_numbers_that_cannot_be_read():
