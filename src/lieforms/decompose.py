@@ -25,8 +25,8 @@ exact one, and the piece splits along its image and kernel.  The route
 works on the centroid matrices as sparse matrices, with linalg's sparse
 kit: the Gram, the products behind the quotient's left multiplications,
 the candidates and the lift.  Roots, splits and irreducibility of the
-minimal polynomials come from fields, whose one rule says what a tower
-level can prove.  A piece without a split is certified when the centroid
+minimal polynomials come from one factorization, fields.factor, on every
+tower level.  A piece without a split is certified when the centroid
 is proven local (scalars, a quotient of dimension one, or a quotient that
 is a field, shown by a minimal polynomial of full degree proved
 irreducible, with R proven nilpotent).  R is proven square-zero when each
@@ -76,15 +76,12 @@ from .fields import (
     FieldTower,
     GaloisGroup,
     _addmul,
-    _irreducibility,
-    _root_search,
+    factor,
     galois_group,
     roots_in_field,  # noqa: F401  (public from decompose too)
 )
 from .polynomials import (
-    FACTOR_DEGREE_CAP,
     Polynomial,
-    factor_over_Q,
     poly_ext_gcd,
     poly_gcd,
 )
@@ -387,29 +384,16 @@ def minpoly_of_matrix(M, field) -> Polynomial:
 
 
 def _coprime_split(p: Polynomial):
-    """(split, search): p = S * T into coprime monic factors of positive
-    degree, or None, at p's first root in its field, else at its first
-    factor over Q.  search is _root_search's (roots, complete, factors) on
-    p; over Q, where it finds roots only, p is factored when it has none."""
-    field = p.ring
+    """(split, factors): factors is factor(p), and split is p = S * T into
+    coprime monic factors of positive degree at p's first factor (a linear
+    one where p has a root), or None when p has one factor or factor
+    stops at the cap."""
     p = p.monic()
-    roots, complete, factors = _root_search(p)
-    if not roots and factors is None and field.is_rationals and \
-            p.degree <= FACTOR_DEGREE_CAP:
-        _, factors = factor_over_Q(p)
-    search = roots, complete, factors
-    if roots:
-        lin = Polynomial(field, [-roots[0], field.one()])
-        S, rest = Polynomial.one(field), p
-        while (rest % lin).is_zero():
-            S = S * lin
-            rest = rest // lin
-        return ((S, rest) if rest.degree >= 1 else None), search
-    if factors is not None and len(factors) >= 2:
-        f0, m0 = factors[0]
-        S = f0 ** m0
-        return (S, p // S), search
-    return None, search
+    factors = factor(p)
+    if factors is None or len(factors) < 2:
+        return None, factors
+    S = factors[0][0] ** factors[0][1]
+    return (S, p // S), factors
 
 
 # ------------------------------------------------------- idempotent search
@@ -520,13 +504,13 @@ def _split_or_certify(field, n, mats, owner):
         p = minpoly_of_matrix(mult, field)
         if p.degree < 2:
             continue
-        split, search = _coprime_split(p)
+        split, factors = _coprime_split(p)
         if split is not None:
             x = _sp_sum(zip(coeffs, quo))
             e = _lifted_idempotent(split, x, n, field)
             if e is not None:
                 return e, None, None
-        elif p.degree == q and _irreducibility(p, search) is True:
+        elif p.degree == q and factors == [(p, 1)]:
             return (None,) + _certify_local(
                 field, n, mats, null, owner,
                 "centroid modulo its radical is a field")
@@ -763,9 +747,10 @@ def _almost_abelian_data(L: LieAlgebra) -> tuple:
 
 
 def _scales(field, X, Y):
-    """The s that X ~ s Y allows, and whether the list is complete, from
-    tr X^k = s^k tr Y^k at the first k where a trace is nonzero.  X is
-    invertible, as [L, L] = X [L, L], so tr X^k is nonzero for some k."""
+    """The s that X ~ s Y allows, and whether the list is complete (not
+    where factor stops at the cap), from tr X^k = s^k tr Y^k at the first
+    k where a trace is nonzero.  X is invertible, as [L, L] = X [L, L], so
+    tr X^k is nonzero for some k."""
     PX, PY = X, Y
     for k in itertools.count(1):
         tx, ty = (sum((row[t] for t, row in enumerate(M)), field.zero())
@@ -775,8 +760,10 @@ def _scales(field, X, Y):
         if not tx.is_zero() and k == 1:
             return [tx / ty], True
         if not tx.is_zero():
-            p = Polynomial.gen(field) ** k - Polynomial(field, [tx / ty])
-            return _root_search(p)[:2]
+            factors = factor(Polynomial.gen(field) ** k
+                             - Polynomial(field, [tx / ty]))
+            return ([-f.coeffs[0] for f, _m in factors or ()
+                     if f.degree == 1], factors is not None)
         PX, PY = linalg.mat_mul(PX, X, field), linalg.mat_mul(PY, Y, field)
 
 

@@ -24,11 +24,11 @@ read-only view of the power-basis coordinates over the level below.
 ``Fraction`` appears only where values enter or leave: parsing and
 ``from_rational``, ``rational_value`` and the ``vec`` view;
 ``format_element`` writes each coordinate from the ints, and
-``sqrt_or_none`` solves its norm equations in integers.  Every
-operation is exact, and automorphisms are stored explicitly as generator
-images so group structure (closure, composition tables) is validated at
-construction time; each one also keeps its integer matrix on the absolute
-basis.
+``sqrt_or_none`` solves its norm equations in integers on Q and
+quadratic levels.  Every operation is exact, and automorphisms are
+stored explicitly as generator images so group structure (closure,
+composition tables) is validated at construction time; each one also
+keeps its integer matrix on the absolute basis.
 
 Automorphisms act as the identity on all strictly lower levels.  As a
 consequence galois_group(E, F) can only realize the full relative degree
@@ -70,9 +70,8 @@ from .polynomials import (
     _is_cyclotomic,
     cyclotomic_coeffs,
     factor_over_Q,
-    is_irreducible_over_Q,
     poly_gcd,
-    rational_roots,
+    squarefree_part,
 )
 
 
@@ -864,11 +863,9 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
     images: one coordinate sequence per relative automorphism (power-basis
     coordinates of the generator image over base).  The identity image must
     be among them; entries are validated as roots and closed under
-    composition.  A minimal polynomial that _irreducibility proves
-    reducible is refused: over Q up to the factorization cap, at every
-    level a rational one that factors over Q, and over a quadratic level
-    one of degree at most 6 (its norm down to Q is within the cap).  One
-    it cannot decide is trusted input.
+    composition.  A minimal polynomial that factor does not prove
+    irreducible is refused, one that factors and one whose proof meets
+    the factorization cap alike.
     """
     if minpoly.ring != base:
         raise TowerMismatchError("minimal polynomial not over the base level")
@@ -941,9 +938,14 @@ def field_extend(base: FieldTower, minpoly: Polynomial, gen_name: str,
 
 
 def _check_irreducible(base: FieldTower, minpoly: Polynomial) -> None:
-    """Refuse a minimal polynomial that _irreducibility proves reducible.
-    Above Q, one of degree at most 3 has a root in the base."""
-    if _irreducibility(minpoly) is False:
+    """Refuse a minimal polynomial that factor does not prove irreducible.
+    Above Q, one of degree at most 3 that factors has a root in the base."""
+    factors = factor(minpoly)
+    if factors is None:
+        raise DegenerateError(
+            "minimal polynomial is not proved irreducible: its factoring "
+            "needs a norm over the factorization cap %d" % FACTOR_DEGREE_CAP)
+    if len(factors) > 1 or factors[0][1] > 1:
         raise DegenerateError(
             "minimal polynomial is reducible over Q" if base.is_rationals
             else "minimal polynomial has a root in the base"
@@ -1000,12 +1002,9 @@ def cyclotomic_field(n: int, name: Optional[str] = None) -> FieldTower:
 # ---------------------------------------------------------------- square roots
 
 def sqrt_or_none(x: FieldElement) -> Optional[FieldElement]:
-    """An exact square root of x in its own field, or None.
-
-    Supported levels: the rationals, and quadratic extensions of the
-    rationals (via norm equations, in integers).  Anything deeper returns
-    None without attempting a search.
-    """
+    """An exact square root of x in its own field, or None: on Q and on
+    quadratic levels by norm equations in integers, elsewhere the first
+    root of t^2 - x that factor finds (None also at factor's cap)."""
     field = x.field
     if field.is_rationals:
         # num and den are coprime, so their roots are too
@@ -1013,7 +1012,8 @@ def sqrt_or_none(x: FieldElement) -> Optional[FieldElement]:
         return (None if rn is None or rd is None
                 else FieldElement(field, (rn,), rd))
     if not field.base.is_rationals or field.degree != 2:
-        return None
+        return next(iter(roots_in_field(Polynomial(
+            field, [-x, field.zero(), field.one()]))), None)
     # theta**2 + (P/m) theta + Q/m = 0, so phi = 2m theta + P has
     # phi**2 = delta = P**2 - 4mQ.  With k = 2m den, k**2 x = A + B phi
     # for integers A and B, and s + t phi squares to it exactly when
@@ -1059,130 +1059,142 @@ def _exact_isqrt(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
-def quadratic_roots(f: Polynomial) -> list:
-    """Roots of a monic quadratic in its coefficient field via an exact
-    square root of the discriminant, possibly empty."""
-    E = f.ring
-    b, c = f.coeff(1), f.coeff(0)
-    s = sqrt_or_none(b * b - E.from_rational(4) * c)
-    if s is None:
-        return []
-    half = E.from_rational(Fraction(1, 2))
-    return [(-b + s) * half, (-b - s) * half]
-
-
-# ---------------------------------------------------------------- roots
+# ---------------------------------------------------------------- factoring
 
 def roots_in_field(p: Polynomial) -> list:
-    """Roots of p lying in its own coefficient field, each verified to be
-    exact; complete where _root_search says so."""
-    return _root_search(p)[0]
+    """The roots of p in its own coefficient field, those of its linear
+    factors in factor's order; none where factor stops at the cap."""
+    return [-f.coeffs[0] for f, _m in factor(p) or () if f.degree == 1]
 
 
-def _root_search(p: Polynomial) -> tuple:
-    """(roots, complete, factors) for a polynomial p over a tower E.
+def factor(p: Polynomial) -> Optional[list]:
+    """The monic irreducible factors of p over its own field E, as
+    (factor, multiplicity) pairs, or None where FACTOR_DEGREE_CAP stops
+    the proof.  Linear factors come first, those with a rational root
+    ascending, then the others in the order found.
 
-    Over Q the roots are rational_roots(p).  Over an extension, a rational
-    p within FACTOR_DEGREE_CAP is factored over Q once, into factors (None
-    elsewhere): its rational roots, ascending, then those of its quadratic
-    factors; above the cap its rational roots.  Any other p has its roots
-    among those of its norm, when that is rational.  Only exact roots are
-    kept.  complete says they are all of p's roots in E: over Q, and over a
-    Galois quadratic extension of Q while the norm of p, which any root's
-    minimal polynomial over Q divides, is within the cap.
+    Four rules, in order.  A quadratic over Q or a quadratic level is
+    split by its discriminant (see _split).  Over Q, a cyclotomic Phi_n
+    is irreducible (Gauss), and any other p up to the cap is factored.  A
+    p with coefficients in the base B is factored over B, and each factor
+    h lifted to E: one whose degree is prime to [E:B] stays irreducible
+    there, and the others are split by _split.  Any other p is split by
+    _split through its squarefree part.
     """
-    E = p.ring
-    if p.degree < 1:
-        return [], True, None
-    complete = E.is_rationals or (E.base.is_rationals and E.degree == 2
-                                  and E.is_galois()
-                                  and 2 * p.degree <= FACTOR_DEGREE_CAP)
-    factors, candidates = None, []
-    if all(c.is_rational() for c in p.coeffs):
-        if E.is_rationals or p.degree > FACTOR_DEGREE_CAP:
-            rational = rational_roots(p)
-        else:
-            _, factors = factor_over_Q(p)
-            rational = sorted(-f.coeff(0).rational_value()
-                              for f, _m in factors if f.degree == 1)
-        candidates = [E.from_rational(r) for r in rational]
-        for f, _m in factors or ():
-            if f.degree == 2:
-                candidates.extend(quadratic_roots(f))
-    else:
-        auts = E.automorphisms()
-        if len(auts) > 1:
-            norm = Polynomial.one(E)
-            for sig in auts:
-                norm = norm * Polynomial(E, [sig(c) for c in p.coeffs])
-            if all(c.is_rational() for c in norm.coeffs):
-                candidates = roots_in_field(norm)
-    roots = []
-    for r in candidates:
-        if p.eval(r).is_zero() and not any(r == s for s in roots):
-            roots.append(r)
-    return roots, complete, factors
-
-
-def _irreducibility(p: Polynomial, search=None) -> Optional[bool]:
-    """Whether a monic p of degree >= 2 is irreducible over its field:
-    True or False where the toolkit proves it, None where it cannot tell.
-    A quadratic over Q or a quadratic level is decided by whether its
-    discriminant is a square there.  Over Q up to FACTOR_DEGREE_CAP, a
-    cyclotomic Phi_n is irreducible (Gauss) and any other p is factored.
-    At every level, a rational p up to the cap that has more than one
-    factor, or a repeated one, over Q is reducible; one irreducible over
-    Q may still split above it, as t^4 + 1 does over Q(i).  A cubic is
-    reducible exactly when it has a root, which decides it where
-    _root_search is complete.  _norm_rule comes last.  search, when given,
-    is the (roots, complete, factors) of a _root_search of p, with factors
-    p's factorization over Q where known, and neither is done again.
-    """
-    E = p.ring
-    if p.degree == 2 and (E.is_rationals or (E.base.is_rationals
-                                             and E.degree == 2)):
-        return not quadratic_roots(p)
-    if search is None and not E.is_rationals and (p.degree <= 3 or (
-            p.degree <= FACTOR_DEGREE_CAP
-            and all(c.is_rational() for c in p.coeffs))):
-        search = _root_search(p)
-    roots, complete, factors = search or ((), False, None)
-    if factors is not None and (len(factors) > 1 or factors[0][1] > 1):
-        return False
-    if E.is_rationals:
+    E, B, p = p.ring, p.ring.base, p.monic()
+    if p.degree < 2:
+        return [(p, 1)] if p.degree == 1 else []
+    if p.degree == 2 and E.n <= 2:
+        pieces = _split(p)  # t - r twice for a double root r
+        return ([(pieces[0], 2)] if pieces[1:] == pieces[:1]
+                else _ordered([(f, 1) for f in pieces]))
+    if B is None:
+        if _is_cyclotomic(p):
+            return [(p, 1)]
         if p.degree > FACTOR_DEGREE_CAP:
             return None
-        return (factors is not None or _is_cyclotomic(p)
-                or is_irreducible_over_Q(p))
-    if p.degree <= 3 and complete:
-        return not roots
-    if E.base.is_rationals and E.degree == 2 and \
-            2 * p.degree <= FACTOR_DEGREE_CAP:
-        return _norm_rule(p)
+        return _ordered(factor_over_Q(p)[1])
+    if not any(v for c in p.coeffs for v in c.num[B.n:]):
+        below = factor(Polynomial(B, [FieldElement(B, c.num[:B.n], c.den)
+                                      for c in p.coeffs]))
+        out = []
+        for h, m in below or ():
+            h = Polynomial(E, [lift_to(c, E) for c in h.coeffs])
+            pieces = [h] if gcd(h.degree, E.degree) == 1 else _split(h)
+            if pieces is None:
+                return None
+            out += [(f, m) for f in pieces]
+        return None if below is None else _ordered(out)
+    g = squarefree_part(p)
+    pieces = _split(g)
+    if pieces is None:
+        return None
+    out = []
+    for f in pieces:
+        m = 1
+        while g.degree < p.degree and (p % f ** (m + 1)).is_zero():
+            m += 1
+        out.append((f, m))
+    return _ordered(out)
+
+
+def _ordered(pairs: list) -> list:
+    """factor's order: linear factors first, those with a rational root
+    ascending, then the others as they come."""
+    def key(pair):
+        f = pair[0]
+        if f.degree > 1:
+            return 2, 0
+        c = f.coeffs[0]
+        return (0, -c.rational_value()) if c.is_rational() else (1, 0)
+    return sorted(pairs, key=key)
+
+
+def _split(g: Polynomial) -> Optional[list]:
+    """The monic irreducible factors of a monic squarefree g over E =
+    B(theta), or None where factor stops at the cap.
+
+    A quadratic t^2 + bt + c over Q or a quadratic level splits exactly
+    when sqrt_or_none finds a root s of its discriminant, as
+    (t + (b - s)/2)(t + (b + s)/2).  Otherwise, Trager's norm (SYMSAC
+    1976): for the first shift s in 1..5 with N = N_{E/B}(g(x - s theta))
+    squarefree, N is factored over B, and each factor h of N gives the
+    factor gcd(g(x - s theta), h)(x + s theta) of g.  N has degree
+    deg g * [E:B] and is interpolated from its values at 0, 1, ..., each
+    the field norm of g(r - s theta), a determinant over B.
+    """
+    from . import linalg
+
+    E = g.ring
+    if g.degree == 1:
+        return [g]
+    if g.degree == 2 and E.n <= 2:
+        c, b = g.coeffs[:2]
+        s = sqrt_or_none(b * b - 4 * c)
+        return [g] if s is None else [Polynomial(E, [(b + t) / 2, E.one()])
+                                      for t in (-s, s)]
+    B, theta = E.base, E.generator()
+    powers = [theta ** k for k in range(E.degree)]
+    for s in range(1, 6):
+        shifted = _shifted(g, theta * -s)
+        values = (shifted.eval(E.from_rational(r))
+                  for r in range(g.degree * E.degree + 1))
+        N = _interpolated(B, [linalg.det([(a * t).coords for t in powers], B)
+                              for a in values])
+        if poly_gcd(N, N.derivative()).degree > 0:
+            continue
+        below = factor(N)
+        if below is None:
+            return None
+        return [_shifted(poly_gcd(shifted, Polynomial(
+            E, [lift_to(c, E) for c in h.coeffs])), theta * s)
+            for h, _m in below]
     return None
 
 
-def _norm_rule(p: Polynomial) -> Optional[bool]:
-    """Trager's norm test (SYMSAC 1976) over E = Q(theta), theta^2 + c1
-    theta + c0 = 0.  A p that is not squarefree is reducible.  Otherwise
-    p(x - s theta) = A + theta B, with A, B over Q, has the norm N = A^2 -
-    c1 A B + c0 B^2, and for the first s in 1, 2, 3 with N squarefree, the
-    factors of p over E match those of N over Q; None without such s."""
-    if poly_gcd(p, p.derivative()).degree > 0:
-        return False
-    E = p.ring
-    c0, c1 = E.minpoly.coeff(0), E.minpoly.coeff(1)
-    for s in (1, 2, 3):
-        shift = Polynomial(E, [E.generator() * -s, E.one()])
-        q = Polynomial.zero(E)
-        for c in reversed(p.coeffs):  # Horner's rule
-            q = q * shift + Polynomial(E, [c])
-        A, B = (Polynomial(E.base, [c.coords[k] for c in q.coeffs])
-                for k in (0, 1))
-        N = A * A - (A * B).scale(c1) + (B * B).scale(c0)
-        if poly_gcd(N, N.derivative()).degree == 0:
-            return is_irreducible_over_Q(N)
-    return None
+def _shifted(g: Polynomial, c: FieldElement) -> Polynomial:
+    """g(x + c), by Horner's rule."""
+    E = g.ring
+    step, out = Polynomial(E, [c, E.one()]), Polynomial.zero(E)
+    for a in reversed(g.coeffs):
+        out = out * step + Polynomial(E, [a])
+    return out
+
+
+def _interpolated(B: FieldTower, values: list) -> Polynomial:
+    """The polynomial over B of degree below len(values) that takes
+    values[r] at r = 0, 1, ...: Newton's form, whose k-th coefficient is
+    the k-th forward difference at 0 over k!, multiplied out."""
+    coeffs, row = [], values
+    for k in range(len(values)):
+        coeffs.append(row[0])
+        row = [(b - a) * B.from_rational(Fraction(1, k + 1))
+               for a, b in zip(row, row[1:])]
+    out = Polynomial.zero(B)
+    for k in range(len(coeffs) - 1, -1, -1):
+        out = out * Polynomial(B, [B.from_rational(-k), B.one()]) + \
+            Polynomial(B, [coeffs[k]])
+    return out
 
 
 # ---------------------------------------------------------------- text form

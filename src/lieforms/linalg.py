@@ -11,8 +11,8 @@ updates and sparse products add each term in place with fields._addmul,
 which builds one element per term on Q and quadratic levels.  Dense
 lists are only the edge, converted by sparse() and dense(): the matrices
 callers pass in and the rows, vectors and inverses they get back.  det
-eliminates densely on its own, as the independent reference the Pfaffian
-tests compare Pf^2 against.
+eliminates densely on its own: fields.factor takes field norms with it,
+and the Pfaffian tests take it as the independent reference for Pf^2.
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ def inverse(A, field):
 
 
 def det(A, field):
-    """The determinant, by dense elimination kept apart from the reducer:
-    the Pfaffian tests compare Pf^2 against it."""
+    """Dense determinant, kept apart from the reducer: fields.factor takes
+    field norms with it, and the Pfaffian tests compare Pf^2 against it."""
     n = len(A)
     if n == 0:
         return field.one()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from lieforms import cli, fields
+from lieforms import cli, decompose, fields
 from lieforms.errors import JacobiError, ManifestError
 from lieforms.fields import (
     cyclotomic_field,
@@ -360,7 +360,8 @@ class TestCommandLine:
         assert out.count("CertifiedIndecomposable") == 2
         assert "verified: true" in out
 
-    def test_decompose_heuristic_exits_three(self, capsys, tmp_path):
+    def test_decompose_heuristic_exits_three(self, capsys, tmp_path,
+                                             monkeypatch):
         deep = [
             '{"name": "E", "base": "Q(sqrt2)", "gen": "i", "minpoly": '
             '["1", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]]}',
@@ -379,6 +380,13 @@ class TestCommandLine:
         path = write_lines(tmp_path, "deep3.jsonl",
                            *read_text(path).splitlines(),
                            *out.splitlines())
+        # r^2 - sqrt2 is proved irreducible over Q(sqrt2)(i), so the
+        # residue field is certified; with factor stopped at the cap in
+        # decompose, the same summand is heuristic and exits 3
+        rc, out = run_cli(capsys, "decompose", "deepE", "--manifest", path)
+        assert rc == 0
+        assert "certificate=CertifiedIndecomposable" in out
+        monkeypatch.setattr(decompose, "factor", lambda p: None)
         rc, out = run_cli(capsys, "decompose", "deepE", "--manifest", path)
         assert rc == 3
         assert "HeuristicIndecomposable" in out
@@ -604,8 +612,8 @@ class TestCommandLine:
     def test_cyclotomic_manifest_fields_are_proved_without_factoring(
             self, capsys, tmp_path, monkeypatch, minpoly, rc, factored):
         calls = []
-        factor = fields.is_irreducible_over_Q
-        monkeypatch.setattr(fields, "is_irreducible_over_Q",
+        factor = fields.factor_over_Q
+        monkeypatch.setattr(fields, "factor_over_Q",
                             lambda p: calls.append(p) or factor(p))
         identity = ["0", "1"] + ["0"] * (len(minpoly) - 3)
         field = {"name": "K", "base": "Q", "gen": "t", "minpoly": minpoly,
@@ -654,6 +662,32 @@ class TestCommandLine:
         assert code == 2
         assert captured.err.startswith("error:")
         assert "minimal polynomial factors over the base" in captured.err
+
+    @pytest.mark.parametrize("fields_, message", [
+        # t^8 + 1 = (t^4 - i)(t^4 + i); its norm to Q has degree 16
+        ([{"name": "E", "base": "Q(i)", "gen": "t",
+           "minpoly": ["1"] + ["0"] * 7 + ["1"],
+           "automorphisms": [["0", "1"] + ["0"] * 6]}],
+         "not proved irreducible: its factoring needs a norm over the "
+         "factorization cap 12"),
+        # t^2 - 2 has the root s in Q(i)(s), s^2 = 2
+        ([{"name": "K", "base": "Q(i)", "gen": "s", "minpoly": ["-2", "0", "1"],
+           "automorphisms": [["0", "1"], ["0", "-1"]]},
+          {"name": "E", "base": "K", "gen": "t", "minpoly": ["-2", "0", "1"],
+           "automorphisms": [["0", "1"]]}],
+         "minimal polynomial has a root in the base"),
+    ], ids=["t8+1/Q(i)", "t2-2/Q(i)(sqrt2)"])
+    def test_fields_that_once_gave_false_certificates_exit_two(
+            self, capsys, tmp_path, fields_, message):
+        """Both loaded once, and decompose of g_t then certified a false
+        CertifiedIndecomposable: neither E is a field."""
+        path = write_lines(tmp_path, "e.jsonl", *map(json.dumps, fields_))
+        code = cli.main(["catalog", "g_lambda", "--field", "E", "--lambda",
+                         "t", "--manifest", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert message in captured.err
 
     @pytest.mark.parametrize("name, valid", [
         ("check", ["a"]), ("conjugate", ["a", "--sigma", "id", "--name", "b"]),

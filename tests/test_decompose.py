@@ -18,7 +18,7 @@ from lieforms.errors import (
     UncertifiedDecompositionError,
 )
 from lieforms.fields import (
-    _irreducibility,
+    factor,
     field_extend,
     gaussian_rationals,
     lift_to,
@@ -880,26 +880,24 @@ class TestMinpolyAndRoots:
         assert len(found) == 2
         assert all(p.eval(r).is_zero() for r in found)
 
-    def test_irreducibility_needs_a_complete_root_search(self):
-        """Q(i) given with the identity as its only automorphism has no
-        norm to search for the roots of the cubic (t - i)(t^2 - 2), so the
-        last rule, the norm down to Q, which needs only the minimal
-        polynomial of i, proves it reducible; the full Q(i) finds the root
-        i.  The quadratic (t - i)(t - 2) is decided by its discriminant on
-        both.  (t - i)(t^6 - 2), whose norm has degree 14, over the
-        factorization cap, is not proven either way on both."""
+    def test_factor_needs_no_automorphisms(self):
+        """Q(i) given with the identity as its only automorphism factors
+        as the full Q(i) does: the norm down to Q needs only the minimal
+        polynomial of i.  The quadratic (t - i)(t - 2) is split by its
+        discriminant, and the cubic (t - i)(t^2 - 2) by the norm.
+        (t - i)(t^6 - 2), whose norm has degree 14, over the factorization
+        cap, is not factored on either."""
         Q = rationals()
         for images in ([[0, 1]], [[0, 1], [0, -1]]):
             E = field_extend(Q, Polynomial(Q, [Q.one(), Q.zero(), Q.one()]),
                              "i", images)
             lin = Polynomial(E, [-E.generator(), E.one()])
-            quadratic = lin * Polynomial(E, [E.from_rational(-2), E.one()])
-            assert _irreducibility(quadratic) is False
-            assert _irreducibility(
-                lin * Polynomial.from_rationals(E, [-2, 0, 1])) is False
-            assert _irreducibility(
-                lin * Polynomial.from_rationals(E, [-2, 0, 0, 0, 0, 0, 1])) \
-                is None
+            two = Polynomial(E, [E.from_rational(-2), E.one()])
+            assert factor(lin * two) == [(two, 1), (lin, 1)]
+            quadratic = Polynomial.from_rationals(E, [-2, 0, 1])
+            assert factor(lin * quadratic) == [(lin, 1), (quadratic, 1)]
+            assert factor(lin * Polynomial.from_rationals(
+                E, [-2, 0, 0, 0, 0, 0, 1])) is None
 
     def test_roots_come_rational_first_then_quadratic(self):
         """The rational roots, ascending, then those of the quadratic
@@ -945,7 +943,7 @@ class TestMinpolyAndRoots:
         L = restrict_scalars(heisenberg(E), Q).algebra
         calls = Counter()
         fn = polynomials.factor_over_Q
-        for module in (polynomials, fields, decompose_module):
+        for module in (polynomials, fields):
             monkeypatch.setattr(module, "factor_over_Q",
                                 lambda p: calls.update(["factor"]) or fn(p))
         d = decompose_indecomposable(L)
@@ -956,8 +954,8 @@ class TestMinpolyAndRoots:
     def test_cubic_residue_field_over_a_quadratic_level_is_factored_once(
             self, monkeypatch):
         """heisenberg over Q(i)(cbrt 2), given with the identity as its
-        only automorphism, restricted to Q(i): the root search that finds
-        no split of the rational cubic also proves it irreducible, so
+        only automorphism, restricted to Q(i): the one factorization that
+        finds no split of the rational cubic also proves it irreducible, so
         t^3 - 2 is factored over Q once."""
         from lieforms import fields, polynomials
 
@@ -967,7 +965,7 @@ class TestMinpolyAndRoots:
         L = restrict_scalars(heisenberg(E), Qi).algebra
         calls = Counter()
         fn = polynomials.factor_over_Q
-        for module in (polynomials, fields, decompose_module):
+        for module in (polynomials, fields):
             monkeypatch.setattr(module, "factor_over_Q",
                                 lambda p: calls.update(["factor"]) or fn(p))
         d = decompose_indecomposable(L)
@@ -1121,10 +1119,10 @@ class TestDecompose:
         assert d.certificates == (CERTIFIED,)
         assert "field" in d.summands[0].detail
 
-    def test_deep_tower_falls_back_to_heuristic(self):
+    def test_deep_tower_is_certified(self):
         # over Q(sqrt2, i) the centroid of the restricted algebra is a
-        # quadratic field whose irreducibility outruns the exact root
-        # search, so the label must degrade honestly
+        # quadratic field, r^2 - sqrt2, proved irreducible by its norm
+        # down to Q(sqrt2)
         K2 = quadratic_field(2)
         E = field_extend(
             K2, Polynomial(K2, [K2.one(), K2.zero(), K2.one()]), "i",
@@ -1136,7 +1134,8 @@ class TestDecompose:
         L = restrict_scalars(r3_lambda(T, T.generator()), E).algebra
         d = decompose_indecomposable(L)
         assert len(d) == 1
-        assert d.certificates == (HEURISTIC,)
+        assert [(s.certificate, s.detail) for s in d.summands] == [
+            (CERTIFIED, "centroid modulo its radical is a field")]
         assert d.verified
 
     def test_mixed_sum_with_abelian_part(self):
@@ -1389,9 +1388,8 @@ def similarity_fields():
 def test_similarity_layer_agrees_with_the_family_criteria(fname, field,
                                                           extra):
     """r3_lambda and g1_alpha under seeded invertible basis changes: the
-    verdict is the family criterion's, and every confirmation
-    re-verifies.  Over Q(i)(sqrt2) a trace-zero action may be unknown,
-    never the opposite verdict."""
+    verdict is the family criterion's on every level, Q(i)(sqrt2) and
+    trace-zero actions included, and every confirmation re-verifies."""
     params = [field.from_rational(c) for c in (2, Fraction(1, 2), 3, -1,
                                                -2)] + extra
     rng = random.Random(17)
@@ -1404,13 +1402,7 @@ def test_similarity_layer_agrees_with_the_family_criteria(fname, field,
                 field, shift + 2, rng.randrange(99), 6))
             v = isomorphism_verdict(A, B)
             want = "confirmed" if criterion(a, b) else "refuted"
-            # tr ad x on [L, L] is a multiple of shift + parameter
-            trace_zero = (field.from_rational(shift) + a).is_zero() and \
-                (field.from_rational(shift) + b).is_zero()
-            if fname in ("Q", "Q(i)") or not trace_zero:
-                assert v.status == want, (family.__name__, a, b, v.reason)
-            else:
-                assert v.status in (want, "unknown")
+            assert v.status == want, (family.__name__, a, b, v.reason)
             if v.status == "confirmed":
                 assert verify_morphism(A, B, v.certificate)
                 assert linalg.rank([list(r) for r in v.certificate],
@@ -1419,18 +1411,17 @@ def test_similarity_layer_agrees_with_the_family_criteria(fname, field,
 
 def test_trace_zero_action_beyond_one_quadratic_extension_is_not_refuted():
     """r3_-1 against itself with its brackets scaled by sqrt2, which lies
-    outside Q(i): tr ad x vanishes, the scale is a root of t^2 - 1/2, and
-    root search over Q(i)(sqrt2) is not complete, so the verdict may be
-    unknown but is never refuted."""
+    outside Q(i): tr ad x vanishes, and the scale is a root of t^2 - 1/2,
+    which factor finds over Q(i)(sqrt2), so the verdict is confirmed with
+    a certificate that re-verifies."""
     T = sqrt2_over_gaussian()
     c = T.generator()
     A = r3_lambda(T, -T.one())
     scaled = LieAlgebra(T, 3, {(0, 1): {1: c}, (0, 2): {2: -c}})
     for B in (scaled, change_basis(scaled, invertible(T, 3, 5, 6))):
         v = isomorphism_verdict(A, B)
-        assert v.status in ("confirmed", "unknown")
-        if v.status == "confirmed":
-            assert verify_morphism(A, B, v.certificate)
+        assert v.status == "confirmed"
+        assert verify_morphism(A, B, v.certificate)
 
 
 class TestKrullSchmidtMatch:
@@ -1559,7 +1550,10 @@ class TestCountForms:
         assert len(fc.group) == 2
         assert fc.witnesses[0].brackets == heisenberg(Qi).brackets
 
-    def test_uncertified_decomposition_is_refused(self):
+    def test_uncertified_decomposition_is_refused(self, monkeypatch):
+        # with factor stopped at the cap everywhere in decompose, no
+        # residue field is proved, so the summand is heuristic
+        monkeypatch.setattr(decompose_module, "factor", lambda p: None)
         K2 = quadratic_field(2)
         E = field_extend(
             K2, Polynomial(K2, [K2.one(), K2.zero(), K2.one()]), "i",

@@ -16,7 +16,7 @@ from lieforms.errors import (
 from lieforms.fields import (
     Automorphism,
     _addmul,
-    _irreducibility,
+    factor,
     FieldElement,
     FieldTower,
     coords_over,
@@ -36,6 +36,7 @@ from lieforms.fields import (
     quadratic_field,
     rationals,
     relative_degree,
+    roots_in_field,
     sqrt_or_none,
 )
 from lieforms.polynomials import (
@@ -214,13 +215,25 @@ def test_cubic_over_a_galois_quadratic_level_is_proved_by_its_roots():
     assert K.degree == 3
 
 
+def proved_reducible(p):
+    """True when factor(p) has more than one factor, or a repeated one;
+    its factors must multiply back to p."""
+    factors = factor(p)
+    product = Polynomial.one(p.ring)
+    for f, m in factors:
+        assert f.is_monic() and f.degree >= 1
+        product = product * f ** m
+    assert product == p.monic()
+    return len(factors) > 1 or factors[0][1] > 1
+
+
 def test_a_rational_minpoly_that_factors_over_q_is_refused_at_every_level():
     # (t^2 - 2)(t^2 - 3) and (t^2 - 2)^2 factor over Q, so over Q(i) too;
     # t^4 + 1 is irreducible over Q but splits as (t^2 - i)(t^2 + i) over
     # Q(i), which its norm down to Q shows
     for coeffs in ([6, 0, -5, 0, 1], [4, 0, -4, 0, 1], [1, 0, 0, 0, 1]):
         p = Polynomial.from_rationals(QI, coeffs)
-        assert _irreducibility(p) is False
+        assert proved_reducible(p)
         with pytest.raises(DegenerateError, match="factors over the base"):
             field_extend(QI, p, "t", [(0, 1, 0, 0)])
 
@@ -235,7 +248,7 @@ QUADRATIC_LEVELS = [("Q(i)", QI), ("Q(sqrt2)", QR2),
                          ids=[name for name, _ in QUADRATIC_LEVELS])
 def test_products_of_quadratics_over_a_quadratic_level_are_refused(name, E):
     """f sigma(f), with rational coefficients, f g and f^2 for seeded monic
-    quadratics f and g over E: the norm rule finds each reducible."""
+    quadratics f and g over E: factor finds each reducible."""
     rng = random.Random(name)
     sigma = galois_group(E, Q).elements[1]
 
@@ -247,7 +260,7 @@ def test_products_of_quadratics_over_a_quadratic_level_are_refused(name, E):
                 for _ in range(2))
         conj = Polynomial(E, [sigma(c) for c in f.coeffs])
         for p in (f * conj, f * g, f * f):
-            assert _irreducibility(p) is False
+            assert proved_reducible(p)
             with pytest.raises(DegenerateError, match="factors over the base"):
                 field_extend(E, p, "t", [(0, 1, 0, 0)])
 
@@ -267,8 +280,98 @@ def test_products_of_quadratics_over_a_quadratic_level_are_refused(name, E):
 def test_irreducible_quartics_over_a_quadratic_level_load(name, coeffs):
     E = dict(QUADRATIC_LEVELS)[name]
     p = Polynomial.from_rationals(E, coeffs)
-    assert _irreducibility(p) is True
+    assert factor(p) == [(p, 1)]
     assert field_extend(E, p, "t", [(0, 1, 0, 0)]).degree == 4
+
+
+# Q(i)(s) with s^2 = 2: the three-level tower Q, Q(i), Q(i)(sqrt2)
+QIS = field_extend(QI, Polynomial.from_rationals(QI, [-2, 0, 1]), "s",
+                   [(0, 1), (0, -1)])
+FACTOR_LEVELS = [("Q(i)", QI, 6), ("Q(sqrt2)", QR2, 6),
+                 ("Q(i)(sqrt2)", QIS, 3), ("Q(zeta8)", cyclotomic_field(8), 3)]
+
+
+@pytest.mark.parametrize("name, E, top", FACTOR_LEVELS,
+                         ids=[name for name, _, _ in FACTOR_LEVELS])
+def test_seeded_products_factor_back_and_never_load(name, E, top):
+    """f * g for seeded monic f and g over E, of total degree at most top,
+    so that every norm down to Q stays within the factorization cap:
+    the factors of f * g are those of f and of g together, each proved
+    irreducible, and f * g is refused as a minimal polynomial."""
+    rng = random.Random(name)
+
+    def poly(degree):
+        return Polynomial(E, [from_coords_over(E, Q, [
+            Q.from_rational(rng.randint(-3, 3)) for _ in range(E.n)])
+            for _ in range(degree)] + [E.one()])
+
+    for _ in range(3):
+        df = rng.randint(1, top - 1)
+        f, g = poly(df), poly(rng.randint(1, top - df))
+        counts = {}
+        for part in (f, g):
+            for h, m in factor(part):
+                counts[h] = counts.get(h, 0) + m
+        factors = factor(f * g)
+        assert proved_reducible(f * g)
+        assert dict(factors) == counts
+        for h, _m in factors:
+            assert factor(h) == [(h, 1)]
+        with pytest.raises(DegenerateError):
+            field_extend(E, f * g, "t",
+                         [[0, 1] + [0] * ((f * g).degree - 2)])
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_eisenstein_polynomials_load_over_q_and_q_i(p):
+    """t^n + p(...) with a constant term p u, p not dividing u, is
+    irreducible by Eisenstein's criterion at p, over Q and, as p = 3
+    (mod 4) stays prime in Z[i], over Q(i) too, with coefficients in
+    Z[i]; up to degree 6 its norm to Q is within the cap."""
+    rng = random.Random(p)
+    for E, top in ((Q, 12), (QI, 6)):
+        for n in range(2, top + 1):
+            def gaussian():
+                return E.element([rng.randint(-2, 2)
+                                  for _ in range(E.degree)])
+            unit = gaussian()
+            while all(v % p == 0 for v in unit.num):
+                unit = gaussian()
+            coeffs = [unit * p] + [gaussian() * p for _ in range(n - 1)]
+            minpoly = Polynomial(E, coeffs + [E.one()])
+            assert factor(minpoly) == [(minpoly, 1)]
+            T = field_extend(E, minpoly, "t", [[0, 1] + [0] * (n - 2)])
+            assert T.degree == n
+
+
+def test_roots_and_square_roots_on_the_three_level_tower():
+    s, i = QIS.generator(), lift_to(QI.generator(), QIS)
+    two = QIS.from_rational(2)
+    roots = roots_in_field(Polynomial(QIS, [-two, QIS.zero(), QIS.one()]))
+    assert roots in ([s, -s], [-s, s])
+    r = sqrt_or_none(two)
+    assert r in (s, -s)
+    # i = ((1 + i) s / 2)^2, and sqrt2 has no square root here
+    r = sqrt_or_none(i)
+    assert r is not None and r * r == i
+    assert sqrt_or_none(s) is None
+    Z8 = cyclotomic_field(8)
+    zeta = Z8.generator()
+    r = sqrt_or_none(zeta ** 2)
+    assert r in (zeta, -zeta)
+    assert sqrt_or_none(zeta) is None
+
+
+def test_fields_that_once_gave_false_certificates_are_refused():
+    """t^8 + 1 = (t^4 - i)(t^4 + i) over Q(i), whose norm to Q has degree
+    16, over the cap, and t^2 - 2, with the root s over Q(i)(s)."""
+    octic = Polynomial.from_rationals(QI, [1] + [0] * 7 + [1])
+    assert factor(octic) is None
+    with pytest.raises(DegenerateError, match="factorization cap 12"):
+        field_extend(QI, octic, "t", [[0, 1] + [0] * 6])
+    quadratic = Polynomial.from_rationals(QIS, [-2, 0, 1])
+    with pytest.raises(DegenerateError, match="has a root in the base"):
+        field_extend(QIS, quadratic, "t", [(0, 1)])
 
 
 def test_quadratic_radicand_cap():
