@@ -21,20 +21,23 @@ route through the radical quotient: the trace Gram of the centroid basis
 gives the Jacobson radical R as its nullspace and the small quotient by R
 through its pivot columns; a candidate whose minimal polynomial modulo R
 splits into coprime factors gives an idempotent modulo R, lifted to an
-exact one, and the piece splits along its image and kernel.  The route
-works on the centroid matrices as sparse matrices, with linalg's sparse
-kit: the Gram, the products behind the quotient's left multiplications,
-the candidates and the lift.  Roots, splits and irreducibility of the
-minimal polynomials come from one factorization, fields.factor, on every
-tower level.  A piece without a split is certified when the centroid
-is proven local (scalars, a quotient of dimension one, or a quotient that
-is a field, shown by a minimal polynomial of full degree proved
-irreducible, with R proven nilpotent).  R is proven square-zero when each
-of its elements kills [L, L] and maps L into [L, L], checked against the
-echelon basis of [L, L]: then RR maps L into [L, L] and on to 0.  Such an
-R lies in Hom(L/[L, L], Z(L) ∩ [L, L]), the square-zero ideal of every
-centroid (D. Melville, Comm. Algebra 1992); the radicals of the nilpotent
-catalog algebras all pass.  When the check fails, for instance when L is
+exact one, and the piece splits along its image and kernel.  That minimal
+polynomial is the first relation among the candidate's powers modulo R,
+read in the canonical basis, where each coordinate is one flat entry
+(linalg.krylov_relation, the one rule behind every minimal polynomial
+here).  The route works on the centroid matrices as sparse matrices, with
+linalg's sparse kit: the Gram, the candidates and their powers, and the
+lift.  Roots, splits and irreducibility of the minimal polynomials come
+from one factorization, fields.factor, on every tower level.  A piece
+without a split is certified when the centroid is proven local (scalars,
+a quotient of dimension one, or a quotient that is a field, shown by a
+minimal polynomial of full degree proved irreducible, with R proven
+nilpotent).  R is proven square-zero when each of its elements kills
+[L, L] and maps L into [L, L], checked against the echelon basis of
+[L, L]: then RR maps L into [L, L] and on to 0.  Such an R lies in
+Hom(L/[L, L], Z(L) ∩ [L, L]), the square-zero ideal of every centroid
+(D. Melville, Comm. Algebra 1992); the radicals of the nilpotent catalog
+algebras all pass.  When the check fails, for instance when L is
 perfect, R is proven nilpotent by the chain of its images.  Everything
 an answer depends on is re-verified exactly; searches that fail produce
 "heuristic" labels or unknown verdicts, never unverified claims.
@@ -56,10 +59,8 @@ from .linalg import (
     _combine,
     _dense_matrix,
     _flat,
-    _poly_at_matrix,
     _sp_mul,
     _sp_sum,
-    _sp_trace,
     _sub_scaled,
     _unflatten,
 )
@@ -80,11 +81,7 @@ from .fields import (
     galois_group,
     roots_in_field,  # noqa: F401  (public from decompose too)
 )
-from .polynomials import (
-    Polynomial,
-    poly_ext_gcd,
-    poly_gcd,
-)
+from .polynomials import Polynomial, poly_ext_gcd
 from .liealg import (
     LieAlgebra,
     _ad_images,
@@ -103,18 +100,6 @@ DEFAULT_SEED = 20260823
 CERTIFIED = "CertifiedIndecomposable"
 HEURISTIC = "HeuristicIndecomposable"
 UNKNOWN = "Unknown"
-
-
-# ----------------------------------------------------------- matrix helpers
-
-
-def _poly_apply(p: Polynomial, M, v, field):
-    """The vector p(M) v without forming p(M)."""
-    acc = [field.zero()] * len(v)
-    for c in reversed(p.coeffs):
-        acc = linalg.mat_vec(M, acc, field)
-        acc = [a + c * x for a, x in zip(acc, v)]
-    return acc
 
 
 # ----------------------------------------------------------------- centroid
@@ -361,26 +346,22 @@ def _nilpotent_span(field, mats) -> bool:
 # ----------------------------------------------------------- minimal polys
 
 
+def _powers(x: dict, n: int, field):
+    """The sparse powers I, x, x^2, ... of a sparse n-by-n matrix."""
+    power = {d: {d: field.one()} for d in range(n)}
+    while True:
+        yield power
+        power = _sp_mul(power, x)
+
+
 def minpoly_of_matrix(M, field) -> Polynomial:
-    """Monic minimal polynomial, the lcm of the minimal polynomials of M on
-    the cyclic subspaces of the standard probes, each found from the
-    probe's Krylov iterates."""
+    """Monic minimal polynomial of a square matrix: the first relation
+    among the flat vectors of its powers I, M, M^2, ...
+    (linalg.krylov_relation)."""
     n = len(M)
-    p = Polynomial.one(field)
-
-    def iterates(w):
-        while True:
-            yield w
-            w = linalg.mat_vec(M, w, field)
-
-    for start in range(n):
-        probe = [field.zero()] * n
-        probe[start] = field.one()
-        if all(c.is_zero() for c in _poly_apply(p, M, probe, field)):
-            continue
-        local = linalg.krylov_minpoly(iterates(probe), field)
-        p = (p * local) // poly_gcd(p, local)
-    return p
+    A = {r: row for r, row in enumerate(map(linalg.sparse, M)) if row}
+    return linalg.krylov_relation(
+        (_flat(P, n) for P in _powers(A, n, field)), field, n * n)
 
 
 def _coprime_split(p: Polynomial):
@@ -424,7 +405,7 @@ def _lifted_idempotent(split, x: dict, n: int, field) -> Optional[dict]:
     """
     S, T = split
     _g, _u, v = poly_ext_gcd(S, T)
-    e = _poly_at_matrix(v * T, x, n, field)
+    e = _sp_sum(zip((v * T).coeffs, _powers(x, n, field)))
     three, minus_two = field.from_rational(3), field.from_rational(-2)
     for _ in range((n - 1).bit_length() + 2):
         e2 = _sp_mul(e, e)
@@ -455,58 +436,44 @@ def _split_or_certify(field, n, mats, owner):
     spanned by the sparse mats, found through the radical quotient, or a
     certificate that the search ended without one.
 
-    The trace Gram G of the basis has the radical R as its nullspace; the
-    basis matrices c_j at G's pivot columns span A/R, and the principal
-    block G_q on those columns is invertible, so the quotient coordinates
-    of any x in A are G_q^-1 (tr(x c_j))_j.  Each candidate x acts on A/R
-    by a q-by-q left multiplication matrix whose minimal polynomial is
-    that of x modulo R.  A coprime split of it is lifted to an exact
-    idempotent; an irreducible one of degree q proves A/R a field.  owner
-    is the Lie algebra whose centroid A is (see _certify_local).
+    mats must be canonical (see _canonical), as _block_centroid, _canonical
+    through _adapted_centroid, and _corner_centroid all give it: matrix t
+    is 1 at its free flat position f_t, its last nonzero flat entry, and 0
+    at the others', so coordinate t of an element of A is its flat entry
+    at f_t.  The trace Gram has the radical R as its nullspace, and the
+    matrices at its q pivot columns span A/R.  The minimal polynomial of a
+    candidate x modulo R, which is that of left multiplication by x on the
+    unital A/R, is the first relation among the coordinates of I, x, x^2,
+    ... modulo R's (linalg.krylov_relation).  A coprime split of it is
+    lifted to an exact idempotent; an irreducible one of degree q proves
+    A/R a field.  owner is the Lie algebra whose centroid A is (see
+    _certify_local).
 
     Returns (e, None, None) with e sparse, or (None, certificate, detail).
     """
     if len(mats) == 1:
         return None, CERTIFIED, "centroid consists of scalars"
-    gram = _trace_gram(field, mats)
-    piv, null = _gram_radical(field, gram)
+    piv, null = _gram_radical(field, _trace_gram(field, mats))
     q = len(piv)
     if q == 1:
         return (None,) + _certify_local(
             field, n, mats, null, owner,
             "centroid is local: nilpotent radical of codimension one")
     quo = [mats[k] for k in piv]
-    zero = field.zero()
-    ginv = linalg.inverse([[gram[a].get(b, zero) for b in piv] for a in piv],
-                          field)
-    # built on first use: a split on the first candidate needs q products
-    # instead of q^2
-    left = [None] * q
+    free = [max(_flat(M, n)) for M in mats]
 
-    def left_mult(i):
-        if left[i] is None:
-            cols = []
-            for c in quo:
-                prod = _sp_mul(quo[i], c)
-                traces = [_sp_trace(field, prod, s) for s in quo]
-                cols.append(linalg.mat_vec(ginv, traces, field))
-            left[i] = linalg.transpose(cols)
-        return left[i]
+    def coords(P):
+        flat = _flat(P, n)
+        return {t: flat[f] for t, f in enumerate(free) if f in flat}
 
     for y in _quotient_candidates(q):
-        coeffs = [field.from_rational(c) for c in y]
-        mult = [[zero] * q for _ in range(q)]
-        for i, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            mult = [[a + c * b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(mult, left_mult(i))]
-        p = minpoly_of_matrix(mult, field)
+        x = _sp_sum(zip(map(field.from_rational, y), quo))
+        p = linalg.krylov_relation(map(coords, _powers(x, n, field)), field,
+                                   len(mats), null)
         if p.degree < 2:
             continue
         split, factors = _coprime_split(p)
         if split is not None:
-            x = _sp_sum(zip(coeffs, quo))
             e = _lifted_idempotent(split, x, n, field)
             if e is not None:
                 return e, None, None

@@ -826,7 +826,9 @@ def fixed_by_group(x: FieldElement, G: GaloisGroup) -> bool:
 
 
 def minpoly_of(x: FieldElement, F: FieldTower) -> Polynomial:
-    """Monic minimal polynomial of x over the tower level F."""
+    """Monic minimal polynomial of x over the tower level F: the first
+    relation among the F-coordinates of 1, x, x^2, ..., which the
+    [E:F] + 1 powers of x always have."""
     from . import linalg
 
     E = x.field
@@ -836,12 +838,10 @@ def minpoly_of(x: FieldElement, F: FieldTower) -> Polynomial:
     def powers():
         power = E.one()
         while True:
-            yield coords_over(power, F)
+            yield linalg.sparse(coords_over(power, F))
             power = power * x
 
-    poly = linalg.krylov_minpoly(powers(), F, relative_degree(E, F))
-    if poly is None:
-        raise DegenerateError("no linear dependence found (corrupt tower?)")
+    poly = linalg.krylov_relation(powers(), F, relative_degree(E, F))
     assert eval_poly_at(poly, x).is_zero()
     return poly
 

@@ -5,14 +5,17 @@ as {column: value} dicts holding nonzero entries only: a row update costs
 the nonzeros of the pivot row, and a row that arrives reduced, 1 at its
 pivot, is kept without a product.  Each new row's pivot is its leftmost
 nonzero column after reduction, so the reducer ends on the reduced row
-echelon form of the span, which is unique: rref, nullspace, solve and
-inverse return the same entries whatever order the rows come in.  Row
-updates and sparse products add each term in place with fields._addmul,
-which builds one element per term on Q and quadratic levels.  Dense
-lists are only the edge, converted by sparse() and dense(): the matrices
-callers pass in and the rows, vectors and inverses they get back.  det
-eliminates densely on its own: fields.factor takes field norms with it,
-and the Pfaffian tests take it as the independent reference for Pf^2.
+echelon form of the span, which is unique: rref, nullspace and inverse
+return the same entries whatever order the rows come in.  krylov_relation,
+the one rule behind every minimal polynomial, runs on the same reducer:
+tag columns record which vectors each kept row combines, and the first
+row reduced to tags alone is a relation.  Row updates and sparse products
+add each term in place with fields._addmul, which builds one element per
+term on Q and quadratic levels.  Dense lists are only the edge, converted
+by sparse() and dense(): the matrices callers pass in and the rows,
+vectors and inverses they get back.  det eliminates densely on its own:
+fields.factor takes field norms with it, and the Pfaffian tests take it
+as the independent reference for Pf^2.
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ def dense(row: dict, n: int, field) -> list:
 
 # The private sparse-matrix kit, for matrices that stay sparse between
 # calls: {row: {column: coeff}} dicts that hold nonzero entries only and no
-# empty rows, so products, traces and combinations cost what the supports
-# cost.  A flat vector holds entry M[r][c] of an n-by-n matrix at r*n + c.
+# empty rows, so products and combinations cost what the supports cost.  A
+# flat vector holds entry M[r][c] of an n-by-n matrix at r*n + c.
 
 
 def _dense_matrix(A: dict, n: int, field) -> list:
@@ -168,27 +171,6 @@ def _sp_mul(A: dict, B: dict) -> dict:
     return out
 
 
-def _sp_trace(field, A: dict, B: dict):
-    """tr(A B), the sum of A[r][c] B[c][r] over A's support."""
-    t = field.zero()
-    for r, row in A.items():
-        for c, x in row.items():
-            y = B.get(c, {}).get(r)
-            if y is not None:
-                t = t + x * y
-    return t
-
-
-def _poly_at_matrix(p: Polynomial, M: dict, n: int, field) -> dict:
-    """A polynomial at a sparse n-by-n matrix, by Horner's rule."""
-    one = field.one()
-    ident = {d: {d: one} for d in range(n)}
-    acc: dict = {}
-    for c in reversed(p.coeffs):
-        acc = _sp_sum(((one, _sp_mul(acc, M)), (c, ident)))
-    return acc
-
-
 def echelon(rows, field) -> tuple[list, list]:
     """The reduced row echelon form of the span of sparse rows: its rows,
     sparse, and their pivot columns, ascending."""
@@ -236,10 +218,6 @@ def mat_vec(A, v, field):
     return out
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def rref(rows, field):
     """Reduced row echelon form.
 
@@ -257,35 +235,31 @@ def rank(rows, field) -> int:
     return sum(red.add(dict(enumerate(row))) for row in rows)
 
 
-def solve(A, b, field):
-    """One exact solution of A x = b, or None (free variables set to zero)."""
-    if not A:
-        return [] if all(c.is_zero() for c in b) else None
-    ncols = len(A[0])
-    aug = [list(row) + [bi] for row, bi in zip(A, b)]
-    red, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for row, col in zip(red, pivots):
-        x[col] = row[-1]
-    return x
+def krylov_relation(vectors, field, width: int, modulo=()):
+    """The monic relation v_k + a_{k-1} v_{k-1} + ... + a_0 v_0 in
+    span(modulo) of the first sparse vector v_k that lies in the span of
+    modulo and the vectors before it, as the Polynomial a_0 + ... + t^k;
+    None when the vectors run out first.
 
-
-def krylov_minpoly(iterates, field, cap=None):
-    """The monic t^k - c_{k-1} t^{k-1} - ... - c_0 for the first iterate v_k
-    (a dense vector) that lies in the span of the iterates before it, as
-    v_k = c_0 v_0 + ... + c_{k-1} v_{k-1}; None when the first cap + 1
-    iterates are linearly independent (cap None: no bound).  The relation
-    is unique, as the iterates before v_k are independent."""
-    seen = []
-    for v in iterates:
-        x = solve(transpose(seen), v, field)
-        if x is not None:
-            return Polynomial(field, [-c for c in x] + [field.one()])
-        if len(seen) == cap:
-            return None
-        seen.append(v)
+    Vectors and modulo rows hold columns below width, and v_k is reduced
+    with a tag column width + k set to 1, so every kept row carries the
+    combination of vectors it came from.  The first row whose pivot is a
+    tag column has no vector entries left: its tags are the relation,
+    scaled to 1 at v_k's tag.  It is unique, as the vectors before v_k are
+    independent modulo the span.
+    """
+    red = _SparseReducer(field)
+    for row in modulo:
+        red.add(row)
+    one, zero = field.one(), field.zero()
+    for k, v in enumerate(vectors):
+        red.add({**v, width + k: one})
+        top = max(red.pivots)  # every earlier pivot is a vector column
+        if top >= width:
+            row = red.pivots[top]
+            lead = row[width + k]
+            return Polynomial(field, [row.get(width + i, zero) / lead
+                                      for i in range(k + 1)])
     return None
 
 

@@ -426,7 +426,7 @@ def _suite_jacobi_preserved(failures):
             rows = linalg.identity_matrix(field, L3.dim)
             a, b = rng.sample(range(L3.dim), 2)
             rows[a][b] = field.from_rational(rng.randint(-3, 3))
-            L4 = change_basis(L3, linalg.transpose(rows))
+            L4 = change_basis(L3, [list(col) for col in zip(*rows)])
             restrict_scalars(L4, Q)
             extend = extend_scalars(restrict_scalars(L, Q).algebra, field)
             assert extend.dim == L.dim * field.absolute_degree()

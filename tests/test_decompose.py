@@ -847,6 +847,14 @@ class TestMinpolyAndRoots:
                             [0, 1, 0, 0], [0, 0, 1, 0]])
         assert minpoly_of_matrix(companion, Q).degree == 4
 
+    def test_minpoly_is_a_proper_divisor_of_the_characteristic(self):
+        # diag(2, 2, J_2(3)) has characteristic polynomial
+        # (t - 2)^2 (t - 3)^2 and minimal polynomial (t - 2)(t - 3)^2
+        Q = rationals()
+        M = mat(Q, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 1], [0, 0, 0, 3]])
+        assert minpoly_of_matrix(M, Q) == Polynomial.from_rationals(
+            Q, [-18, 21, -8, 1])
+
     def test_roots_in_rationals_and_extensions(self):
         Q = rationals()
         Qi = gaussian_rationals()
@@ -972,6 +980,172 @@ class TestMinpolyAndRoots:
         assert calls == Counter(factor=1)
         assert [(s.certificate, s.detail) for s in d.summands] == [
             (CERTIFIED, "centroid modulo its radical is a field")]
+
+
+def sparse_trace(field, A, B):
+    """tr(A B) for sparse matrices."""
+    t = field.zero()
+    for r, row in A.items():
+        for c, x in row.items():
+            y = B.get(c, {}).get(r)
+            if y is not None:
+                t = t + x * y
+    return t
+
+
+def left_multiplications(field, n, mats):
+    """The q-by-q matrices of left multiplication by each quotient basis
+    element on A/R, built without a Krylov step: the basis matrices at the
+    pivot columns of the trace Gram span A/R, and z has quotient
+    coordinates G_q^-1 (tr(z c_j))_j, with G_q the Gram on those columns
+    inverted densely."""
+    gram = [[sparse_trace(field, A, B) for B in mats] for A in mats]
+    _, piv = linalg.rref(gram, field)
+    quo = [mats[k] for k in piv]
+    ginv = linalg.inverse([[gram[a][b] for b in piv] for a in piv], field)
+    return [[list(row) for row in zip(*(linalg.mat_vec(ginv, [
+        sparse_trace(field, linalg._sp_mul(a, c), s)
+        for s in quo], field) for c in quo))] for a in quo]
+
+
+def matrix_at(p, M, field):
+    """p(M) for a dense square matrix, by Horner's rule."""
+    ident = linalg.identity_matrix(field, len(M))
+    acc = [[field.zero()] * len(M) for _ in M]
+    for c in reversed(p.coeffs):
+        acc = [[a + c * e for a, e in zip(ra, re)] for ra, re in
+               zip(linalg.mat_mul(acc, M, field), ident)]
+    return acc
+
+
+def check_left_multiplication_minpolys(field, n, mats, polys):
+    """polys, in order, are the minimal polynomials of the left
+    multiplications of the route's candidates on A/R, skipping the
+    candidates whose left multiplication is scalar."""
+    if not polys:
+        return
+    left = left_multiplications(field, n, mats)
+    q = len(left)
+    zero = [[field.zero()] * q for _ in range(q)]
+    pending = iter(polys)
+    for y in decompose_module._quotient_candidates(q):
+        mult = zero
+        for c, Lt in zip(map(field.from_rational, y), left):
+            mult = [[a + c * b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(mult, Lt)]
+        if all(mult[r][c] == (mult[0][0] if r == c else field.zero())
+               for r in range(q) for c in range(q)):
+            continue
+        p = next(pending, None)
+        if p is None:
+            break
+        assert p.coeffs[-1] == field.one()
+        assert matrix_at(p, mult, field) == zero
+        factors = factor(p)
+        assert factors is not None
+        for g, _m in factors:
+            assert matrix_at(p // g, mult, field) != zero
+    assert next(pending, None) is None
+
+
+def quotient_polynomial_cases():
+    """Sums over Q and Q(i), nintot(1 + i, 2, 1), two restrictions from
+    Q(i) to Q and one from Q(i)(sqrt 2), whose quotient is a quartic
+    field, in the catalog basis and under dense invertible re-basings with
+    seeds 1 to 3 (2n drawn entries for those of dimension above 10)."""
+    Q, (Qi, lam_i) = rationals(), gaussian_lambda()
+    algebras = []
+    for fname, field, lam in (("Q", Q, Q.from_rational(3)),
+                              ("Q(i)", Qi, lam_i)):
+        algebras.append(("%s/h3+h3" % fname, direct_sum(
+            heisenberg(field), heisenberg(field))))
+        algebras.append(("%s/r3+g1+ab1" % fname, direct_sum(
+            r3_lambda(field, lam), g1_alpha(field, field.from_rational(2)),
+            abelian(field, 1))))
+    algebras += [
+        ("Q(i)/nintot(2,1)", nintot_family(Qi, lam_i, 2, 1)),
+        ("Q/Res g_lambda", restrict_scalars(g_lambda(Qi, lam_i), Q).algebra),
+        ("Q/Res r3", restrict_scalars(r3_lambda(Qi, lam_i), Q).algebra),
+        ("Q/Res_Q(i)(s) h3", restrict_scalars(
+            heisenberg(sqrt2_over_gaussian()), Q).algebra),
+    ]
+    out = []
+    for name, L in algebras:
+        n = L.dim
+        out.append((name, L))
+        for seed in (1, 2, 3):
+            P = invertible(L.field, n, seed, n * n if n <= 10 else 2 * n)
+            out.append(("%s*dense%d" % (name, seed), change_basis(L, P)))
+    return out
+
+
+QUOTIENT_POLYNOMIAL_CASES = quotient_polynomial_cases()
+
+
+@pytest.mark.parametrize("name, L", QUOTIENT_POLYNOMIAL_CASES,
+                         ids=[name for name, _ in QUOTIENT_POLYNOMIAL_CASES])
+def test_quotient_polynomial_is_the_left_multiplication_minpoly(
+        monkeypatch, name, L):
+    """Every polynomial the route factors is the minimal polynomial of its
+    candidate's left multiplication on A/R, shown by evaluation alone: p
+    is monic, p(mult) = 0, and p / g (mult) is not 0 for each irreducible
+    factor g of p.  The route skips a candidate whose polynomial has
+    degree 1, which is one whose mult is scalar."""
+    calls = []
+    split = decompose_module._split_or_certify
+    coprime = decompose_module._coprime_split
+
+    def recording_split(field, n, mats, owner):
+        calls.append((field, n, mats, []))
+        return split(field, n, mats, owner)
+
+    def recording_coprime(p):
+        calls[-1][3].append(p)
+        return coprime(p)
+
+    monkeypatch.setattr(decompose_module, "_split_or_certify",
+                        recording_split)
+    monkeypatch.setattr(decompose_module, "_coprime_split", recording_coprime)
+    d = decompose_indecomposable(L)
+    monkeypatch.undo()
+    assert d.verified and d.all_certified
+    assert any(polys for *_, polys in calls)
+    for field, n, mats, polys in calls:
+        check_left_multiplication_minpolys(field, n, mats, polys)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quotient_polynomial_reads_through_the_radical(monkeypatch, seed):
+    """A = span(E11 + E33, E22, E31) conjugated by a seeded dense S: the
+    canonical basis element at the Gram's first pivot carries a radical
+    part, so its minimal polynomial in A has degree 3 while its
+    polynomial modulo R has degree 2.  The route must factor the latter
+    and split A."""
+    Q = rationals()
+    S = invertible(Q, 3, seed, 9)
+    Sinv = linalg.inverse(S, Q)
+    flats = []
+    for X in ([[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+              [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+              [[0, 0, 0], [0, 0, 0], [1, 0, 0]]):
+        Y = linalg.mat_mul(linalg.mat_mul(S, mat(Q, X), Q), Sinv, Q)
+        flats.append(linalg.sparse([y for row in Y for y in row]))
+    mats = [linalg._unflatten(v, 3)
+            for v in decompose_module._canonical(Q, 3, flats)]
+    polys = []
+    coprime = decompose_module._coprime_split
+    monkeypatch.setattr(decompose_module, "_coprime_split",
+                        lambda p: polys.append(p) or coprime(p))
+    e, _cert, _detail = _split_or_certify(Q, 3, mats, None)
+    monkeypatch.undo()
+    check_left_multiplication_minpolys(Q, 3, mats, polys)
+    first = mats[linalg.rref([[sparse_trace(Q, A, B) for B in mats]
+                              for A in mats], Q)[1][0]]
+    assert [p.degree for p in polys] == [2]
+    assert minpoly_of_matrix(_dense_matrix(first, 3, Q), Q).degree == 3
+    e = _dense_matrix(e, 3, Q)
+    assert mat_equal(linalg.mat_mul(e, e, Q), e)
+    assert in_span([_dense_matrix(M, 3, Q) for M in mats], e)
 
 
 def idempotent_of(L):

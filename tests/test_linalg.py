@@ -1,13 +1,16 @@
 """The sparse elimination behind linalg against a dense reference.
 
-rref, nullspace, solve, inverse and rank run on one sparse reducer.  The
+rref, nullspace, inverse and rank run on one sparse reducer.  The
 reduced row echelon form of a span is unique, so each must give the same
 entries and pivots as the dense Gauss-Jordan elimination kept below as
 the reference, on seeded matrices over Q, Q(i) and Q(i)(sqrt 2): dense,
-10% dense, rank-deficient, zero, wide, tall and empty.
+10% dense, rank-deficient, zero, wide, tall and empty.  krylov_relation
+runs on the same reducer; its relations are checked to hold and to be
+the first, through rank.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -76,21 +79,6 @@ def ref_nullspace(A, field):
             v[col] = -row[free]
         basis.append(v)
     return basis
-
-
-def ref_solve(A, b, field):
-    """One solution of A x = b with free variables zero, or None."""
-    if not A:
-        return [] if all(c.is_zero() for c in b) else None
-    ncols = len(A[0])
-    red, pivots = ref_rref([list(row) + [bi] for row, bi in zip(A, b)],
-                           field)
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for row, col in zip(red, pivots):
-        x[col] = row[-1]
-    return x
 
 
 def ref_inverse(A, field):
@@ -183,10 +171,6 @@ IDS = [c[0] for c in CASES]
 SQUARE = [c for c in CASES if not c[3] or len(c[3]) == len(c[3][0])]
 
 
-def column_combination(A, x, field):
-    return linalg.mat_vec(A, x, field) if A else []
-
-
 # ------------------------------------------------------------------ tests
 
 @pytest.mark.parametrize("name, field, gens, A", CASES, ids=IDS)
@@ -198,26 +182,6 @@ def test_rref_nullspace_and_rank_match_the_reference(name, field, gens, A):
     sparse = [linalg.sparse(r) for r in red]
     assert linalg.echelon([linalg.sparse(r) for r in A], field) == (
         sparse, pivots)
-
-
-@pytest.mark.parametrize("name, field, gens, A", CASES, ids=IDS)
-def test_solve_matches_the_reference(name, field, gens, A):
-    rng = random.Random(name)
-    ncols = len(A[0]) if A else 0
-    x0 = [element(field, gens, rng) for _ in range(ncols)]
-    b = column_combination(A, x0, field)
-    x = linalg.solve(A, b, field)
-    assert x == ref_solve(A, b, field)
-    assert linalg.mat_vec(A, x, field) == b
-    if len(ref_rref(A, field)[0]) == len(A):
-        return  # every right side is consistent
-    for _ in range(20):
-        b = [element(field, gens, rng) for _ in range(len(A))]
-        if ref_solve(A, b, field) is None:
-            break
-    else:
-        pytest.fail("no inconsistent right side found")
-    assert linalg.solve(A, b, field) is None
 
 
 @pytest.mark.parametrize("name, field, gens, A", SQUARE,
@@ -247,7 +211,7 @@ def test_express_matches_the_reference(name, field, gens, A):
     red, pivots = ref_rref(A, field)
     sparse = [linalg.sparse(r) for r in red]
     ncols = len(A[0]) if A else 0
-    inside = linalg.mat_vec(linalg.transpose(red),
+    inside = linalg.mat_vec([list(col) for col in zip(*red)],
                             [element(field, gens, rng) for _ in red],
                             field) if red else [field.zero()] * ncols
     coords = linalg.express(linalg.sparse(inside), sparse, pivots)
@@ -263,3 +227,92 @@ def test_express_matches_the_reference(name, field, gens, A):
         pytest.fail("no vector outside the span found")
     assert linalg.express(linalg.sparse(outside), sparse, pivots) is None
 
+
+
+# --------------------------------------------------------- krylov relation
+
+WIDTH = 6
+
+
+def sparse_vector(field, gens, rng, density=0.4):
+    return linalg.sparse([element(field, gens, rng, density)
+                          for _ in range(WIDTH)])
+
+
+def combination(field, coeffs, vectors):
+    out = [field.zero()] * WIDTH
+    for c, v in zip(coeffs, vectors):
+        for k, x in v.items():
+            out[k] = out[k] + c * x
+    return linalg.sparse(out)
+
+
+def krylov_cases():
+    """Seeded sparse sequences of width WIDTH over each field, without and
+    with two rows to reduce modulo: a random sequence whose v_k is a
+    combination of the vectors before it plus an element of the span, a
+    random sequence longer than the width, a sequence opening with an
+    element of the span, and unit vectors that run out before a
+    relation."""
+    out = []
+    for seed, (fname, field, gens) in enumerate(fields()):
+        rng = random.Random(100 + seed)
+        for with_modulo in (False, True):
+            # the span leaves the last two columns free
+            modulo = ([{c: x for c, x in sparse_vector(
+                field, gens, rng, 0.7).items() if c < WIDTH - 2}
+                for _ in range(2)] if with_modulo else [])
+            tag = "%s-%s" % (fname, "modulo" if with_modulo else "plain")
+            for trial in range(3):
+                k = rng.randint(1, 4)
+                head = [sparse_vector(field, gens, rng) for _ in range(k)]
+                coeffs = [element(field, gens, rng, 0.7)
+                          for _ in head + modulo]
+                forced = combination(field, coeffs, head + modulo)
+                tail = [sparse_vector(field, gens, rng) for _ in range(2)]
+                out.append(("%s-forced%d" % (tag, trial), field, modulo,
+                            head + [forced] + tail))
+            out.append(("%s-long" % tag, field, modulo,
+                        [sparse_vector(field, gens, rng, 0.6)
+                         for _ in range(WIDTH + 2)]))
+            opening = combination(field, [field.from_rational(2)] *
+                                  len(modulo), modulo)
+            out.append(("%s-opening" % tag, field, modulo,
+                        [opening, sparse_vector(field, gens, rng)]))
+            free = [c for c in range(WIDTH)
+                    if all(c not in row for row in modulo)]
+            out.append(("%s-units" % tag, field, modulo,
+                        [{c: field.one()} for c in free]))
+    return out
+
+
+KRYLOV_CASES = krylov_cases()
+
+
+@pytest.mark.parametrize("name, field, modulo, vectors", KRYLOV_CASES,
+                         ids=[c[0] for c in KRYLOV_CASES])
+def test_krylov_relation_holds_and_is_the_first(name, field, modulo,
+                                                vectors):
+    def rank_with(extra):
+        return linalg.rank([linalg.dense(v, WIDTH, field)
+                            for v in modulo + extra], field)
+
+    base = rank_with([])
+    rest = iter(vectors)
+    p = linalg.krylov_relation(rest, field, WIDTH, modulo)
+    if p is None:
+        assert rank_with(vectors) == base + len(vectors)
+        return
+    k = p.degree
+    assert p.coeffs[-1] == field.one()
+    assert rank_with(vectors[:k]) == base + k
+    assert rank_with([combination(field, p.coeffs, vectors)]) == base
+    assert len(list(rest)) == len(vectors) - k - 1  # read no further
+
+
+def test_krylov_cases_cover_every_outcome():
+    degrees = Counter()
+    for _name, field, modulo, vectors in KRYLOV_CASES:
+        p = linalg.krylov_relation(vectors, field, WIDTH, modulo)
+        degrees[None if p is None else min(p.degree, 2)] += 1
+    assert set(degrees) == {None, 0, 1, 2}
