@@ -68,6 +68,7 @@ from .polynomials import (
     QUADRATIC_RADICAND_CAP,
     Polynomial,
     _is_cyclotomic,
+    _multiplicities,
     cyclotomic_coeffs,
     factor_over_Q,
     poly_gcd,
@@ -1105,17 +1106,10 @@ def factor(p: Polynomial) -> Optional[list]:
                 return None
             out += [(f, m) for f in pieces]
         return None if below is None else _ordered(out)
-    g = squarefree_part(p)
-    pieces = _split(g)
+    pieces = _split(squarefree_part(p))
     if pieces is None:
         return None
-    out = []
-    for f in pieces:
-        m = 1
-        while g.degree < p.degree and (p % f ** (m + 1)).is_zero():
-            m += 1
-        out.append((f, m))
-    return _ordered(out)
+    return _ordered(_multiplicities(p, pieces))
 
 
 def _ordered(pairs: list) -> list:

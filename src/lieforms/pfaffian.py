@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .errors import (
@@ -491,32 +492,30 @@ def invariant_T(form: MultiPoly) -> FieldElement:
 def classical_S(form: MultiPoly) -> FieldElement:
     """The weight-4 quartic invariant in its substitution-invariant form.
 
-    Reading the quartic as a z1^4 + 4b z1^3 z2 + 6c z1^2 z2^2 + 4d z1 z2^3
-    + e z2^4 and applying the S formula to (a, b, c, d, e) gives
-    AE - BD/4 + C^2/12 on the raw coefficients; this satisfies
-    classical_S(f o A) = det(A)^4 * classical_S(f) for every linear
-    substitution A, so it is invariant under SL2.  invariant_S applies the
-    same formula directly to raw coefficients, which matches the family
-    evaluations (S(f_lambda) = 3 lambda^2 + 1) but transforms differently.
+    This is invariant_S of the quartic read as a z1^4 + 4b z1^3 z2 +
+    6c z1^2 z2^2 + 4d z1 z2^3 + e z2^4, that is AE - BD/4 + C^2/12 on the
+    raw coefficients; it satisfies classical_S(f o A) = det(A)^4 *
+    classical_S(f) for every linear substitution A, so it is invariant
+    under SL2.  invariant_S applies the same formula directly to raw
+    coefficients, which matches the family evaluations (S(f_lambda) =
+    3 lambda^2 + 1) but transforms differently.
     """
-    A, B, C, D, E = _quartic_coeffs(form)
-    field = form.field
-    quarter = field.from_rational(Fraction(1, 4))
-    twelfth = field.from_rational(Fraction(1, 12))
-    return A * E - quarter * (B * D) + twelfth * (C * C)
+    return invariant_S(_binomially_scaled(form))
 
 
 def classical_T(form: MultiPoly) -> FieldElement:
     """The weight-6 quartic invariant; see classical_S for the convention."""
-    A, B, C, D, E = _quartic_coeffs(form)
+    return invariant_T(_binomially_scaled(form))
+
+
+def _binomially_scaled(form: MultiPoly) -> MultiPoly:
+    """The quartic whose raw coefficients are (A, B/4, C/6, D/4, E) for
+    form's raw coefficients (A, B, C, D, E)."""
     field = form.field
-
-    def frac(n, d):
-        return field.from_rational(Fraction(n, d))
-
-    return (frac(1, 6) * (A * C * E) + frac(1, 48) * (B * C * D)
-            - frac(1, 16) * (A * D * D) - frac(1, 16) * (B * B * E)
-            - frac(1, 216) * (C * C * C))
+    coeffs = _quartic_coeffs(form)
+    return MultiPoly(field, 2, {
+        (4 - k, k): coeffs[k] * field.from_rational(Fraction(1, comb(4, k)))
+        for k in range(5)})
 
 
 def invariant_c(form: MultiPoly) -> FieldElement:

@@ -8,11 +8,12 @@ Two layers live here:
   towers satisfy this, so the same class serves minimal polynomials over Q
   and over any extension level.
 
-* Factorization over Q (Yun's squarefree split, rational roots, Berlekamp
-  mod p, Hensel lifting, subset recombination) takes and returns
-  Polynomials with rational coefficients, in their own ring, and is capped
-  at degree 12.  Only the steps modulo p and the integer lifts below them
-  work on plain integer coefficient lists.
+* Factorization over Q (the squarefree part, then Berlekamp mod p,
+  Hensel lifting and subset recombination, then each factor's
+  multiplicity) takes and returns Polynomials with rational coefficients,
+  in their own ring, and is capped at degree 12.  Only the steps modulo p
+  and the integer lifts below them work on plain integer coefficient
+  lists.
 """
 
 from __future__ import annotations
@@ -284,13 +285,6 @@ def _iadd(a, b):
 
 def _ineg(a):
     return [-c for c in a]
-
-
-def _feval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -575,7 +569,7 @@ def _factor_bound(f: list[int]) -> int:
 
 
 def _zassenhaus(f: list[int]) -> list[list[int]]:
-    """Factor a primitive squarefree integer polynomial, lc > 0, deg >= 2.
+    """Factor a primitive squarefree integer polynomial, lc > 0, deg >= 1.
 
     Returns primitive integer factors with positive leading coefficients.
     """
@@ -637,44 +631,6 @@ def _good_prime(f: list[int]):
             return p, fp
 
 
-def _eval_mod(f: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _integer_roots(f: list[int]) -> list[Fraction]:
-    """The rational roots of a squarefree integer polynomial f of degree
-    >= 1, found without enumerating the divisors of its coefficients.
-
-    Modulo a good prime p (see _good_prime) every rational root s reduces
-    to a simple root of f, and s is p-adic since its denominator divides
-    lc(f).  Each root modulo p is lifted by Newton's iteration to a
-    modulus m of at least twice the coefficient bound, which exceeds
-    2|lc(f) s|, so lc(f) s is the symmetric residue of lc(f) times the
-    lift.  A candidate is kept only when it is an exact root.
-    """
-    if len(f) == 2:
-        return [Fraction(-f[0], f[1])]
-    p, fp = _good_prime(f)
-    deriv = [k * c for k, c in enumerate(f)][1:]
-    bound = 2 * _factor_bound(f)
-    roots = []
-    for r in range(p):
-        if _eval_mod(fp, r, p):
-            continue
-        m = p
-        while m < bound:
-            m *= m
-            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(deriv, r, m), -1, m)
-                 ) % m
-        cand = Fraction(_sym(f[-1] * r, m), f[-1])
-        if _feval(f, cand) == 0:
-            roots.append(cand)
-    return roots
-
-
 def _next_prime(p: int) -> int:
     q = p + 1
     while True:
@@ -685,32 +641,14 @@ def _next_prime(p: int) -> int:
 
 # ------------------------------------------------------------ public API
 
-def _split_zero_root(p: Polynomial):
-    """(k, q) with p = t**k * q and q(0) != 0, for p nonzero."""
-    k = 0
-    while p.coeffs[k].is_zero():
-        k += 1
-    return k, Polynomial(p.ring, p.coeffs[k:])
-
-
-def rational_roots(p: Polynomial) -> list[Fraction]:
-    """Sorted distinct rational roots of a polynomial with rational coords."""
-    _require_rational(p)
-    if p.is_zero():
-        raise DegenerateError("rational_roots of the zero polynomial")
-    shift, f = _split_zero_root(p)
-    roots = [Fraction(0)] if shift else []
-    if f.degree >= 1:
-        roots.extend(_integer_roots(_int_coeffs(squarefree_part(f))))
-    return sorted(roots)
-
-
 def factor_over_Q(p: Polynomial):
     """Factor a rational-coefficient polynomial into monic irreducibles.
 
     Returns (unit, factors) with unit a Fraction, factors a sorted list of
     (monic Polynomial, multiplicity) pairs, and
     p == unit * prod(f**m).  Degrees above 12 raise DegreeTooLargeError.
+    The squarefree part is factored by _zassenhaus, and each factor's
+    multiplicity read by _multiplicities.
     """
     _require_rational(p)
     if p.is_zero():
@@ -719,23 +657,11 @@ def factor_over_Q(p: Polynomial):
         raise DegreeTooLargeError(
             "degree %d exceeds the factorization cap %d"
             % (p.degree, FACTOR_DEGREE_CAP))
-    shift, f = _split_zero_root(p.monic())
-    factors = [(Polynomial.gen(p.ring), shift)] if shift else []
-
-    # Yun squarefree decomposition.
-    df = f.derivative()
-    c = poly_gcd(f, df)
-    w = f // c
-    z = df // c - w.derivative()
-    mult = 0
-    while w.degree > 0:
-        mult += 1
-        a = poly_gcd(w, z)
-        if a.degree > 0:
-            factors.extend((g, mult) for g in _factor_squarefree(a))
-        w = w // a
-        z = z // a - w.derivative()
-
+    g, pieces = squarefree_part(p), []
+    if g.degree:
+        pieces = [Polynomial.from_rationals(p.ring, piece).monic()
+                  for piece in _zassenhaus(_int_coeffs(g))]
+    factors = _multiplicities(p, pieces)
     factors.sort(key=lambda pair: (pair[0].degree,
                                    [(x.rational_value().numerator,
                                      x.rational_value().denominator)
@@ -743,19 +669,21 @@ def factor_over_Q(p: Polynomial):
     return p.lc.rational_value(), factors
 
 
-def _factor_squarefree(a: Polynomial) -> list[Polynomial]:
-    """Factor a monic squarefree rational polynomial; returns monic factors."""
-    ring = a.ring
+def _multiplicities(p: Polynomial, pieces: list) -> list:
+    """(f, m) for each monic irreducible factor f of p's squarefree part,
+    with m the multiplicity of f in p, read by repeated division.  The
+    powers past the first share p's degree over its squarefree part, so a
+    squarefree p takes no division."""
+    spare = p.degree - sum(f.degree for f in pieces)
     out = []
-    for r in _integer_roots(_int_coeffs(a)):
-        lin = Polynomial(ring, [ring.from_rational(-r), ring.one()])
-        a = a // lin
-        out.append(lin)
-    if a.degree >= 3:
-        out.extend(Polynomial.from_rationals(ring, piece).monic()
-                   for piece in _zassenhaus(_int_coeffs(a)))
-    elif a.degree >= 1:
-        out.append(a)
+    for f in pieces:
+        m = 1
+        if spare >= f.degree:
+            q, r = divmod(p // f, f)
+            while r.is_zero():
+                m, spare = m + 1, spare - f.degree
+                q, r = divmod(q, f)
+        out.append((f, m))
     return out
 
 

@@ -925,15 +925,12 @@ class TestMinpolyAndRoots:
         from lieforms import fields, polynomials
 
         calls = Counter()
-        originals = {name: getattr(polynomials, name)
-                     for name in ("factor_over_Q", "rational_roots")}
+        original = polynomials.factor_over_Q
         for module in (polynomials, fields, decompose_module):
-            for name, fn in originals.items():
-                if hasattr(module, name):
-                    monkeypatch.setattr(
-                        module, name,
-                        lambda p, _fn=fn, _name=name:
-                            calls.update([_name]) or _fn(p))
+            if hasattr(module, "factor_over_Q"):
+                monkeypatch.setattr(
+                    module, "factor_over_Q",
+                    lambda p: calls.update(["factor_over_Q"]) or original(p))
         p = Polynomial.from_rationals(gaussian_rationals(), coeffs)
         (S, T), _ = decompose_module._coprime_split(p)
         assert S.degree >= 1 and T.degree >= 1 and S * T == p

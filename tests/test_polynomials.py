@@ -13,7 +13,6 @@ from lieforms.polynomials import (
     is_irreducible_over_Q,
     poly_ext_gcd,
     poly_gcd,
-    rational_roots,
     squarefree_part,
 )
 
@@ -56,7 +55,10 @@ def test_squarefree_part():
 def test_rational_roots_with_multiplicity_and_fractions():
     # (2t - 1)^2 (t + 3) t
     p = poly(Fraction(-1, 2), 1) ** 2 * poly(3, 1) * poly(0, 1)
-    assert rational_roots(p) == [Fraction(-3), Fraction(0), Fraction(1, 2)]
+    unit, factors = factor_over_Q(p)
+    assert unit == 1
+    assert factors == [(poly(Fraction(-1, 2), 1), 2), (poly(0, 1), 1),
+                       (poly(3, 1), 1)]
 
 
 def test_factor_t4_minus_1():
@@ -104,6 +106,45 @@ def test_factor_degree_cap():
     coeffs = [0] * 13 + [1]
     with pytest.raises(DegreeTooLargeError):
         factor_over_Q(poly(*coeffs))
+
+
+# Products of known irreducibles: (unit, [(coefficients, multiplicity)]),
+# the factors in factor_over_Q's order, by degree and then by coefficients
+# low to high.
+KNOWN_FACTORINGS = {
+    "zero and fractional roots": (6, [([Fraction(-5, 2), 1], 1),
+                                      ([0, 1], 3),
+                                      ([Fraction(2, 3), 1], 1)]),
+    "t2 (t-1/2) (t4+1)^2": (1, [([Fraction(-1, 2), 1], 1), ([0, 1], 2),
+                                ([1, 0, 0, 0, 1], 2)]),
+    # irreducible over Q, split modulo every prime
+    "t4-10t2+1": (1, [([1, 0, -10, 0, 1], 1)]),
+    "t6-8": (1, [([-2, 0, 1], 1), ([4, 0, 2, 0, 1], 1)]),
+    "(t2+3)^3 (t+2/3)^2": (1, [([Fraction(2, 3), 1], 2), ([3, 0, 1], 3)]),
+    "6 (t-1)^2 (t+3/4) (t2+t+1)": (6, [([-1, 1], 2),
+                                       ([Fraction(3, 4), 1], 1),
+                                       ([1, 1, 1], 1)]),
+    "(t2-3)(t2-2)(t2+1)": (Fraction(-1, 2), [([-3, 0, 1], 1),
+                                             ([-2, 0, 1], 1),
+                                             ([1, 0, 1], 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_FACTORINGS))
+@pytest.mark.parametrize("ring", ["Q", "Q(i)"])
+def test_factor_over_Q_returns_the_known_factors(ring, case):
+    """The exact factors, multiplicities and order of products built from
+    known irreducibles, each factor in p's own ring."""
+    from lieforms.fields import gaussian_rationals
+
+    E = Q if ring == "Q" else gaussian_rationals()
+    unit, pieces = KNOWN_FACTORINGS[case]
+    expected = [(Polynomial.from_rationals(E, cs), m) for cs, m in pieces]
+    p = Polynomial.from_rationals(E, [unit])
+    for f, m in expected:
+        p = p * f ** m
+    # Polynomial equality compares the ring as well
+    assert factor_over_Q(p) == (unit, expected)
 
 
 def test_irreducibility_checks():
@@ -224,15 +265,15 @@ def test_random_factor_refactor_roundtrip():
                 unit,
                 [([c.rational_value() for c in f.coeffs], m)
                  for f, m in factors],
-                rational_roots(p),
                 is_irreducible_over_Q(p)))
         assert answers[1:] == answers[:-1]
 
 
 def test_rational_roots_of_zero_polynomial_raises():
     with pytest.raises(DegenerateError):
-        rational_roots(Polynomial.zero(Q))
-    assert rational_roots(poly(5)) == []
+        factor_over_Q(Polynomial.zero(Q))
+    assert factor_over_Q(poly(5)) == (5, [])
+    assert not is_irreducible_over_Q(poly(5))
 
 
 def test_rational_routines_reject_irrational_coefficients():
@@ -243,7 +284,7 @@ def test_rational_routines_reject_irrational_coefficients():
     # i t + i is rational once made monic, so the check must come first
     for cs in ([i, i], [one, i, one], [i]):
         p = Polynomial(QI, cs)
-        routines = [factor_over_Q, rational_roots]
+        routines = [factor_over_Q]
         if p.degree >= 1:
             routines.append(is_irreducible_over_Q)
         for routine in routines:
@@ -294,17 +335,14 @@ def test_rational_roots_match_the_divisor_test():
             else:
                 p = p * poly(rng.randint(1, 5), rng.randint(-2, 2), 1)
         cs = [c.rational_value() for c in p.coeffs]
-        assert rational_roots(p) == divisor_roots(cs), (trial, cs)
+        assert p.degree <= 10
+        assert fields.roots_in_field(p) == divisor_roots(cs), (trial, cs)
 
 
-def test_rational_roots_above_the_factor_cap_and_of_large_constants():
-    # degree 21: above FACTOR_DEGREE_CAP, still answered
-    p = Polynomial.one(Q)
-    for r in range(-3, 4):
-        p = p * poly(Fraction(-r, 2), 1) * poly(1, 0, 1)
-    assert p.degree == 21
-    assert rational_roots(p) == [Fraction(r, 2) for r in range(-3, 4)]
+def test_linear_factors_of_large_constants():
     big = 2 ** 61 - 1
     p = poly(-big, 1) * poly(5, 3) * poly(1, 0, 1)
-    assert rational_roots(p) == [Fraction(-5, 3), Fraction(big)]
-    assert rational_roots(poly(-big, 0, 0, 1)) == []
+    assert factor_over_Q(p) == (3, [(poly(-big, 1), 1),
+                                    (poly(Fraction(5, 3), 1), 1),
+                                    (poly(1, 0, 1), 1)])
+    assert factor_over_Q(poly(-big, 0, 0, 1)) == (1, [(poly(-big, 0, 0, 1), 1)])
